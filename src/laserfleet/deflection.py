@@ -152,14 +152,13 @@ def bplane_miss(s_dev: StateVector, s_0: StateVector, earth_state: StateVector) 
     return float(np.linalg.norm(in_plane))
 
 
-def simulate_deflection(sc: DeflectionScenario, earth_state_at_moid: StateVector | None = None,
+def simulate_deflection(sc: DeflectionScenario,
                         mdot_table: MdotTable | None = None) -> DeflectionOutcome:
     """Run the coupled deflection from t_start to the encounter epoch.
 
-    ``earth_state_at_moid`` overrides the ephemeris propagation (used by
-    the eccentricity sweep, which places a virtual Earth at the orbit
-    intersection). A prebuilt ``mdot_table`` can be shared across runs of
-    the same design.
+    The miss distance is taken in the b-plane of the ephemeris Earth at
+    the encounter epoch. A prebuilt ``mdot_table`` can be shared across
+    runs of the same design.
     """
     ast, design = sc.ast, sc.design
     mu = MU_SUN
@@ -350,9 +349,7 @@ def simulate_deflection(sc: DeflectionScenario, earth_state_at_moid: StateVector
     else:
         s_dev = elements_to_state(kepler_propagate(k_dev, sc.t_moid - t_end, mu), mu)
         s_0 = elements_to_state(kepler_propagate(k0, sc.t_moid - k0.epoch, mu), mu)
-        earth_state = (earth_state_at_moid if earth_state_at_moid is not None
-                       else sc.earth.state_at(sc.t_moid))
-        miss = bplane_miss(s_dev, s_0, earth_state)
+        miss = bplane_miss(s_dev, s_0, sc.earth.state_at(sc.t_moid))
 
     return DeflectionOutcome(
         times=np.array(rec_t), thrust=np.array(rec_thrust),

@@ -32,6 +32,7 @@ from .formation import (
     ShapedOrbit,
     natural_family_label,
     natural_orbit_objectives,
+    shaped_feasibility,
     shaped_objectives,
 )
 from .moo import ProblemSpec, optimize
@@ -167,10 +168,13 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
                                         "spacecraft_mass_kg": m_sc,
                                         "efficiency_option": option,
                                         "feasible_found": result.archive.feasible_found})
+    # each member keeps the objectives it was scored with; C1 and C2 are
+    # closed-form, so nothing is evaluated twice
     for m in result.archive.members:
-        res = shaped_objectives(ShapedOrbit(coeffs=m.x), ctx, duration, n_samples)
-        table.add_row(*[float(v) for v in m.x], res["J1"], res["J2"], res["J3"],
-                      res["J3"] * m_sc, res["C1"], res["C2"])
+        j1, j2, j3 = (float(v) for v in m.objectives)
+        c1, c2 = shaped_feasibility(ShapedOrbit(coeffs=m.x))
+        table.add_row(*[float(v) for v in m.x], j1, j2, j3, j3 * m_sc,
+                      float(c1), float(c2))
     return table
 
 

@@ -21,11 +21,13 @@ along the prescribed trajectory for their control budget.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import batch
 from .constants import G0, MU_SUN, TWO_PI
 from .orbits import OrbitalElements, flight_path_angle, linear_proximal_position, mean_to_true
 from .plume import (
@@ -154,16 +156,18 @@ def harmonic_potential(pos: np.ndarray, ast: AsteroidModel, t: float) -> float:
                             + 3.0 * c22 * cos2_gamma * math.cos(2.0 * lam))
 
 
-def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, t: float) -> np.ndarray:
+def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, t) -> np.ndarray:
     """Gradient of the harmonic correction (the central term is separate).
 
+    ``pos`` is a 3-vector at time ``t``, or an (N, 3) batch with N times.
     Rejects points inside the bounding sphere of the body, where the
-    expansion is meaningless.
+    expansion is meaningless, for any sample.
     """
-    x, y, z = float(pos[0]), float(pos[1]), float(pos[2])
+    x, y, z = batch.components(pos)
     r2 = x * x + y * y + z * z
-    r = math.sqrt(r2)
-    if r <= max(ast.semi_axes):
+    m = batch.xp(r2)
+    r = m.sqrt(r2)
+    if batch.any_true(r <= max(ast.semi_axes)):
         raise ValueError("gravity gradient requested inside the asteroid")
 
     c20, c22 = gravity_coefficients(ast.semi_axes)
@@ -173,7 +177,7 @@ def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, t: float) -> np.ndarra
 
     # rho^2 cos(2 lambda) is the quadratic form Q rotating with the body
     wt2 = 2.0 * ast.spin_rate * t
-    c2, s2 = math.cos(wt2), math.sin(wt2)
+    c2, s2 = m.cos(wt2), m.sin(wt2)
     q = (x * x - y * y) * c2 - 2.0 * x * y * s2
     q_x = 2.0 * x * c2 - 2.0 * y * s2
     q_y = -2.0 * y * c2 - 2.0 * x * s2
@@ -181,12 +185,52 @@ def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, t: float) -> np.ndarra
     gx = c20 * (-6.0 * x / r5 + 7.5 * x * rho2 / r7) + 3.0 * c22 * (q_x / r5 - 5.0 * x * q / r7)
     gy = c20 * (-6.0 * y / r5 + 7.5 * y * rho2 / r7) + 3.0 * c22 * (q_y / r5 - 5.0 * y * q / r7)
     gz = c20 * (-3.0 * z / r5 + 7.5 * z * rho2 / r7) + 3.0 * c22 * (-5.0 * z * q / r7)
-    return ast.mu * np.array([gx, gy, gz])
+    return batch.vector(ast.mu * gx, ast.mu * gy, ast.mu * gz)
 
 
 # ---------------------------------------------------------------------------
 # Full proximity dynamics
 # ---------------------------------------------------------------------------
+
+def _gravity_terms(pos: np.ndarray, xyz, r_a, ast: AsteroidModel, t, mu_sun: float):
+    """r_sc, mu_sun / r_sc^3, mu_A / dr^3 and the harmonic gravity at ``pos``.
+
+    ``xyz`` are the components of ``pos``, and the harmonic gravity comes
+    back as components too. The central term is dropped at dr = 0 and the
+    harmonic one inside the bounding sphere of the body.
+    """
+    x, y, z = xyz
+    m = batch.xp(x)
+    r_sc = m.sqrt((r_a + x) ** 2 + y * y + z * z)
+    dr = m.sqrt(x * x + y * y + z * z)
+    mu_a_dr3 = batch.apply_where(dr > 0.0, operator.truediv, ast.mu, dr**3)
+    gg = batch.apply_where(dr > max(ast.semi_axes), gravity_gradient, pos, ast, t,
+                           fill=batch.ZERO3)
+    return r_sc, mu_sun / r_sc**3, mu_a_dr3, batch.components(gg)
+
+
+def hill_accel(xyz, v_xy, r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
+               mu_s_rsc3, mu_a_dr3, g, f_s, m_sc):
+    """Hill-frame acceleration of the spacecraft before control, (ax, ay, az).
+
+    Frame accelerations of the eccentric asteroid orbit (polar coordinates
+    r_a, nu and their rates), solar gravity (mu_s_rsc3), asteroid point
+    gravity (mu_a_dr3), its harmonic gradient g and the surface force f_s
+    on mass m_sc. Position ``xyz``, velocity ``v_xy`` (x and y), ``g`` and
+    ``f_s`` come as components: floats for one sample, columns for a batch.
+    Plain arithmetic, so both go through alike.
+    """
+    x, y, z = xyz
+    vx, vy = v_xy
+    gx, gy, gz = g
+    fx, fy, fz = f_s
+    ax = (2.0 * nu_dot * vy + nu_ddot * y + nu_dot**2 * (r_a + x) - r_a_ddot
+          - mu_s_rsc3 * (r_a + x) - mu_a_dr3 * x + gx + fx / m_sc)
+    ay = (-2.0 * nu_dot * (vx + r_a_dot) - nu_ddot * (r_a + x) + nu_dot**2 * y
+          - mu_s_rsc3 * y - mu_a_dr3 * y + gy + fy / m_sc)
+    az = -mu_s_rsc3 * z - mu_a_dr3 * z + gz + fz / m_sc
+    return ax, ay, az
+
 
 def proximity_derivatives(state: ProximityState, f_s: np.ndarray, u_ctrl: np.ndarray,
                           u_dev: np.ndarray, ast: AsteroidModel, m_sc: float,
@@ -200,28 +244,20 @@ def proximity_derivatives(state: ProximityState, f_s: np.ndarray, u_ctrl: np.nda
     evolve alongside, driven by the deflection acceleration u_dev (radial,
     transverse components).
     """
-    x, y, z = state.pos
-    vx, vy, vz = state.vel
-    r_a, r_a_dot = state.r_a, state.r_a_dot
-    nu_dot = state.nu_dot
-
-    r_sc = math.sqrt((r_a + x) ** 2 + y * y + z * z)
-    dr = math.sqrt(x * x + y * y + z * z)
+    # floats run the arithmetic below faster than numpy scalars, same bits
+    xyz = state.pos.tolist()
+    vx, vy, vz = state.vel.tolist()
+    r_a, r_a_dot, nu_dot = float(state.r_a), float(state.r_a_dot), float(state.nu_dot)
 
     nu_ddot = u_dev[1] / r_a - 2.0 * r_a_dot * nu_dot / r_a
     r_a_ddot = nu_dot**2 * r_a - mu_sun / r_a**2 + u_dev[0]
 
-    mu_a_dr3 = ast.mu / dr**3 if dr > 0.0 else 0.0
-    mu_s_rsc3 = mu_sun / r_sc**3
-    gg = gravity_gradient(state.pos, ast, t) if dr > max(ast.semi_axes) else np.zeros(3)
+    _, mu_s_rsc3, mu_a_dr3, g = _gravity_terms(state.pos, xyz, r_a, ast, t, mu_sun)
+    ax, ay, az = hill_accel(xyz, (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
+                            mu_s_rsc3, mu_a_dr3, g, np.asarray(f_s, dtype=float).tolist(), m_sc)
 
-    ax = (2.0 * nu_dot * vy + nu_ddot * y + nu_dot**2 * (r_a + x) - r_a_ddot
-          - mu_s_rsc3 * (r_a + x) - mu_a_dr3 * x + gg[0] + f_s[0] / m_sc + u_ctrl[0])
-    ay = (-2.0 * nu_dot * (vx + r_a_dot) - nu_ddot * (r_a + x) + nu_dot**2 * y
-          - mu_s_rsc3 * y - mu_a_dr3 * y + gg[1] + f_s[1] / m_sc + u_ctrl[1])
-    az = (-mu_s_rsc3 * z - mu_a_dr3 * z + gg[2] + f_s[2] / m_sc + u_ctrl[2])
-
-    return np.array([vx, vy, vz, ax, ay, az, r_a_dot, r_a_ddot, nu_dot, nu_ddot])
+    return np.array([vx, vy, vz, ax + u_ctrl[0], ay + u_ctrl[1], az + u_ctrl[2],
+                     r_a_dot, r_a_ddot, nu_dot, nu_ddot])
 
 
 def model_derivatives(state: ProximityState, f_s: np.ndarray, u_ctrl: np.ndarray,
@@ -377,8 +413,8 @@ def shaped_orbit_eval(s: ShapedOrbit, nu, nu_dot: float = 0.0,
     """Position, velocity and acceleration of the shaped trajectory.
 
     Time derivatives follow from the chain rule through nu(t). Supports
-    scalar or array nu (velocity/acceleration then use the same scalar
-    rates for every sample).
+    scalar or array nu; the rates are floats shared by every sample, or
+    arrays with one rate per sample.
     """
     x1, x2, x3, y1, y2, y3, z1, z2 = s.coeffs
     nu = np.asarray(nu, dtype=float)
@@ -393,8 +429,8 @@ def shaped_orbit_eval(s: ShapedOrbit, nu, nu_dot: float = 0.0,
     d2pos = np.stack(np.broadcast_arrays(-x1 * c - x2 * sn,
                                          -y1 * c - y2 * sn,
                                          -z1 * c - z2 * sn), axis=-1)
-    vel = dpos * nu_dot
-    acc = d2pos * nu_dot**2 + dpos * nu_ddot
+    vel = dpos * batch.col(nu_dot)
+    acc = d2pos * batch.col(nu_dot**2) + dpos * batch.col(nu_ddot)
     return pos, vel, acc
 
 
@@ -419,21 +455,31 @@ class ShapedControlContext:
     include_couplings: bool = True  # frame + solar + asteroid gravity terms
 
 
-def _asteroid_polar(k_a: OrbitalElements, nu: float, mu: float):
-    """r, r_dot, nu_dot, nu_ddot, r_ddot of the unperturbed asteroid orbit."""
+def _asteroid_polar(k_a: OrbitalElements, nu, mu: float):
+    """r, r_dot, nu_dot, nu_ddot, r_ddot of the unperturbed asteroid orbit.
+
+    ``nu`` is a float or an array of true anomalies.
+    """
     p = k_a.semilatus_rectum()
     e = k_a.e
-    r = p / (1.0 + e * math.cos(nu))
+    m = batch.xp(nu)
+    r = p / (1.0 + e * m.cos(nu))
     h = math.sqrt(mu * p)
     nu_dot = h / r**2
-    r_dot = math.sqrt(mu / p) * e * math.sin(nu)
+    r_dot = math.sqrt(mu / p) * e * m.sin(nu)
     nu_ddot = -2.0 * r_dot * nu_dot / r
     r_ddot = nu_dot**2 * r - mu / r**2
     return r, r_dot, nu_dot, nu_ddot, r_ddot
 
 
-def shaped_control_accel(s: ShapedOrbit, t: float, ctx: ShapedControlContext) -> np.ndarray:
-    """Control acceleration required to hold the shape at scenario time t."""
+def shaped_control_accel(s: ShapedOrbit, t, ctx: ShapedControlContext) -> np.ndarray:
+    """Control acceleration required to hold the shape at scenario time t.
+
+    ``t`` is a float, giving a (3,) acceleration, or a 1-D array of times,
+    giving an (N, 3) array with one row per time. An array runs every
+    relation once over the whole grid; their branches (steering, occlusion,
+    expansion cone, interior gravity) are masks over the samples.
+    """
     ast, k_a = ctx.ast, ctx.k_a
     mu = MU_SUN
     m0 = k_a.mean_anomaly() + k_a.mean_motion(mu) * (t - k_a.epoch)
@@ -444,41 +490,35 @@ def shaped_control_accel(s: ShapedOrbit, t: float, ctx: ShapedControlContext) ->
     if not ctx.include_couplings:
         return acc_required
 
-    x, y, z = pos
-    vx, vy, vz = vel
-    r_sc = math.sqrt((r_a + x) ** 2 + y * y + z * z)
-    dr = math.sqrt(x * x + y * y + z * z)
-
-    f_s = np.zeros(3)
+    xyz = batch.components(pos)
+    r_sc, mu_s_rsc3, mu_a_dr3, g = _gravity_terms(pos, xyz, r_a, ast, t, mu)
+    f_s = np.zeros(pos.shape)
     theta_va = flight_path_angle(k_a.e, nu)
+    spot = spot_position(ast, t, theta_va)
     if ctx.include_srp:
-        spot = spot_position(ast, t, theta_va)
         beta, n_steer = steering_geometry(pos, spot)
         f_s = f_s + srp_force(ctx.design, r_sc, beta, n_steer)
-    outside = float(np.sum((pos / np.array(ast.semi_axes)) ** 2)) > 1.0
-    if ctx.include_plume and ctx.mdot > 0.0 and outside:
+    if ctx.include_plume and ctx.mdot > 0.0:
         # interior trajectories are garbage candidates; the 1/dr^3 gravity
-        # term below prices them out without a special case here
-        geom = spot_to_spacecraft(pos, ast, t, theta_va)
-        if not line_of_sight_occluded(geom.spot_position, pos, ast.semi_axes):
-            v_bar = exhaust_velocity(ast)
-            rho = plume_density(geom, ctx.mdot, v_bar,
-                                ctx.design.spot_area, ctx.design.spot_diameter)
+        # term prices them out without a special case here
+        outside = np.sum((pos / np.array(ast.semi_axes)) ** 2, axis=-1) > 1.0
+        seen = outside & np.logical_not(line_of_sight_occluded(spot, pos, ast.semi_axes))
+        v_bar = exhaust_velocity(ast)
+        design = ctx.design
+
+        def on_optics(pos, t, theta_va):
+            geom = spot_to_spacecraft(pos, ast, t, theta_va)
+            rho = plume_density(geom, ctx.mdot, v_bar, design.spot_area, design.spot_diameter)
             psi = view_factor_angle(geom.spot_to_sc)
-            f_s = f_s + plume_force(rho, v_bar, ctx.design.collector_area, psi,
-                                    geom.spot_to_sc / geom.distance)
+            return plume_force(rho, v_bar, design.collector_area, psi,
+                               geom.spot_to_sc / batch.col(geom.distance))
 
-    gg = gravity_gradient(pos, ast, t) if dr > max(ast.semi_axes) else np.zeros(3)
-    mu_a_dr3 = ast.mu / dr**3 if dr > 0.0 else 0.0
-    mu_s_rsc3 = mu / r_sc**3
+        f_s = f_s + batch.apply_where(seen, on_optics, pos, t, theta_va, fill=batch.ZERO3)
 
-    ax = (2.0 * nu_dot * vy + nu_ddot * y + nu_dot**2 * (r_a + x) - r_a_ddot
-          - mu_s_rsc3 * (r_a + x) - mu_a_dr3 * x + gg[0] + f_s[0] / ctx.m_sc)
-    ay = (-2.0 * nu_dot * (vx + r_a_dot) - nu_ddot * (r_a + x) + nu_dot**2 * y
-          - mu_s_rsc3 * y - mu_a_dr3 * y + gg[1] + f_s[1] / ctx.m_sc)
-    az = -mu_s_rsc3 * z - mu_a_dr3 * z + gg[2] + f_s[2] / ctx.m_sc
-
-    return acc_required - np.array([ax, ay, az])
+    vx, vy, _ = batch.components(vel)
+    ax, ay, az = hill_accel(xyz, (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
+                            mu_s_rsc3, mu_a_dr3, g, batch.components(f_s), ctx.m_sc)
+    return acc_required - batch.vector(ax, ay, az)
 
 
 def shaped_orbit_control(s: ShapedOrbit, ctx: ShapedControlContext,
@@ -486,12 +526,13 @@ def shaped_orbit_control(s: ShapedOrbit, ctx: ShapedControlContext,
                          t0: float = 0.0) -> ControlHistory:
     """Control profile and propellant budget along the prescribed shape.
 
-    Samples the required acceleration on a uniform time grid, integrates
-    |u| by the trapezoid rule for the delta-v, and converts to a
-    propellant mass fraction through the rocket equation.
+    Evaluates the required acceleration on a uniform time grid in one
+    array call of ``shaped_control_accel``, integrates |u| by the
+    trapezoid rule for the delta-v, and converts to a propellant mass
+    fraction through the rocket equation.
     """
     times = np.linspace(t0, t0 + duration, n_samples)
-    accel = np.array([shaped_control_accel(s, float(t), ctx) for t in times])
+    accel = shaped_control_accel(s, times, ctx)
     mags = np.linalg.norm(accel, axis=1)
     delta_v = float(np.trapezoid(mags, times))
     mf = 1.0 - math.exp(-delta_v / (ctx.isp * G0))

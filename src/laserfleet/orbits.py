@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
+from . import batch
 from .constants import TWO_PI
 
 # Gauss equations are singular at e=0 and i=0; the study scenarios stay
@@ -176,9 +177,51 @@ def solve_kepler(mean_anomaly: float, e: float) -> float:
     return E % TWO_PI
 
 
-def eccentric_to_true(E: float, e: float) -> float:
-    return (2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(E / 2.0),
-                             math.sqrt(1.0 - e) * math.cos(E / 2.0))) % TWO_PI
+def solve_kepler_array(mean_anomaly, e: float) -> np.ndarray:
+    """``solve_kepler`` over an array of mean anomalies, element by element.
+
+    Same reduction to [-pi, pi], Danby starter, tolerance, iteration cap
+    and bisection fallback as the scalar solver; each element stops where
+    the scalar solver would return it.
+    """
+    # math.remainder as an exact fmod folded into [-pi, pi]; the two part
+    # only at an exact tie, +pi against -pi, which solve to the same E
+    m = np.fmod(np.asarray(mean_anomaly, dtype=float), TWO_PI)
+    m = np.where(m > math.pi, m - TWO_PI, np.where(m < -math.pi, m + TWO_PI, m))
+    if e == 0.0:
+        return m % TWO_PI
+
+    E = m + 0.85 * np.copysign(e, np.sin(m))
+    E_flat, m_flat = E.reshape(-1), m.reshape(-1)
+    live = np.arange(m_flat.size)
+    for _ in range(KEPLER_MAX_ITER):
+        E_live = E_flat[live]
+        f = E_live - e * np.sin(E_live) - m_flat[live]
+        going = ~(np.abs(f) < KEPLER_TOL)
+        live, E_live, f = live[going], E_live[going], f[going]
+        if live.size == 0:
+            return E % TWO_PI
+        E_flat[live] = E_live - f / (1.0 - e * np.cos(E_live))
+    # Newton failed (should not happen for e < 1); bisect on [m-e, m+e]
+    lo, hi = m_flat[live] - e, m_flat[live] + e
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        E_flat[live] = mid
+        f = mid - e * np.sin(mid) - m_flat[live]
+        going = ~(np.abs(f) < KEPLER_TOL)
+        live, lo, hi, mid, f = live[going], lo[going], hi[going], mid[going], f[going]
+        if live.size == 0:
+            break
+        hi = np.where(f > 0.0, mid, hi)
+        lo = np.where(f > 0.0, lo, mid)
+    return E % TWO_PI
+
+
+def eccentric_to_true(E, e: float):
+    """True anomaly of an eccentric anomaly; ``E`` a float or an array."""
+    m = batch.xp(E)
+    return (2.0 * m.atan2(math.sqrt(1.0 + e) * m.sin(E / 2.0),
+                          math.sqrt(1.0 - e) * m.cos(E / 2.0))) % TWO_PI
 
 
 def true_to_eccentric(nu: float, e: float) -> float:
@@ -186,7 +229,10 @@ def true_to_eccentric(nu: float, e: float) -> float:
                              math.sqrt(1.0 + e) * math.cos(nu / 2.0))) % TWO_PI
 
 
-def mean_to_true(M: float, e: float) -> float:
+def mean_to_true(M, e: float):
+    """True anomaly of a mean anomaly; ``M`` a float or an array."""
+    if isinstance(M, np.ndarray):
+        return eccentric_to_true(solve_kepler_array(M, e), e)
     return eccentric_to_true(solve_kepler(M, e), e)
 
 
@@ -330,9 +376,15 @@ def bplane_frame(v_rel: np.ndarray) -> FrameBasis:
     return FrameBasis(axes=np.array([e1, e2, e3]), kind="bplane")
 
 
-def flight_path_angle(e: float, nu: float) -> float:
-    """Angle of the velocity above the transverse direction: tan g = e sin nu / (1 + e cos nu)."""
-    return math.atan2(e * math.sin(nu), 1.0 + e * math.cos(nu))
+def flight_path_angle(e: float, nu):
+    """Angle of the velocity above the transverse direction: tan g = e sin nu / (1 + e cos nu).
+
+    ``nu`` is a float or an array of true anomalies.
+    """
+    # the natural-orbit sweep and the tracking loop call this once per
+    # float sample, so floats skip the xp() call
+    m = math if isinstance(nu, float) else batch.xp(nu)
+    return m.atan2(e * m.sin(nu), 1.0 + e * m.cos(nu))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ the beamed power exponentially.
 
 Two spacecraft-level forces live here as well: radiation pressure on the
 optics and direct momentum flux from plume impingement.
+
+The geometry and force relations take one sample (floats and 3-vectors)
+or a batch over a leading sample axis (see ``batch``); their branches are
+masks over the samples.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import batch
 from .constants import (
     ABSORPTION_COEFFICIENT,
     ADIABATIC_INDEX,
@@ -52,7 +57,10 @@ class PlumeState:
 
 @dataclass(frozen=True)
 class SpotGeometry:
-    """Spot-to-spacecraft geometry in the Hill frame at one instant."""
+    """Spot-to-spacecraft geometry in the Hill frame at one instant.
+
+    For a batch every field carries the leading sample axis.
+    """
 
     spot_to_sc: np.ndarray   # m, from the spot to the spacecraft
     spot_position: np.ndarray
@@ -62,31 +70,44 @@ class SpotGeometry:
     big_theta: float         # rad, pi * phi / (2 phi_max)
 
     @property
-    def distance(self) -> float:
-        return float(np.linalg.norm(self.spot_to_sc))
+    def distance(self):
+        return batch.norm(self.spot_to_sc)
 
 
-def spot_position(ast: AsteroidModel, t: float, theta_va: float) -> np.ndarray:
+# Direction of the incoming sunlight (Sun at -x), and the steering normal
+# at flat incidence; read-only, since a result may be the object itself
+_SUN_RAY = np.array([1.0, 0.0, 0.0])
+_FLAT_NORMAL = np.array([0.0, 1.0, 0.0])
+_SUN_RAY.flags.writeable = _FLAT_NORMAL.flags.writeable = False
+
+
+def _acos(c):
+    """arccos of a cosine that rounding may have pushed past +-1."""
+    m = batch.xp(c)
+    return m.acos(m.clip(c, -1.0, 1.0))
+
+
+def spot_position(ast: AsteroidModel, t, theta_va) -> np.ndarray:
     """Hill-frame position of the illuminated spot on the spinning ellipsoid."""
     w_t = ast.spin_rate * t
     angle = -w_t - theta_va
-    r_ell = float(ellipse_radius(ast, angle))
-    sin_wt, cos_wt = math.sin(w_t), math.cos(w_t)
-    sin_a, cos_a = math.sin(angle), math.cos(angle)
-    return np.array([r_ell * (sin_wt * cos_a - cos_wt * sin_a),
-                     r_ell * (cos_wt * cos_a + sin_wt * sin_a),
-                     0.0])
+    r_ell = ellipse_radius(ast, angle)
+    m = batch.xp(angle)
+    sin_wt, cos_wt = m.sin(w_t), m.cos(w_t)
+    sin_a, cos_a = m.sin(angle), m.cos(angle)
+    return batch.vector(r_ell * (sin_wt * cos_a - cos_wt * sin_a),
+                        r_ell * (cos_wt * cos_a + sin_wt * sin_a), 0.0)
 
 
-def spot_to_spacecraft(sc_pos: np.ndarray, ast: AsteroidModel, t: float,
-                       theta_va: float) -> SpotGeometry:
+def spot_to_spacecraft(sc_pos: np.ndarray, ast: AsteroidModel, t,
+                       theta_va) -> SpotGeometry:
     """Geometry of the spot-to-spacecraft line at time t.
 
-    Rejects spacecraft positions inside the ellipsoid.
+    Rejects spacecraft positions inside the ellipsoid, for any sample.
     """
     sc_pos = np.asarray(sc_pos, dtype=float)
     axes = np.array(ast.semi_axes)
-    if float(np.sum((sc_pos / axes) ** 2)) <= 1.0:
+    if np.any(np.sum((sc_pos / axes) ** 2, axis=-1) <= 1.0):
         raise ValueError("spacecraft position is inside the asteroid")
 
     w_t = ast.spin_rate * t
@@ -94,16 +115,16 @@ def spot_to_spacecraft(sc_pos: np.ndarray, ast: AsteroidModel, t: float,
     spot = spot_position(ast, t, theta_va)
     offset = sc_pos - spot
 
-    norm = float(np.linalg.norm(offset))
-    phi = math.acos(max(-1.0, min(1.0, offset[1] / norm))) if norm > 0.0 else 0.0
+    norm = batch.norm(offset)
+    phi = batch.apply_where(norm > 0.0, lambda y, n: _acos(y / n), offset.T[1], norm)
     big_theta = math.pi * phi / (2.0 * MAX_EXPANSION_ANGLE)
     return SpotGeometry(spot_to_sc=offset, spot_position=spot,
-                        r_ell=float(ellipse_radius(ast, angle)),
+                        r_ell=ellipse_radius(ast, angle),
                         theta_va=theta_va, phi=phi, big_theta=big_theta)
 
 
 def plume_density(geom: SpotGeometry, mdot: float, v_bar: float,
-                  a_spot: float, d_spot: float) -> float:
+                  a_spot: float, d_spot: float):
     """Vapour density (kg/m^3) at the spacecraft.
 
     Throat density mdot / (v A_spot) scaled by inverse-square spherical
@@ -112,14 +133,17 @@ def plume_density(geom: SpotGeometry, mdot: float, v_bar: float,
     """
     if mdot < 0.0:
         raise ValueError("mass flow must be non-negative")
-    if geom.phi >= MAX_EXPANSION_ANGLE:
-        return 0.0
-    geometric = (d_spot / (2.0 * geom.distance + d_spot)) ** 2
-    angular = math.cos(geom.big_theta) ** (2.0 / (ADIABATIC_INDEX - 1.0))
-    return JET_CONSTANT * mdot / (v_bar * a_spot) * geometric * angular
+
+    def inside_cone(spot_to_sc, big_theta):
+        geometric = (d_spot / (2.0 * batch.norm(spot_to_sc) + d_spot)) ** 2
+        angular = batch.xp(big_theta).cos(big_theta) ** (2.0 / (ADIABATIC_INDEX - 1.0))
+        return JET_CONSTANT * mdot / (v_bar * a_spot) * geometric * angular
+
+    return batch.apply_where(geom.phi < MAX_EXPANSION_ANGLE, inside_cone,
+                             geom.spot_to_sc, geom.big_theta)
 
 
-def view_factor_angle(spot_to_sc: np.ndarray) -> float:
+def view_factor_angle(spot_to_sc: np.ndarray):
     """Angle between the Sun-pointing mirror normal (-x) and the flow source.
 
     The incident flow travels along spot_to_sc; its source direction seen
@@ -127,10 +151,8 @@ def view_factor_angle(spot_to_sc: np.ndarray) -> float:
     exposed to the flow.
     """
     offset = np.asarray(spot_to_sc, dtype=float)
-    norm = float(np.linalg.norm(offset))
-    if norm == 0.0:
-        return 0.0
-    return math.acos(max(-1.0, min(1.0, offset[0] / norm)))
+    norm = batch.norm(offset)
+    return batch.apply_where(norm != 0.0, lambda x, n: _acos(x / n), offset.T[0], norm)
 
 
 def contamination_rate(rho_exp: float, v_bar: float, psi_vf: float,
@@ -156,24 +178,25 @@ def degradation_factor(h_cnd: float) -> float:
 
 
 def line_of_sight_occluded(spot: np.ndarray, sc_pos: np.ndarray,
-                           semi_axes: tuple[float, float, float]) -> bool:
+                           semi_axes: tuple[float, float, float]):
     """True when the asteroid body blocks the spot-to-spacecraft line.
 
     In axis-scaled coordinates the body is the unit sphere and the spot
     sits on it; by convexity the segment stays outside exactly when it
     leaves the surface outward, i.e. when <spot, sc> > 1 in scaled space.
+    A batch gives one bool per sample.
     """
     axes = np.asarray(semi_axes, dtype=float)
     s0 = np.asarray(spot, dtype=float) / axes
     s1 = np.asarray(sc_pos, dtype=float) / axes
-    return float(s0 @ s1) <= 1.0 + 1e-9
+    return batch.dot(s0, s1) <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
 # Forces on the spacecraft
 # ---------------------------------------------------------------------------
 
-def srp_force(design, r_sc: float, beta: float, n_steer: np.ndarray) -> np.ndarray:
+def srp_force(design, r_sc, beta, n_steer: np.ndarray) -> np.ndarray:
     """Radiation-pressure force (N) in the Hill frame.
 
     First term: recoil of the redirected beam along the steering-mirror
@@ -184,46 +207,51 @@ def srp_force(design, r_sc: float, beta: float, n_steer: np.ndarray) -> np.ndarr
     n_steer = np.asarray(n_steer, dtype=float)
     flux = SOLAR_FLUX_1AU / SPEED_OF_LIGHT * (AU / r_sc) ** 2
     a_m1 = design.collector_area
-    beam = 2.0 * design.eta_sys * a_m1 * flux * math.cos(beta) ** 2 * n_steer
-    residual = (1.0 - design.eta_mirror**2) * a_m1 * flux * np.array([1.0, 0.0, 0.0])
+    cos_beta = batch.xp(beta).cos(beta)
+    beam = batch.col(2.0 * design.eta_sys * a_m1 * flux * cos_beta ** 2) * n_steer
+    residual = batch.col((1.0 - design.eta_mirror**2) * a_m1 * flux) * _SUN_RAY
     return beam + residual
 
 
-def steering_geometry(sc_pos: np.ndarray, spot: np.ndarray) -> tuple[float, np.ndarray]:
+def steering_geometry(sc_pos: np.ndarray, spot: np.ndarray):
     """Steering-mirror half angle and normal for beaming sunlight to the spot.
 
     Incoming light travels +x (Sun at -x); the normal bisects the reversed
     incoming ray and the outgoing spot direction.
     """
     out = np.asarray(spot, dtype=float) - np.asarray(sc_pos, dtype=float)
-    norm = float(np.linalg.norm(out))
-    if norm == 0.0:
+    norm = batch.norm(out)
+    if batch.any_true(norm == 0.0):
         raise ValueError("spot and spacecraft coincide")
-    d_out = out / norm
-    d_in = np.array([1.0, 0.0, 0.0])
-    n = d_out - d_in
-    n_norm = float(np.linalg.norm(n))
-    if n_norm < 1e-12:
-        # beam passes straight through: flat incidence, no recoil component
-        return math.pi / 2.0, np.array([0.0, 1.0, 0.0])
-    n_steer = n / n_norm
-    if float(n_steer @ d_in) > 0.0:
-        n_steer = -n_steer
-    cos_beta = max(-1.0, min(1.0, float(n_steer @ np.array([-1.0, 0.0, 0.0]))))
-    return math.acos(cos_beta), n_steer
+    n = out / batch.col(norm) - _SUN_RAY
+    n_norm = batch.norm(n)
+    # below 1e-12 the beam passes straight through: flat incidence, no
+    # recoil component
+    return batch.apply_where(n_norm >= 1e-12, _steered, n, n_norm,
+                             fill=(math.pi / 2.0, _FLAT_NORMAL))
 
 
-def plume_force(rho_exp: float, v_bar: float, a_eq: float, psi_vf: float,
+def _steered(n: np.ndarray, n_norm):
+    """Half angle and unit normal from the unnormalised bisector n."""
+    n_steer = n / batch.col(n_norm)
+    flip = n_steer.T[0] > 0.0
+    if batch.any_true(flip):
+        n_steer[flip] = -n_steer[flip]
+    return _acos(-n_steer.T[0]), n_steer
+
+
+def plume_force(rho_exp, v_bar: float, a_eq: float, psi_vf,
                 direction: np.ndarray) -> np.ndarray:
     """Momentum flux (N) of condensing plume particles on the mirror.
 
     All impinging particles stick; the equivalent flat intercept area is
     the primary-mirror area. Zero for surfaces facing away from the flow.
     """
-    if rho_exp < 0.0:
+    if np.any(np.asarray(rho_exp) < 0.0):
         raise ValueError("plume density must be non-negative")
-    cos_psi = math.cos(psi_vf)
-    if cos_psi <= 1e-12 or rho_exp == 0.0:
-        return np.zeros(3)
+    cos_psi = batch.xp(psi_vf).cos(psi_vf)
     direction = np.asarray(direction, dtype=float)
-    return 4.0 * rho_exp * v_bar**2 * a_eq * cos_psi * direction
+    return batch.apply_where(
+        (cos_psi > 1e-12) & (rho_exp != 0.0),
+        lambda rho, c, d: batch.col(4.0 * rho * v_bar**2 * a_eq * c) * d,
+        rho_exp, cos_psi, direction, fill=batch.ZERO3)

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 
@@ -55,8 +57,8 @@ class ResultTable:
 
 
 def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # a numpy scalar's repr carries its type name
     if value is None:
         return ""
     return str(value)

@@ -27,6 +27,7 @@ from .constants import (
     SOLAR_FLUX_1AU,
     STEFAN_BOLTZMANN,
 )
+from . import batch
 from .orbits import OrbitalElements
 
 log = logging.getLogger(__name__)
@@ -205,8 +206,8 @@ def ellipse_radius(ast: AsteroidModel, angle: float):
     angle = pi/2 along the short one (returns b_ell).
     """
     a_ell, b_ell, _ = ast.semi_axes
-    return a_ell * b_ell / np.sqrt((b_ell * np.cos(angle)) ** 2
-                                   + (a_ell * np.sin(angle)) ** 2)
+    m = batch.xp(angle)
+    return a_ell * b_ell / m.sqrt((b_ell * m.cos(angle)) ** 2 + (a_ell * m.sin(angle)) ** 2)
 
 
 def surface_speed(ast: AsteroidModel, t: float, theta_va: float = 0.0) -> float:

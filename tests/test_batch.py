@@ -1,0 +1,238 @@
+"""One sample against a batch: the relations that take either.
+
+Every relation the shaped-orbit control inversion runs over its time grid
+must give, row by row, what the same relation gives one sample at a time,
+and must keep its branches (flat steering, expansion cone, occlusion,
+interior gravity) and its input checks for every sample. Warnings are
+errors here, so a masked branch cannot hide a NaN.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from laserfleet import batch, orbits
+from laserfleet.constants import MAX_EXPANSION_ANGLE, TWO_PI, YEAR
+from laserfleet.formation import (
+    ShapedControlContext,
+    ShapedOrbit,
+    gravity_gradient,
+    shaped_control_accel,
+)
+from laserfleet.orbits import (
+    flight_path_angle,
+    mean_to_true,
+    solve_kepler,
+    solve_kepler_array,
+)
+from laserfleet.plume import (
+    line_of_sight_occluded,
+    plume_density,
+    plume_force,
+    spot_position,
+    spot_to_spacecraft,
+    srp_force,
+    steering_geometry,
+    view_factor_angle,
+)
+from laserfleet.sizing import mass_budget
+from laserfleet.sublimation import exhaust_velocity
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+# numpy's arctan2, arccos and power may differ from libm by an ulp
+RTOL = 1e-12
+
+
+def _rows(fn, *columns):
+    """fn applied one sample at a time, stacked."""
+    return np.array([fn(*args) for args in zip(*columns)])
+
+
+# ---------------------------------------------------------------------------
+# Kepler solve
+# ---------------------------------------------------------------------------
+
+def _wrapped_gap(a, b):
+    return np.abs(np.remainder(a - b + math.pi, TWO_PI) - math.pi)
+
+
+def _kepler_samples(rng):
+    pi = math.pi
+    special = [0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9, pi, -pi,
+               math.nextafter(pi, 0.0), math.nextafter(pi, 4.0),
+               math.nextafter(-pi, 0.0), math.nextafter(-pi, -4.0),
+               TWO_PI, -TWO_PI, 3.0 * pi, -5.0 * pi, 1e3, -57.3, 4.0e6 + 0.1]
+    return np.concatenate([special, rng.uniform(-20.0, 20.0, 300)])
+
+
+@pytest.mark.parametrize("e", [0.0, 0.05, 0.1912, 0.6, 0.9, 0.97])
+def test_kepler_array_matches_scalar_elementwise(rng, e):
+    m = _kepler_samples(rng)
+    got = solve_kepler_array(m, e)
+    want = np.array([solve_kepler(float(v), e) for v in m])
+    assert got.shape == m.shape
+    assert np.all((got >= 0.0) & (got <= TWO_PI))
+    assert np.all(_wrapped_gap(got, want) <= 1e-12 / (1.0 - e))
+
+
+def test_kepler_array_bisection_fallback(rng, monkeypatch):
+    # one Newton step is too few; both solvers fall back to bisection
+    monkeypatch.setattr(orbits, "KEPLER_MAX_ITER", 1)
+    m = _kepler_samples(rng)
+    for e in (0.3, 0.9):
+        got = solve_kepler_array(m, e)
+        want = np.array([solve_kepler(float(v), e) for v in m])
+        assert np.all(_wrapped_gap(got, want) <= 1e-12 / (1.0 - e))
+        residual = got - e * np.sin(got) - np.remainder(m, TWO_PI)
+        assert np.all(np.abs(np.remainder(residual + math.pi, TWO_PI) - math.pi) < 1e-12)
+
+
+def test_anomaly_relations_take_arrays(rng):
+    m = rng.uniform(0.0, TWO_PI, 200)
+    nu = mean_to_true(m, 0.1912)
+    np.testing.assert_allclose(nu, _rows(lambda v: mean_to_true(v, 0.1912), m),
+                               rtol=RTOL, atol=1e-15)
+    np.testing.assert_allclose(flight_path_angle(0.1912, nu),
+                               _rows(lambda v: flight_path_angle(0.1912, v), nu),
+                               rtol=RTOL, atol=1e-15)
+
+
+def test_one_sample_norm_is_numpys(rng):
+    for _ in range(2000):
+        v = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0)
+        assert batch.norm(v) == float(np.linalg.norm(v))
+    rows = rng.normal(size=(50, 3))
+    np.testing.assert_allclose(batch.norm(rows), np.linalg.norm(rows, axis=1), rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Plume geometry and forces
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def samples(ast):
+    """Positions outside the body with their times and velocity elevations."""
+    rng = np.random.default_rng(7)
+    n = 400
+    t = rng.uniform(0.0, 2.0e6, n)
+    theta_va = rng.uniform(-0.3, 0.3, n)
+    pos = rng.normal(size=(n, 3)) * rng.uniform(100.0, 3000.0, (n, 1))
+    outside = np.sum((pos / np.array(ast.semi_axes)) ** 2, axis=1) > 1.0
+    pos, t, theta_va = pos[outside], t[outside], theta_va[outside]
+    # straight behind the spot along -x: the flat-incidence steering branch
+    spot = spot_position(ast, t[:5], theta_va[:5])
+    pos[:5] = spot - np.array([800.0, 0.0, 0.0])
+    return pos, t, theta_va
+
+
+def test_spot_and_steering_batch(ast, design_20m, samples):
+    pos, t, theta_va = samples
+    spot = spot_position(ast, t, theta_va)
+    np.testing.assert_array_equal(spot, _rows(lambda a, b: spot_position(ast, a, b), t, theta_va))
+
+    beta, n_steer = steering_geometry(pos, spot)
+    one = [steering_geometry(p, s) for p, s in zip(pos, spot)]
+    np.testing.assert_allclose(beta, [b for b, _ in one], rtol=RTOL, atol=1e-15)
+    np.testing.assert_allclose(n_steer, [n for _, n in one], rtol=RTOL, atol=1e-15)
+    flat = np.zeros(len(pos), dtype=bool)
+    flat[:5] = True
+    assert np.all(beta[flat] == math.pi / 2.0)
+    assert np.all(n_steer[flat] == [0.0, 1.0, 0.0])
+    assert np.all(beta[~flat] < math.pi / 2.0)
+
+    r_sc = 1.4e11 + pos[:, 0]
+    f = srp_force(design_20m, r_sc, beta, n_steer)
+    np.testing.assert_allclose(f, _rows(lambda r, b, n: srp_force(design_20m, r, b, n),
+                                        r_sc, beta, n_steer), rtol=RTOL, atol=1e-20)
+
+
+def test_plume_chain_batch(ast, design_20m, samples):
+    pos, t, theta_va = samples
+    geom = spot_to_spacecraft(pos, ast, t, theta_va)
+    one = [spot_to_spacecraft(p, ast, a, b) for p, a, b in zip(pos, t, theta_va)]
+    np.testing.assert_array_equal(geom.spot_to_sc, [g.spot_to_sc for g in one])
+    np.testing.assert_allclose(geom.phi, [g.phi for g in one], rtol=RTOL, atol=1e-15)
+    np.testing.assert_allclose(geom.distance, [g.distance for g in one], rtol=RTOL)
+
+    occluded = line_of_sight_occluded(geom.spot_position, pos, ast.semi_axes)
+    assert occluded.dtype == bool
+    assert list(occluded) == [line_of_sight_occluded(g.spot_position, p, ast.semi_axes)
+                              for g, p in zip(one, pos)]
+    assert occluded.any() and not occluded.all()
+
+    v_bar = exhaust_velocity(ast)
+    args = (0.3, v_bar, design_20m.spot_area, design_20m.spot_diameter)
+    rho = plume_density(geom, *args)
+    np.testing.assert_allclose(rho, [plume_density(g, *args) for g in one], rtol=RTOL)
+    outside_cone = geom.phi >= MAX_EXPANSION_ANGLE
+    assert outside_cone.any() and np.all(rho[outside_cone] == 0.0)
+    assert np.all(rho[~outside_cone] > 0.0)
+
+    psi = view_factor_angle(geom.spot_to_sc)
+    np.testing.assert_allclose(psi, [view_factor_angle(g.spot_to_sc) for g in one],
+                               rtol=RTOL, atol=1e-15)
+
+    direction = geom.spot_to_sc / geom.distance[:, None]
+    f = plume_force(rho, v_bar, design_20m.collector_area, psi, direction)
+    want = _rows(lambda r, p, d: plume_force(r, v_bar, design_20m.collector_area, p, d),
+                 rho, psi, direction)
+    np.testing.assert_allclose(f, want, rtol=1e-11, atol=1e-25)
+    averted = np.cos(psi) <= 1e-12
+    assert averted.any() and np.all(f[averted | outside_cone] == 0.0)
+
+
+def test_gravity_gradient_batch(ast, samples):
+    pos, t, _ = samples
+    far = np.linalg.norm(pos, axis=1) > max(ast.semi_axes)
+    g = gravity_gradient(pos[far], ast, t[far])
+    np.testing.assert_allclose(g, _rows(lambda p, a: gravity_gradient(p, ast, a),
+                                        pos[far], t[far]), rtol=RTOL, atol=1e-22)
+
+
+def test_input_checks_hold_for_any_sample(ast, design_20m, samples):
+    pos, t, theta_va = samples
+    bad = pos.copy()
+    bad[3] = [10.0, 10.0, 10.0]  # inside the body and its bounding sphere
+    with pytest.raises(ValueError):
+        gravity_gradient(bad, ast, t)
+    with pytest.raises(ValueError):
+        spot_to_spacecraft(bad, ast, t, theta_va)
+
+    spot = spot_position(ast, t, theta_va)
+    coincident = pos.copy()
+    coincident[7] = spot[7]
+    with pytest.raises(ValueError):
+        steering_geometry(coincident, spot)
+
+    geom = spot_to_spacecraft(pos, ast, t, theta_va)
+    with pytest.raises(ValueError):
+        plume_density(geom, -1e-3, 520.0, 0.03, 0.2)
+    rho = np.full(len(pos), 1e-12)
+    rho[11] = -1e-12
+    with pytest.raises(ValueError):
+        plume_force(rho, 520.0, 314.0, np.zeros(len(pos)), geom.spot_to_sc)
+
+
+# ---------------------------------------------------------------------------
+# Shaped-orbit control over a time grid
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("coeffs", [
+    [300.0, 200.0, 400.0, 200.0, 100.0, 1500.0, 100.0, 50.0],      # plume reaches the optics
+    [300.0, 0.0, -150.0, 0.0, 300.0, -100.0, 0.0, 150.0],          # dips inside the body
+])
+def test_shaped_control_grid_matches_samples(ast, design_20m, coeffs):
+    r_p = ast.elements0.a * (1 - ast.elements0.e)
+    ctx = ShapedControlContext(ast=ast, k_a=ast.elements0, design=design_20m,
+                               m_sc=mass_budget(design_20m, r_p).m_total, mdot=0.3)
+    s = ShapedOrbit(np.array(coeffs))
+    times = np.linspace(0.0, YEAR, 128)
+    grid = shaped_control_accel(s, times, ctx)
+    one = _rows(lambda t: shaped_control_accel(s, float(t), ctx), times)
+    assert grid.shape == (128, 3)
+    # the frame terms cancel to 1e-9 of their size, which lifts an ulp of
+    # them to about 1e-18 m/s^2 in the result
+    scale = np.linalg.norm(one, axis=1, keepdims=True)
+    assert np.all(np.abs(grid - one) <= 1e-9 * scale + 1e-17)

@@ -9,7 +9,9 @@ from laserfleet.experiments import (
     resolve_encounter_epoch,
     run_eccentricity_sweep,
     run_formation_design,
+    run_shaped_design,
 )
+from laserfleet.formation import ShapedControlContext, ShapedOrbit, shaped_objectives
 from laserfleet.orbits import (
     OrbitalElements,
     elements_to_state,
@@ -17,6 +19,7 @@ from laserfleet.orbits import (
 )
 from laserfleet.scenario import load_scenario
 from laserfleet.sizing import design_from_option, mass_budget
+from laserfleet.sublimation import mass_flow_rate
 from tests.conftest import SCENARIO_DIR
 from tests.sweep_crossing import crossing_states
 
@@ -50,6 +53,33 @@ def test_formation_design_reports_empty_feasible_set(nominal):
     table = run_formation_design(impossible)
     assert len(table.rows) == 0
     assert table.metadata.get("y_lim_1e+09_infeasible") is True
+
+
+def test_shaped_design_rows_are_the_scored_numbers(nominal, tmp_path):
+    """Rows hold the optimizer's own scores, written as plain numbers."""
+    small = dataclasses.replace(nominal, optimizer={"population": 16, "budget": 32,
+                                                    "archive": 16})
+    table = run_shaped_design(small)
+    assert table.rows
+
+    lines = table.write(tmp_path).read_text().splitlines()
+    cells = [c for line in lines[1:] for c in line.split(",")]
+    assert len(cells) == len(table.rows) * len(table.columns)
+    assert all(isinstance(float(c), float) for c in cells)
+
+    # a fresh scoring of each row's shape gives the same bits
+    ast = nominal.asteroid
+    design = design_from_option(20.0, nominal.design.concentration_ratio,
+                                n_spacecraft=10, option="66/45")
+    r_peri = ast.elements0.a * (1.0 - ast.elements0.e)
+    m_sc = table.metadata["spacecraft_mass_kg"]
+    ctx = ShapedControlContext(ast=ast, k_a=ast.elements0, design=design, m_sc=m_sc,
+                               isp=nominal.isp,
+                               mdot=mass_flow_rate(design, ast, r_peri, 1.0, 10))
+    for row in table.rows:
+        res = shaped_objectives(ShapedOrbit(np.array(row[:8])), ctx, YEAR, 512)
+        assert row[8:] == (res["J1"], res["J2"], res["J3"], res["J3"] * m_sc,
+                           res["C1"], res["C2"])
 
 
 def test_sweep_cell_refinement_oracle(sweep_scenario):

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from laserfleet.cli import main
@@ -115,6 +116,13 @@ def test_result_table_round_trip(tmp_path):
 
     with pytest.raises(ValueError):
         t.add_row(1.0)
+
+
+def test_result_table_writes_numpy_floats_as_numbers(tmp_path):
+    t = ResultTable(name="np", columns=[("v", ""), ("w", "")])
+    t.add_row(np.float64(-420.7197088277011), np.float32(0.5))
+    line = t.write(tmp_path).read_text().splitlines()[1]
+    assert line == "-420.7197088277011,0.5"
 
 
 def test_result_table_byte_identical(tmp_path):
