@@ -96,6 +96,14 @@ class MdotTable:
         return cls(powers=tuple(float(p) for p in grid),
                    flows=tuple(float(f) for f in flows))
 
+    @classmethod
+    def for_orbit(cls, design: SpacecraftDesign, ast: AsteroidModel,
+                  k: OrbitalElements) -> "MdotTable":
+        """The table up to the power delivered at the perihelion of ``k``:
+        the one ``simulate_deflection`` builds when it is given none."""
+        return cls.build(design, ast, spot_power_coefficient(design, ast.albedo)
+                         / (k.a * (1.0 - k.e)) ** 2)
+
     def __call__(self, p_in: float) -> float:
         powers, flows = self.powers, self.flows
         if p_in <= powers[0]:
@@ -152,6 +160,12 @@ def bplane_miss(s_dev: StateVector, s_0: StateVector, earth_state: StateVector) 
     return float(np.linalg.norm(in_plane))
 
 
+def spot_power_coefficient(design: SpacecraftDesign, albedo: float) -> float:
+    """Power density delivered to the spot times r^2, W: p_in = tau * this / r^2."""
+    return design.eta_sys * design.concentration_ratio * (1.0 - albedo) \
+        * SOLAR_FLUX_1AU * AU * AU
+
+
 def simulate_deflection(sc: DeflectionScenario,
                         mdot_table: MdotTable | None = None) -> DeflectionOutcome:
     """Run the coupled deflection from t_start to the encounter epoch.
@@ -177,8 +191,7 @@ def simulate_deflection(sc: DeflectionScenario,
     lam = sc.scattering_factor
     n_sc = design.n_spacecraft
     albedo = ast.albedo
-    p_coeff = design.eta_sys * design.concentration_ratio * (1.0 - albedo) \
-        * SOLAR_FLUX_1AU * AU * AU
+    p_coeff = spot_power_coefficient(design, albedo)
     a0, e0, i0 = k0.a, k0.e, k0.i
     argp0 = k0.argp
     eta0 = math.sqrt(1.0 - e0 * e0)
@@ -189,8 +202,7 @@ def simulate_deflection(sc: DeflectionScenario,
     d_spot = design.spot_diameter
 
     if mdot_table is None:
-        p_max = p_coeff / (a0 * (1.0 - e0)) ** 2
-        mdot_table = MdotTable.build(design, ast, p_max)
+        mdot_table = MdotTable.for_orbit(design, ast, k0)
 
     shaped = isinstance(sc.formation, ShapedOrbit)
     if shaped:

@@ -99,24 +99,35 @@ def run_formation_design(scenario: Scenario, seed: int | None = None) -> ResultT
                                         "bounds_upper": list(NATURAL_BOUNDS_UPPER)})
 
     for j, y_lim in enumerate(scenario.y_limits):
-        def evaluate(x, y_lim=y_lim):
+        clearance = {}  # C of each design scored, by the bytes of x
+
+        def evaluate(x, y_lim=y_lim, clearance=clearance):
             res = natural_orbit_objectives(x, k_a, y_lim)
+            clearance[x.tobytes()] = res["C"]
             return (np.array([res["J1"], res["J2"]]),
                     np.array([max(0.0, -res["C"])]))
+
+        def keep_archived(gen, archive, n_evals, clearance=clearance):
+            # only archive members reach the table
+            kept = {key: clearance[key] for key in (m.x.tobytes() for m in archive.members)}
+            clearance.clear()
+            clearance.update(kept)
 
         problem = ProblemSpec(lower=NATURAL_BOUNDS_LOWER, upper=NATURAL_BOUNDS_UPPER,
                               n_objectives=2, n_constraints=1, evaluate=evaluate)
         result = optimize(problem, budget=int(cfg["budget"]), seed=seed + j,
                           population=int(cfg["population"]),
-                          archive_size=int(cfg["archive"]))
+                          archive_size=int(cfg["archive"]), on_generation=keep_archived)
         if not result.archive.feasible_found:
             table.metadata[f"y_lim_{y_lim:g}_infeasible"] = True
             continue
+        # each member keeps the objectives it was scored with, and C was
+        # kept at scoring, so nothing is evaluated twice
         for m in result.archive.members:
-            res = natural_orbit_objectives(m.x, k_a, y_lim)
             family = natural_family_label(m.x, k_a, y_lim)
+            j1, j2 = (float(v) for v in m.objectives)
             table.add_row(float(y_lim), family, *[float(v) for v in m.x],
-                          res["J1"], res["J2"], res["C"])
+                          j1, j2, clearance[m.x.tobytes()])
     return table
 
 
@@ -338,49 +349,66 @@ def run_deflection_map(scenario: Scenario, seed: int | None = None,
 # Eccentricity sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(args) -> tuple:
-    (r_p, r_a, template, earth, design, formation, m_sc, warning, scattering) = args
-    a = 0.5 * (r_p + r_a)
-    e = (r_a - r_p) / (r_a + r_p)
-    if e <= 0.0:
-        return (r_p / AU, r_a / AU, 0.0, False, None)
-    p = a * (1.0 - e * e)
-    cos_nu = (p / AU - 1.0) / e
-    if abs(cos_nu) > 1.0 + 1e-9:
-        return (r_p / AU, r_a / AU, e, False, None)
+def crossing_cosine(k: OrbitalElements) -> float:
+    """cos of the true anomaly at which an orbit of ``k`` is 1 AU from the Sun.
+
+    Outside [-1, 1] the orbit never reaches 1 AU.
+    """
+    p = k.a * (1.0 - k.e * k.e)
+    return (p / AU - 1.0) / k.e
+
+
+def crossing_states(k0: OrbitalElements, kd: OrbitalElements, delta_m: float):
+    """(deflected, undeflected, Earth) states at the 1 AU crossing of ``k0``.
+
+    The deflection is frozen at the end of the window: the undeflected
+    asteroid sits exactly at the crossing anomaly, the deflected one (``kd``)
+    at the same mean anomaly plus the accumulated offset ``delta_m``, and a
+    virtual Earth on a circular 1 AU orbit is co-located with the undeflected
+    one. ``bplane_miss(*crossing_states(...))`` is the sweep's miss distance.
+    """
     # |cos| ~ 1 is a tangency at perihelion/aphelion exactly on the Earth
     # radius: a valid (grazing) intersection, kept with a clamp
-    nu_star = math.acos(max(-1.0, min(1.0, cos_nu)))
-
-    elements = OrbitalElements(a=a, e=e, i=0.0, raan=0.0, argp=0.0,
-                               anomaly=0.0, anomaly_kind="mean", epoch=0.0)
-    ast = replace(template, elements0=elements)
-    dscn = DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=m_sc,
-                              t_start=0.0, t_moid=warning, formation=formation,
-                              scattering_factor=scattering)
-    out = simulate_deflection(dscn)
-
-    # Miss distance at the Earth-orbit intersection: freeze the element
-    # variation at the end of the window and evaluate the separation with
-    # the undeflected asteroid placed exactly at the crossing, the virtual
-    # Earth co-located on its circular orbit.
-    m_star = true_to_mean(nu_star, e)
-    k0 = elements
-    kd = out.elements_final
-    k0_star = OrbitalElements(a=k0.a, e=k0.e, i=k0.i, raan=k0.raan, argp=k0.argp,
-                              anomaly=m_star, anomaly_kind="mean")
-    kd_star = OrbitalElements(a=kd.a, e=kd.e, i=kd.i, raan=kd.raan, argp=kd.argp,
-                              anomaly=(m_star + out.delta_mean_anomaly),
-                              anomaly_kind="mean")
-    s0 = elements_to_state(k0_star, MU_SUN)
-    sd = elements_to_state(kd_star, MU_SUN)
+    nu_star = math.acos(max(-1.0, min(1.0, crossing_cosine(k0))))
+    m_star = true_to_mean(nu_star, k0.e)
+    s0 = elements_to_state(OrbitalElements(
+        a=k0.a, e=k0.e, i=k0.i, raan=k0.raan, argp=k0.argp, anomaly=m_star,
+        anomaly_kind="mean"), MU_SUN)
+    sd = elements_to_state(OrbitalElements(
+        a=kd.a, e=kd.e, i=kd.i, raan=kd.raan, argp=kd.argp,
+        anomaly=(m_star + delta_m), anomaly_kind="mean"), MU_SUN)
 
     r_hat = s0.position / np.linalg.norm(s0.position)
     v_circ = math.sqrt(MU_SUN / AU)
-    earth_state = StateVector(position=r_hat * AU,
-                              velocity=v_circ * np.array([-r_hat[1], r_hat[0], 0.0]))
-    b = bplane_miss(sd, s0, earth_state)
-    return (r_p / AU, r_a / AU, e, True, b)
+    earth = StateVector(position=r_hat * AU,
+                        velocity=v_circ * np.array([-r_hat[1], r_hat[0], 0.0]))
+    return sd, s0, earth
+
+
+def _sweep_orbit(r_p: float, r_a: float) -> OrbitalElements:
+    """The planar sweep orbit of perihelion ``r_p`` and aphelion ``r_a``,
+    at perihelion at epoch 0."""
+    return OrbitalElements(a=0.5 * (r_p + r_a), e=(r_a - r_p) / (r_a + r_p), i=0.0,
+                           raan=0.0, argp=0.0, anomaly=0.0, anomaly_kind="mean",
+                           epoch=0.0)
+
+
+def _sweep_cell(args) -> tuple:
+    (r_p, r_a, template, earth, design, formation, m_sc, warning, scattering,
+     mdot_table) = args
+    k0 = _sweep_orbit(r_p, r_a)
+    if k0.e <= 0.0:
+        return (r_p / AU, r_a / AU, 0.0, False, None)
+    if abs(crossing_cosine(k0)) > 1.0 + 1e-9:
+        return (r_p / AU, r_a / AU, k0.e, False, None)
+
+    ast = replace(template, elements0=k0)
+    dscn = DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=m_sc,
+                              t_start=0.0, t_moid=warning, formation=formation,
+                              scattering_factor=scattering)
+    out = simulate_deflection(dscn, mdot_table=mdot_table)
+    b = bplane_miss(*crossing_states(k0, out.elements_final, out.delta_mean_anomaly))
+    return (r_p / AU, r_a / AU, k0.e, True, b)
 
 
 def run_eccentricity_sweep(scenario: Scenario, seed: int | None = None,
@@ -402,9 +430,16 @@ def run_eccentricity_sweep(scenario: Scenario, seed: int | None = None,
         np.array([0.0, 0.0, -1000.0, 0.0, 0.0, -1000.0, 0.0, 0.0]))
     m_sc = mass_budget(design, float(r_p_grid[0])).m_total
 
-    cells = [(float(r_p), float(r_a), template, scenario.earth, design, formation,
-              m_sc, warning, scenario.scattering_factor)
-             for r_p in r_p_grid for r_a in r_a_grid]
+    cells = []
+    for r_p in r_p_grid.tolist():
+        # the cells of a row share the flow table of its first eccentric
+        # orbit. A table of their own would differ only through the last
+        # bits of a*(1-e); on the shipped sweep the CSV bytes are the same.
+        table = next((MdotTable.for_orbit(design, template, _sweep_orbit(r_p, r_a))
+                      for r_a in r_a_grid.tolist() if r_a > r_p), None)
+        cells += [(r_p, r_a, template, scenario.earth, design, formation, m_sc,
+                   warning, scenario.scattering_factor, table)
+                  for r_a in r_a_grid.tolist()]
 
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

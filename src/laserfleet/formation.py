@@ -20,6 +20,7 @@ along the prescribed trajectory for their control budget.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -309,15 +310,26 @@ def lyapunov_value(state: ProximityState, ref: np.ndarray,
 # nu-sweep utilities
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def sweep_grid(n_sweep: int) -> np.ndarray:
+    """The ``n_sweep`` anomalies of one revolution that a sweep samples."""
+    nus = np.linspace(0.0, TWO_PI, n_sweep, endpoint=False)
+    nus.flags.writeable = False
+    return nus
+
+
 def sweep_extremum(f, n_sweep: int = 720, refine: bool = True,
-                   maximize: bool = True) -> tuple[float, float]:
+                   maximize: bool = True, values: np.ndarray | None = None
+                   ) -> tuple[float, float]:
     """Extremum of a scalar function of nu over one revolution.
 
     Dense sweep followed by a bounded golden-section refinement around the
-    incumbent grid point. ``f`` must accept a scalar or an array.
+    incumbent grid point. ``f`` must accept a scalar or an array; a caller
+    that has ``f`` on ``sweep_grid(n_sweep)`` already passes those
+    ``values``, and ``f`` then sees scalars only.
     """
-    nus = np.linspace(0.0, TWO_PI, n_sweep, endpoint=False)
-    vals = np.asarray(f(nus), dtype=float)
+    nus = sweep_grid(n_sweep)
+    vals = np.asarray(f(nus) if values is None else values, dtype=float)
     idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
     nu_best, val_best = float(nus[idx]), float(vals[idx])
     if not refine:
@@ -361,45 +373,66 @@ def natural_orbit_objectives(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
     stand-off (feasible when positive).
     """
     dk = np.asarray(dk, dtype=float)
+    pos = linear_proximal_position(k_a, dk, sweep_grid(n_sweep))
+    cos_g, sin_g = _sweep_flight_path(k_a.e, n_sweep)
 
-    def positions(nu):
-        nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-        return linear_proximal_position(k_a, dk, nu_arr)
-
+    # the grid takes the rows of ``pos``; the refinements take one float
+    # sample at a time
     def dist(nu):
-        p = positions(nu)
-        out = np.linalg.norm(p, axis=-1)
-        return out if np.ndim(nu) else float(out[0])
+        x, y, z = linear_proximal_position(k_a, dk, nu).tolist()
+        return math.sqrt(x * x + y * y + z * z)  # np.linalg.norm's order
 
     def abs_y(nu):
-        p = positions(nu)
-        out = np.abs(p[..., 1])
-        return out if np.ndim(nu) else float(out[0])
+        return abs(float(linear_proximal_position(k_a, dk, nu)[1]))
 
     def plume_angle(nu):
-        nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-        p = positions(nu_arr)
-        gammas = np.array([flight_path_angle(k_a.e, float(v)) for v in nu_arr])
-        x_t = p[..., 0] * np.cos(gammas) - p[..., 1] * np.sin(gammas)
-        y_t = p[..., 0] * np.sin(gammas) + p[..., 1] * np.cos(gammas)
-        lateral = np.sqrt(x_t**2 + p[..., 2] ** 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ang = np.arctan(lateral / y_t)
-        ang = np.where(np.isnan(ang), 0.0, ang)
-        return ang if np.ndim(nu) else float(ang[0])
+        g = flight_path_angle(k_a.e, nu)
+        return _plume_axis_angle(linear_proximal_position(k_a, dk, nu),
+                                 float(np.cos(g)), float(np.sin(g)))
 
-    _, j1 = sweep_extremum(dist, n_sweep, refine, maximize=True)
-    _, min_angle = sweep_extremum(plume_angle, n_sweep, refine, maximize=False)
-    _, min_abs_y = sweep_extremum(abs_y, n_sweep, refine, maximize=False)
+    _, j1 = sweep_extremum(dist, n_sweep, refine, maximize=True,
+                           values=np.linalg.norm(pos, axis=-1))
+    _, min_angle = sweep_extremum(plume_angle, n_sweep, refine, maximize=False,
+                                  values=_plume_axis_angle(pos, cos_g, sin_g))
+    _, min_abs_y = sweep_extremum(abs_y, n_sweep, refine, maximize=False,
+                                  values=np.abs(pos[:, 1]))
 
     return {"J1": j1, "J2": -min_angle, "C": min_abs_y - y_lim}
+
+
+@functools.lru_cache(maxsize=8)
+def _sweep_flight_path(e: float, n_sweep: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the flight-path angle on ``sweep_grid(n_sweep)``."""
+    gammas = np.array([flight_path_angle(e, nu) for nu in sweep_grid(n_sweep).tolist()])
+    cos_g, sin_g = np.cos(gammas), np.sin(gammas)
+    cos_g.flags.writeable = sin_g.flags.writeable = False
+    return cos_g, sin_g
+
+
+def _plume_axis_angle(pos: np.ndarray, cos_g, sin_g):
+    """Angle of a Hill position from the plume axis, which runs along the velocity.
+
+    ``pos`` is a 3-vector with float ``cos_g``, ``sin_g`` of the flight-path
+    angle, or an (N, 3) batch with one angle per row. On the axis itself
+    (no lateral offset and no offset along it) the angle is 0.
+    """
+    x, y, z = batch.components(pos)
+    x_t = x * cos_g - y * sin_g
+    y_t = x * sin_g + y * cos_g
+    lateral = batch.xp(x_t).sqrt(x_t * x_t + z * z)
+    if pos.ndim == 1:
+        if y_t == 0.0:  # lateral / (+-0) is +-inf, or NaN on the axis
+            return 0.0 if lateral == 0.0 else float(np.arctan(math.copysign(math.inf, y_t)))
+        return float(np.arctan(lateral / y_t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ang = np.arctan(lateral / y_t)
+    return np.where(np.isnan(ang), 0.0, ang)
 
 
 def natural_family_label(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
                          n_sweep: int = 720) -> str:
     """'+z' or '-z' from the sign of z where |y| crosses the stand-off."""
-    nus = np.linspace(0.0, TWO_PI, n_sweep, endpoint=False)
-    pos = linear_proximal_position(k_a, np.asarray(dk, dtype=float), nus)
+    pos = linear_proximal_position(k_a, np.asarray(dk, dtype=float), sweep_grid(n_sweep))
     idx = int(np.argmin(np.abs(np.abs(pos[:, 1]) - y_lim)))
     return "+z" if pos[idx, 2] >= 0.0 else "-z"
 

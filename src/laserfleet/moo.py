@@ -13,6 +13,7 @@ the whole run, and therefore the final archive, is bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,11 +77,12 @@ class ArchiveMember:
     objectives: np.ndarray
     violations: np.ndarray
 
-    @property
+    # read on every tournament, ranking and archive update
+    @cached_property
     def feasible(self) -> bool:
         return bool(np.all(self.violations <= 0.0))
 
-    @property
+    @cached_property
     def violation(self) -> float:
         return float(np.sum(np.maximum(self.violations, 0.0)))
 
@@ -105,11 +107,21 @@ class ParetoArchive:
             raise ValueError("archive capacity must be at least 2")
         self.capacity = capacity
         self.reference_point = reference_point
-        self.members: list[ArchiveMember] = []
+        self.members = []
         self.feasible_found = False
 
+    @property
+    def members(self) -> list[ArchiveMember]:
+        return self._members
+
+    @members.setter
+    def members(self, members: list[ArchiveMember]):
+        # the objectives ride along as an (n, m) array, row k for member k
+        self._members = list(members)
+        self._objs = np.array([m.objectives for m in self._members])
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._members)
 
     def add(self, member: ArchiveMember) -> bool:
         if member.feasible:
@@ -119,25 +131,32 @@ class ParetoArchive:
             return self._add_feasible(member)
         if self.feasible_found:
             return False
-        self.members.append(member)
-        self.members.sort(key=lambda m: m.violation)
-        del self.members[self.capacity:]
+        self.members = sorted(self._members + [member],
+                              key=lambda m: m.violation)[:self.capacity]
         return True
 
     def _add_feasible(self, member: ArchiveMember) -> bool:
-        for m in self.members:
-            if dominates(m.objectives, member.objectives) or \
-                    np.array_equal(m.objectives, member.objectives):
-                return False
-        self.members = [m for m in self.members
-                        if not dominates(member.objectives, m.objectives)]
-        self.members.append(member)
-        if len(self.members) > self.capacity:
+        new = np.asarray(member.objectives, dtype=float)
+        if not self._members:
+            self.members = [member]
+            return True
+        objs = self._objs
+        if objs.shape[1:] != new.shape:
+            raise ValueError(f"objective arity mismatch: {objs.shape[1:]} vs {new.shape}")
+        # a member at or below the candidate everywhere dominates or equals it
+        if (objs <= new).all(axis=1).any():
+            return False
+        # none equals it, so one at or above it everywhere is dominated
+        keep = ~(new <= objs).all(axis=1)
+        self._members = [m for m, k in zip(self._members, keep.tolist()) if k]
+        self._members.append(member)
+        self._objs = np.concatenate([objs[keep], new[None, :]])
+        if len(self._members) > self.capacity:
             self._prune()
         return True
 
     def _prune(self):
-        objs = np.array([m.objectives for m in self.members])
+        objs = self._objs
         if objs.shape[1] == 2 and self.reference_point is not None:
             drop = int(np.argmin(self._exclusive_hv(objs)))
         elif objs.shape[1] == 2:
@@ -150,7 +169,8 @@ class ParetoArchive:
         else:
             crowd = crowding_distance(objs)
             drop = int(np.argmin(crowd))
-        del self.members[drop]
+        del self._members[drop]
+        self._objs = np.delete(objs, drop, axis=0)
 
     def _exclusive_hv(self, objs: np.ndarray) -> np.ndarray:
         """Exclusive hypervolume of each member against the fixed reference.
@@ -175,23 +195,26 @@ class ParetoArchive:
         return contrib
 
     def objective_array(self) -> np.ndarray:
-        return np.array([m.objectives for m in self.members])
+        return self._objs.copy()
 
     def sorted_members(self) -> list[ArchiveMember]:
         if not self.feasible_found:
-            return sorted(self.members, key=lambda m: (m.violation,
-                                                       tuple(m.objectives)))
-        return sorted(self.members, key=lambda m: tuple(m.objectives))
+            return sorted(self._members, key=lambda m: (m.violation,
+                                                        tuple(m.objectives)))
+        return sorted(self._members, key=lambda m: tuple(m.objectives))
 
     def validate(self):
         """Raise if any feasible member dominates another (invariant check)."""
-        if not self.feasible_found:
+        if not self.feasible_found or len(self._members) < 2:
             return
-        objs = [m.objectives for m in self.members]
-        for i, a in enumerate(objs):
-            for j, b in enumerate(objs):
-                if i != j and dominates(a, b):
-                    raise AssertionError("archive holds a dominated pair")
+        if dominance_matrix(self._objs).any():
+            raise AssertionError("archive holds a dominated pair")
+
+
+def dominance_matrix(objs: np.ndarray) -> np.ndarray:
+    """(n, n) booleans: entry [i, j] is ``dominates(objs[i], objs[j])``."""
+    a, b = objs[:, None, :], objs[None, :, :]
+    return (a <= b).all(axis=2) & (a < b).any(axis=2)
 
 
 def crowding_distance(objs: np.ndarray) -> np.ndarray:
@@ -285,24 +308,29 @@ def _better(a: ArchiveMember, b: ArchiveMember) -> int:
 
 
 def _rank_population(members: list[ArchiveMember]) -> list[int]:
-    """Indices sorted best-first: feasible non-dominated fronts, then violation."""
-    feas = [i for i, m in enumerate(members) if m.feasible]
-    infeas = [i for i, m in enumerate(members) if not m.feasible]
+    """Indices sorted best-first: feasible non-dominated fronts, then violation.
+
+    The fronts come from the fast non-dominated sort of Deb et al. (NSGA-II,
+    IEEE TEC 2002): a member joins the next front once every member that
+    dominates it has been placed. A front lists its members in input order,
+    then orders them by falling crowding distance, ties kept in that order.
+    """
+    feasible = [m.feasible for m in members]
+    feas = np.array([i for i, f in enumerate(feasible) if f], dtype=int)
+    infeas = [i for i, f in enumerate(feasible) if not f]
 
     ordered: list[int] = []
-    remaining = list(feas)
-    while remaining:
-        objs = np.array([members[i].objectives for i in remaining])
-        front = [remaining[i] for i in range(len(remaining))
-                 if not any(dominates(objs[j], objs[i])
-                            for j in range(len(remaining)) if j != i)]
-        if not front:  # duplicated objectives: break ties arbitrarily but stably
-            front = [remaining[0]]
-        front_objs = np.array([members[i].objectives for i in front])
-        crowd = crowding_distance(front_objs) if len(front) > 1 else np.array([np.inf])
-        for j in np.argsort(-crowd, kind="stable"):
-            ordered.append(front[int(j)])
-        remaining = [i for i in remaining if i not in front]
+    if feas.size:
+        objs = np.array([members[i].objectives for i in feas])
+        dom = dominance_matrix(objs)
+        n_over = dom.sum(axis=0)      # members that dominate each one and are unplaced
+        unplaced = np.ones(feas.size, dtype=bool)
+        while unplaced.any():
+            front = np.flatnonzero(unplaced & (n_over == 0))
+            unplaced[front] = False
+            n_over -= dom[front].sum(axis=0)
+            crowd = crowding_distance(objs[front]) if front.size > 1 else np.array([np.inf])
+            ordered.extend(feas[front[np.argsort(-crowd, kind="stable")]].tolist())
     ordered.extend(sorted(infeas, key=lambda i: members[i].violation))
     return ordered
 

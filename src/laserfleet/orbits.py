@@ -516,28 +516,35 @@ def linear_proximal_position(k_a: OrbitalElements, dk: np.ndarray, nu: float) ->
     """Hill-frame position of a neighbouring orbit, first order in the deltas.
 
     ``dk`` = [de, di, draan, dargp, dM]; the semi-major-axis delta is zero by
-    construction so the relative motion is periodic in nu. Supports scalar
-    or array ``nu``.
+    construction so the relative motion is periodic in nu. ``nu`` is a float,
+    giving a 3-vector, or an array, giving one row per anomaly.
+
+    One sample runs on floats but keeps numpy's sin and cos, and squares by
+    a product as numpy does, so it gives the bits of its row in a batch.
     """
     dk = np.asarray(dk, dtype=float)
     if dk.shape != (5,):
         raise ValueError("dk must be [de, di, draan, dargp, dM]")
-    de, di, draan, dargp, dm = dk
+    de, di, draan, dargp, dm = dk.tolist()
 
     a, e, i = k_a.a, k_a.e, k_a.i
     eta = math.sqrt(1.0 - e * e)
-    nu = np.asarray(nu, dtype=float)
-    cos_nu, sin_nu = np.cos(nu), np.sin(nu)
-    r = a * eta**2 / (1.0 + e * cos_nu)
     theta = nu + k_a.argp
+    cos_nu, sin_nu = np.cos(nu), np.sin(nu)
+    cos_th, sin_th = np.cos(theta), np.sin(theta)
+    if not isinstance(nu, np.ndarray):
+        cos_nu, sin_nu, cos_th, sin_th = (float(cos_nu), float(sin_nu),
+                                          float(cos_th), float(sin_th))
+    q = 1.0 + e * cos_nu
+    r = a * eta**2 / q
 
     x = (a * e * sin_nu / eta) * dm - a * cos_nu * de
-    y = (r / eta**3) * (1.0 + e * cos_nu) ** 2 * dm + r * dargp \
+    y = (r / eta**3) * (q * q) * dm + r * dargp \
         + (r * sin_nu / eta**2) * (2.0 + e * cos_nu) * de \
         + r * math.cos(i) * draan
-    z = r * (np.sin(theta) * di - np.cos(theta) * math.sin(i) * draan)
+    z = r * (sin_th * di - cos_th * math.sin(i) * draan)
 
-    return np.stack(np.broadcast_arrays(x, y, z), axis=-1) if nu.ndim else np.array([x, y, z])
+    return batch.vector(x, y, z)
 
 
 # ---------------------------------------------------------------------------

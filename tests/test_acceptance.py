@@ -36,6 +36,7 @@ from laserfleet.deflection import (
     simulate_deflection,
 )
 from laserfleet.experiments import (
+    crossing_states,
     resolve_encounter_epoch,
     run_deflection_map,
     run_eccentricity_sweep,
@@ -65,7 +66,6 @@ from laserfleet.plume import degradation_factor
 from laserfleet.scenario import load_scenario
 from laserfleet.sizing import design_from_option, mass_budget
 from laserfleet.sublimation import exhaust_velocity, radiation_loss
-from tests.sweep_crossing import crossing_states
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -229,7 +229,7 @@ def test_criterion_4_lyapunov(nominal):
 
     # The descent guarantee dV/dt = -c_d|dv|^2 holds under the law's own
     # plant model; with the full dynamics the uncancelled tide/harmonic
-    # residuals exceed c_d|dv| at these gains (see ledger). Assert it
+    # residuals exceed c_d|dv| at these gains (see DECISIONS.md). Assert it
     # step-by-step where the guarantee applies.
     model = simulate_tracking(dk, ast, design, m_sc, duration=YEAR, step=400.0,
                               gain_k=nominal.gain_position,

@@ -17,6 +17,7 @@ from laserfleet.constants import MAX_EXPANSION_ANGLE, TWO_PI, YEAR
 from laserfleet.formation import (
     ShapedControlContext,
     ShapedOrbit,
+    _plume_axis_angle,
     gravity_gradient,
     shaped_control_accel,
 )
@@ -105,6 +106,37 @@ def test_one_sample_norm_is_numpys(rng):
         assert batch.norm(v) == float(np.linalg.norm(v))
     rows = rng.normal(size=(50, 3))
     np.testing.assert_allclose(batch.norm(rows), np.linalg.norm(rows, axis=1), rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Natural-orbit sweep: one sample gives its row's bits
+# ---------------------------------------------------------------------------
+
+def test_proximal_position_sample_is_its_row(ast, rng):
+    """The sweep refines on one float anomaly and compares it with the grid,
+    so a sample must equal its row exactly, not to a tolerance."""
+    lo = np.array([-0.01, -0.1, -0.9, -1.5, -0.1]) * 1e-7
+    hi = np.array([0.0, 0.1, 0.9, 1.5, 0.5]) * 1e-7
+    nu = rng.uniform(-1.0, 7.3, 2000)
+    for _ in range(10):
+        dk = lo + rng.random(5) * (hi - lo)
+        rows = orbits.linear_proximal_position(ast.elements0, dk, nu)
+        one = _rows(lambda v: orbits.linear_proximal_position(ast.elements0, dk, v),
+                    nu.tolist())
+        assert np.array_equal(rows, one)
+
+
+def test_plume_axis_angle_sample_is_its_row(rng):
+    pos = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(0.0, 4.0, (20000, 1))
+    gamma = rng.uniform(-0.2, 0.2, 20000)
+    # on the axis, and off it with y_t = +0 and -0
+    pos[:4] = [[0.0, 0.0, 0.0], [0.0, 0.0, 5.0], [-0.0, -0.0, 5.0], [0.0, -0.0, 0.0]]
+    gamma[:4] = 0.0
+    cos_g, sin_g = np.cos(gamma), np.sin(gamma)
+    rows = _plume_axis_angle(pos, cos_g, sin_g)
+    one = _rows(_plume_axis_angle, pos, cos_g.tolist(), sin_g.tolist())
+    assert [repr(v) for v in rows.tolist()] == [repr(v) for v in one.tolist()]
+    assert rows[:4].tolist() == [0.0, math.pi / 2, -math.pi / 2, 0.0]
 
 
 # ---------------------------------------------------------------------------

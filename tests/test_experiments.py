@@ -6,12 +6,19 @@ import pytest
 from laserfleet.constants import AU, MU_SUN, YEAR
 from laserfleet.deflection import DeflectionScenario, bplane_miss, simulate_deflection
 from laserfleet.experiments import (
+    _sweep_cell,
+    crossing_states,
     resolve_encounter_epoch,
     run_eccentricity_sweep,
     run_formation_design,
     run_shaped_design,
 )
-from laserfleet.formation import ShapedControlContext, ShapedOrbit, shaped_objectives
+from laserfleet.formation import (
+    ShapedControlContext,
+    ShapedOrbit,
+    natural_orbit_objectives,
+    shaped_objectives,
+)
 from laserfleet.orbits import (
     OrbitalElements,
     elements_to_state,
@@ -21,7 +28,6 @@ from laserfleet.scenario import load_scenario
 from laserfleet.sizing import design_from_option, mass_budget
 from laserfleet.sublimation import mass_flow_rate
 from tests.conftest import SCENARIO_DIR
-from tests.sweep_crossing import crossing_states
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +59,19 @@ def test_formation_design_reports_empty_feasible_set(nominal):
     table = run_formation_design(impossible)
     assert len(table.rows) == 0
     assert table.metadata.get("y_lim_1e+09_infeasible") is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_formation_design_rows_are_the_scored_numbers(nominal):
+    """Rows hold the optimizer's own J1, J2 and the C kept at scoring."""
+    small = dataclasses.replace(nominal, optimizer={"population": 24, "budget": 240,
+                                                    "archive": 16})
+    table = run_formation_design(small)
+    assert len({row[0] for row in table.rows}) == len(nominal.y_limits)
+    for row in table.rows:
+        res = natural_orbit_objectives(np.array(row[2:7]), nominal.asteroid.elements0,
+                                       row[0])
+        assert row[7:] == (res["J1"], res["J2"], res["C"])
 
 
 def test_shaped_design_rows_are_the_scored_numbers(nominal, tmp_path):
@@ -125,3 +144,27 @@ def test_sweep_matches_inline_recipe(sweep_scenario):
     for row in table.rows:
         if row[i_in]:
             assert row[i_b] > 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_rows_match_cells_with_their_own_tables(sweep_scenario):
+    """The cells of a row share one flow table and still give the bits of a
+    cell that builds its own; on a 2 x 2 grid the (0.5, 2.0) AU cell runs
+    on the table of its row's first orbit, (0.5, 1.0) AU."""
+    exp = sweep_scenario.experiments
+    small = dataclasses.replace(sweep_scenario, experiments=exp | {
+        "eccentricity_sweep": exp["eccentricity_sweep"] | {"n_perihelion": 2,
+                                                           "n_aphelion": 2}})
+    table = run_eccentricity_sweep(small)
+    meta = table.metadata
+    design = design_from_option(meta["aperture_m"], meta["concentration_ratio"],
+                                n_spacecraft=meta["n_spacecraft"],
+                                option=meta["efficiency_option"])
+    grid = [(r_p, r_a) for r_p in (np.linspace(0.5, 1.0, 2) * AU).tolist()
+            for r_a in (np.linspace(1.0, 2.0, 2) * AU).tolist()]
+    for row, (r_p, r_a) in zip(table.rows, grid, strict=True):
+        own = _sweep_cell((r_p, r_a, sweep_scenario.asteroid,
+                           sweep_scenario.earth, design, sweep_scenario.shaped,
+                           meta["spacecraft_mass_kg"], meta["warning_yr"] * YEAR,
+                           sweep_scenario.scattering_factor, None))
+        assert tuple(row) == own

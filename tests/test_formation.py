@@ -359,7 +359,7 @@ def test_shaped_objectives_scale_sweep(ast, design_20m):
     Holding a fixed shape means cancelling the asteroid point gravity, which
     scales as 1/dr^2 and dominates every other modeled acceleration inside
     the design box, so max|u| decreases toward the radiation-pressure floor
-    as the orbit grows (see the decisions ledger: the qualitative
+    as the orbit grows (see DECISIONS.md: the qualitative
     increasing-with-distance claim does not survive the model's own
     gravity-cancellation term).
     """

@@ -1,16 +1,21 @@
-"""Golden outputs of the shaped-formation objectives.
+"""Golden outputs of the formation objectives.
 
-J1, J2, J3, C1 and C2 of six fixed shapes, recorded from the per-sample
-control inversion (one scalar call per time sample) that the time-grid
-version replaced. Together the shapes take every branch of the inversion:
-plume on the optics, occluded or averted optics, samples outside the
-expansion cone, samples inside the body and its bounding sphere, and the
-plume and coupling switches off.
+Shaped orbits: J1, J2, J3, C1 and C2 of six fixed shapes, recorded from the
+per-sample control inversion (one scalar call per time sample) that the
+time-grid version replaced. Together the shapes take every branch of the
+inversion: plume on the optics, occluded or averted optics, samples outside
+the expansion cone, samples inside the body and its bounding sphere, and
+the plume and coupling switches off.
 
 J2, C1 and C2 come from the shape alone and must match exactly. J1 and J3
 integrate the control over the grid; numpy's arctan2, arccos and power may
 differ from libm by an ulp, and the nearly cancelling frame terms of the
 Hill-frame acceleration amplify that, so they match to 1e-11.
+
+Natural orbits: J1, J2 and C of seventeen designs, recorded from the
+version that evaluated every refinement sample as a one-element array and
+swept the grid three times. They must match exactly: the one-sample path
+keeps numpy's trigonometry and squares by products (DECISIONS.md).
 """
 
 from dataclasses import replace
@@ -19,7 +24,12 @@ import numpy as np
 import pytest
 
 from laserfleet.constants import YEAR
-from laserfleet.formation import ShapedControlContext, ShapedOrbit, shaped_objectives
+from laserfleet.formation import (
+    ShapedControlContext,
+    ShapedOrbit,
+    natural_orbit_objectives,
+    shaped_objectives,
+)
 from laserfleet.sizing import design_from_option, mass_budget
 from laserfleet.sublimation import mass_flow_rate
 from tests.conftest import SCENARIO_DIR
@@ -80,3 +90,76 @@ def test_shaped_objectives_golden(shaped_ctx, name):
     assert (res["J2"], res["C1"], res["C2"]) == (j2, c1, c2)
     assert res["J1"] == pytest.approx(j1, rel=1e-11, abs=0.0)
     assert res["J3"] == pytest.approx(j3, rel=1e-11, abs=0.0)
+
+
+SHIPPED_DK = [-1e-09, 5e-09, 0.0, 0.0, 8e-09]
+
+# name: (dk, y_lim, n_sweep, refine, (J1, J2, C))
+NATURAL_GOLDEN = {
+    # every position is zero: the plume angle is 0 on the axis, so J2 is -0.0
+    "zero": ([0.0] * 5, 1000.0, 720, True, (0.0, -0.0, -1000.0)),
+    # out of plane only: y_t = +0 everywhere, so every angle is pi/2
+    "plane_only": ([0.0, 5e-09, 0.0, 0.0, 0.0], 1000.0, 720, True,
+                   (791.6692764378488, -1.5707963267948966, -1000.0)),
+    "shipped": (SHIPPED_DK, 1000.0, 720, True,
+                (1573.6647517772096, -0.03117922262520641, -239.81415066079785)),
+    "shipped_coarse": (SHIPPED_DK, 500.0, 90, True,
+                       (1573.6647517772092, -0.03117922262520943, 260.18584933920215)),
+    "shipped_unrefined": (SHIPPED_DK, 500.0, 720, False,
+                          (1573.6627190060622, -0.03127536188928662, 260.1882855552002)),
+    # uniform draws from the optimizer's box (numpy seed 20261018)
+    "random_0": ([-1.2537249231377987e-10, -2.2779286567143625e-09, -8.387003791867876e-08,
+                  7.022633736739632e-08, 4.154153089547205e-08], 500.0, 720, True,
+                 (5475.2213053983705, -0.044986487007787485, 2003.5951832362643)),
+    "random_1": ([-2.3004615273021793e-10, 3.326293270534573e-09, -8.665984214379863e-08,
+                  -1.4930233917226938e-07, 4.8153148525283553e-08], 1000.0, 720, True,
+                 (33286.754123222396, 0.24474815445196732, 17254.215131289977)),
+    "random_2": ([-1.3150607663569857e-10, 4.517996102354889e-09, -6.196904711370057e-08,
+                  -7.618099709071089e-08, -2.9303721383781264e-09], 500.0, 720, True,
+                 (23025.63109918463, 0.1925614158789575, 15397.1212455122)),
+    "random_3": ([-2.1967761278972619e-10, 5.2626609043028595e-09, -5.8662241463354286e-08,
+                  -1.4186745836517698e-07, 3.9093070191774077e-08], 1000.0, 720, True,
+                 (28502.97619854835, 0.24233451491088207, 14822.226262168206)),
+    "random_4": ([-8.643307167794521e-10, -8.619563067429843e-09, -6.85679414050474e-08,
+                  -1.0713218181110311e-07, 1.4599553429049748e-08], 500.0, 720, True,
+                 (27249.875405395578, 0.21093446074757263, 16644.513347886772)),
+    "random_5": ([-1.5051880428091076e-10, -2.6154228473253617e-10, 6.134258771477055e-08,
+                  -7.546196675048861e-08, -8.669449459530368e-09], 1000.0, 720, True,
+                 (3338.4011208758025, 0.20375978751756618, 2021.506625648466)),
+    "random_6": ([-2.934383587962629e-10, -8.938631307316551e-09, -1.8564904376866905e-09,
+                  1.5225976809304272e-08, 2.6844914997878936e-08], 500.0, 720, True,
+                 (6066.51741735938, -0.03195993661920446, 4732.186782238782)),
+    "random_7": ([-3.4274908905438507e-10, 2.0896033123753053e-09, 6.551333755846725e-08,
+                  3.128453311107739e-09, 3.571972590453015e-08], 1000.0, 720, True,
+                 (15344.237952849477, -0.032380001682819834, 12616.70070134111)),
+    "random_8": ([-8.909741450329605e-10, -8.801339193864574e-09, 7.576096531806649e-08,
+                  -4.393338001891401e-08, 2.8278284240999222e-08], 500.0, 720, True,
+                 (8552.323124067005, -0.016207948881008218, 7443.379695582995)),
+    "random_9": ([-9.556849973531406e-10, -3.315755231388593e-09, 3.673605677091774e-08,
+                  7.246466738436972e-08, 4.03539751929771e-08], 1000.0, 720, True,
+                 (22543.400108126873, -0.006637887215884678, 17905.309477236642)),
+    "random_10": ([-4.924231619374716e-10, 5.8197913581759994e-09, -5.529248874797161e-09,
+                   1.4754018980702648e-07, 2.368478939182695e-08], 500.0, 720, True,
+                  (26049.746346222873, -0.02439303456515123, 19312.467848533608)),
+    "random_11": ([-1.498694573633198e-10, 8.257598825852622e-10, 5.405301980309083e-08,
+                   -1.3203889655067912e-07, 2.3488279887448272e-08], 1000.0, 720, True,
+                  (10171.708923249524, 0.28118654517651626, 3780.098406534944)),
+}
+
+
+@pytest.fixture(scope="module")
+def apophis_elements():
+    from laserfleet.scenario import load_scenario
+
+    return load_scenario(SCENARIO_DIR / "apophis_nominal.json").asteroid.elements0
+
+
+@pytest.mark.parametrize("name", NATURAL_GOLDEN)
+def test_natural_orbit_objectives_golden(apophis_elements, name):
+    dk, y_lim, n_sweep, refine, expected = NATURAL_GOLDEN[name]
+    res = natural_orbit_objectives(np.array(dk), apophis_elements, y_lim,
+                                   n_sweep=n_sweep, refine=refine)
+    got = (res["J1"], res["J2"], res["C"])
+    assert got == expected
+    # == does not tell -0.0 from 0.0; the CSV does
+    assert [repr(v) for v in got] == [repr(v) for v in expected]

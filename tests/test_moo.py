@@ -7,6 +7,7 @@ from laserfleet.moo import (
     ArchiveMember,
     ParetoArchive,
     ProblemSpec,
+    _rank_population,
     crowding_distance,
     dominates,
     hypervolume_2d,
@@ -196,3 +197,102 @@ def test_no_feasible_point_flagged():
     assert len(result.archive) > 0
     viols = [m.violation for m in result.archive.members]
     assert viols == sorted(viols)
+
+
+# ---------------------------------------------------------------------------
+# Array bookkeeping against the pairwise loops it replaced
+# ---------------------------------------------------------------------------
+
+def _pairwise_rank(members):
+    """Front peeling with one dominates() call per ordered pair."""
+    feas = [i for i, m in enumerate(members) if m.feasible]
+    infeas = [i for i, m in enumerate(members) if not m.feasible]
+    ordered = []
+    remaining = list(feas)
+    while remaining:
+        objs = np.array([members[i].objectives for i in remaining])
+        front = [remaining[i] for i in range(len(remaining))
+                 if not any(dominates(objs[j], objs[i])
+                            for j in range(len(remaining)) if j != i)]
+        front_objs = np.array([members[i].objectives for i in front])
+        crowd = crowding_distance(front_objs) if len(front) > 1 else np.array([np.inf])
+        for j in np.argsort(-crowd, kind="stable"):
+            ordered.append(front[int(j)])
+        remaining = [i for i in remaining if i not in front]
+    ordered.extend(sorted(infeas, key=lambda i: members[i].violation))
+    return ordered
+
+
+class _PairwiseArchive(ParetoArchive):
+    """Acceptance with one dominates() call per member."""
+
+    def _add_feasible(self, member):
+        for m in self.members:
+            if dominates(m.objectives, member.objectives) or \
+                    np.array_equal(m.objectives, member.objectives):
+                return False
+        self.members = [m for m in self.members
+                        if not dominates(member.objectives, m.objectives)] + [member]
+        if len(self.members) > self.capacity:
+            self._prune()
+        return True
+
+
+def _pairwise_dominated_pair(members):
+    return any(i != j and dominates(a.objectives, b.objectives)
+               for i, a in enumerate(members) for j, b in enumerate(members))
+
+
+def _random_members(rng, n, n_obj):
+    """Objectives on a coarse integer grid, so ties and duplicates are
+    common; about a third of the members are infeasible, with tied
+    violations among them."""
+    objs = rng.integers(0, 5, size=(n, n_obj)).astype(float)
+    viol = np.where(rng.random(n) < 0.3, rng.integers(1, 4, n), 0).astype(float)
+    return [ArchiveMember(x=np.array([float(k)]), objectives=objs[k],
+                          violations=np.array([viol[k]])) for k in range(n)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fast_sort_matches_pairwise_fronts():
+    rng = np.random.default_rng(20261018)
+    for trial in range(300):
+        members = _random_members(rng, int(rng.integers(1, 70)), 1 + trial % 3)
+        assert _rank_population(members) == _pairwise_rank(members)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_array_archive_matches_pairwise_decisions():
+    rng = np.random.default_rng(20261019)
+    for trial in range(120):
+        n_obj = 1 + trial % 3
+        capacity = int(rng.integers(2, 12))
+        ref = (4.5, 4.5) if n_obj == 2 and trial % 2 else None
+        arc = ParetoArchive(capacity=capacity, reference_point=ref)
+        oracle = _PairwiseArchive(capacity=capacity, reference_point=ref)
+        for m in _random_members(rng, 80, n_obj):
+            assert arc.add(m) == oracle.add(m)
+            assert [a.x[0] for a in arc.members] == [b.x[0] for b in oracle.members]
+            assert arc.feasible_found == oracle.feasible_found
+            if arc.members:
+                assert np.array_equal(arc.objective_array(),
+                                      np.array([a.objectives for a in arc.members]))
+        arc.validate()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_matches_pairwise_check():
+    rng = np.random.default_rng(20261020)
+    raised = 0
+    for trial in range(200):
+        members = [m for m in _random_members(rng, int(rng.integers(1, 12)), 1 + trial % 3)
+                   if m.feasible]
+        arc = ParetoArchive(capacity=16)
+        arc.members, arc.feasible_found = members, True
+        if _pairwise_dominated_pair(members):
+            raised += 1
+            with pytest.raises(AssertionError):
+                arc.validate()
+        else:
+            arc.validate()
+    assert 0 < raised < 200

@@ -131,7 +131,7 @@ def test_mass_monotone_in_aperture():
            "scales linearly with collector area, so m(d*sqrt2) - 2*m(d) equals "
            "minus the fixed bus allowance (-798 kg) for every aperture; a "
            "superadditive crossover needs a superlinear term the tables do "
-           "not parameterize (see decisions ledger)")
+           "not parameterize (see DECISIONS.md)")
 def test_fractionation_crossover_exists():
     """Somewhere in the box, two small spacecraft beat one sqrt(2)-larger:
     same total collecting area, less total mass."""
