@@ -18,15 +18,11 @@ from .orbits import (  # noqa: F401
 )
 from .sublimation import (  # noqa: F401
     AsteroidModel,
-    PowerBalance,
-    ThrustState,
     apophis_model,
     exhaust_velocity,
     mass_flow_rate,
-    spot_power_balance,
-    thrust_state,
 )
-from .plume import PlumeState, SpotGeometry, degradation_factor, plume_density  # noqa: F401
+from .plume import SpotGeometry, degradation_factor, plume_density  # noqa: F401
 from .sizing import MassBudget, SpacecraftDesign, design_from_option, mass_budget  # noqa: F401
 from .formation import NaturalOrbit, ShapedOrbit  # noqa: F401
 from .deflection import DeflectionOutcome, DeflectionScenario, simulate_deflection  # noqa: F401

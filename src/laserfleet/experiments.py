@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .constants import AU, MU_SUN, YEAR
-from .deflection import DeflectionScenario, MdotTable, bplane_miss, simulate_deflection
+from .deflection import DeflectionScenario, MdotTable, peak_spot_power, simulate_deflection
 from .formation import (
     NATURAL_BOUNDS_LOWER,
     NATURAL_BOUNDS_UPPER,
@@ -39,6 +39,7 @@ from .moo import ProblemSpec, optimize
 from .orbits import (
     OrbitalElements,
     StateVector,
+    bplane_miss,
     elements_to_state,
     kepler_propagate,
     true_to_mean,
@@ -136,6 +137,17 @@ def run_formation_design(scenario: Scenario, seed: int | None = None) -> ResultT
 # ---------------------------------------------------------------------------
 
 def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTable:
+    """Pareto front of shaped formation orbits over one control window.
+
+    The plume on the spacecraft is sized by one flow held over the whole
+    window: ``mass_flow_rate`` at perihelion, through clean optics, at spin
+    phase 0. The deflection runs use the spin-averaged ``MdotTable``
+    instead, since they integrate the flow over years. The control grid
+    (512 samples a year) cannot resolve a spin of hours, so the study needs
+    one value. Phase 0 puts the long equatorial axis under the spot and
+    gives the least flow of a spin, 5.0% below the average on the shipped
+    design; DECISIONS.md says why it stays.
+    """
     seed = scenario.seed if seed is None else seed
     exp = dict(scenario.experiments.get("shaped_design", {}))
     aperture = float(exp.get("aperture_m", 20.0))
@@ -239,7 +251,7 @@ def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable
                                           formation=formation,
                                           scattering_factor=scenario.scattering_factor)
                 table_m = MdotTable.build(design, ast,
-                                          p_max=_peak_power(design, ast),
+                                          p_max=peak_spot_power(design, ast, ast.elements0),
                                           n_points=48, n_phases=6)
                 out = simulate_deflection(dscn, mdot_table=table_m)
                 return (np.array([-out.miss_distance, n_sc * m_sc]), np.zeros(0))
@@ -262,13 +274,6 @@ def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable
                 table.add_row(mode, option, d_m, n_sc, c_r,
                               -float(m.objectives[0]), float(m.objectives[1]), m_sc)
     return table
-
-
-def _peak_power(design, ast) -> float:
-    from .constants import SOLAR_FLUX_1AU
-    r_peri = ast.elements0.a * (1.0 - ast.elements0.e)
-    return (design.eta_sys * design.concentration_ratio * (1.0 - ast.albedo)
-            * SOLAR_FLUX_1AU * (AU / r_peri) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +315,7 @@ def run_deflection_map(scenario: Scenario, seed: int | None = None,
     masses = {}
     for aperture in apertures:
         design1 = design_from_option(aperture, c_r, n_spacecraft=1, option=option)
-        tables[aperture] = MdotTable.build(design1, ast, p_max=_peak_power(design1, ast))
+        tables[aperture] = MdotTable.for_orbit(design1, ast, ast.elements0)
         masses[aperture] = mass_budget(design1, r_peri).m_total
 
     cells = []

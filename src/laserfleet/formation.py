@@ -23,14 +23,20 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import batch
 from .constants import G0, MU_SUN, TWO_PI
-from .orbits import OrbitalElements, flight_path_angle, linear_proximal_position, mean_to_true
+from .orbits import (
+    OrbitalElements,
+    flight_path_angle,
+    linear_proximal_position,
+    mean_to_true,
+    rk4_step,
+)
 from .plume import (
     line_of_sight_occluded,
     plume_density,
@@ -684,20 +690,18 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
             last_v = None  # descent bookkeeping restarts at a reference jump
 
         def rhs(t_loc, y_loc):
+            y_loc = np.array(y_loc)
             st = ProximityState(pos=y_loc[0:3], vel=y_loc[3:6], r_a=y_loc[6],
                                 r_a_dot=y_loc[7], nu=y_loc[8], nu_dot=y_loc[9])
             f_srp, f_plume = forces(st.pos, st.r_a, t_loc, st.nu)
             u = lyapunov_control(st, ref, f_srp, f_plume, ast, m_sc, gain_k, gain_cd)
             if plant == "model":
-                return model_derivatives(st, f_srp + f_plume, u, ast, m_sc), u
+                return model_derivatives(st, f_srp + f_plume, u, ast, m_sc).tolist(), u
             return proximity_derivatives(st, f_srp + f_plume, u, u_dev, ast, m_sc,
-                                         t_loc), u
+                                         t_loc).tolist(), u
 
-        k1, u_now = rhs(t, y)
-        k2, _ = rhs(t + 0.5 * step, y + 0.5 * step * k1)
-        k3, _ = rhs(t + 0.5 * step, y + 0.5 * step * k2)
-        k4, _ = rhs(t + step, y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y, u_now = rk4_step(rhs, t, y.tolist(), step)
+        y = np.array(y)
         t += step
 
         state = ProximityState(pos=y[0:3], vel=y[3:6], r_a=y[6], r_a_dot=y[7],

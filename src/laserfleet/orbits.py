@@ -5,9 +5,10 @@ Provides:
     1. Keplerian element set and Cartesian state conversions (elliptic only).
     2. Kepler propagation (Newton solver for the transcendental anomaly
        equation, bisection-safe).
-    3. Gauss variational equations for the element rates under a perturbing
-       acceleration given in the tangential/normal/out-of-plane frame, plus
-       a fixed-step RK4 integrator for them.
+    3. Gauss variational equations for the element rates (one float
+       relation in the radial/transverse/normal split, and a wrapper for an
+       acceleration in the tangential/normal/out-of-plane frame), plus the
+       one fixed-step RK4 step every integrator of the package takes.
     4. Rotating frames: Hill (radial/transverse/normal) and tangential
        (velocity/normal/angular-momentum) bases.
     5. Linearised proximal motion of a neighbouring orbit (element
@@ -219,7 +220,9 @@ def solve_kepler_array(mean_anomaly, e: float) -> np.ndarray:
 
 def eccentric_to_true(E, e: float):
     """True anomaly of an eccentric anomaly; ``E`` a float or an array."""
-    m = batch.xp(E)
+    # the deflection loop calls this once per rates call, so floats skip
+    # the xp() call
+    m = math if isinstance(E, float) else batch.xp(E)
     return (2.0 * m.atan2(math.sqrt(1.0 + e) * m.sin(E / 2.0),
                           math.sqrt(1.0 - e) * m.cos(E / 2.0))) % TWO_PI
 
@@ -362,20 +365,6 @@ def tangential_frame(s: StateVector) -> FrameBasis:
     return FrameBasis(axes=np.array([t_hat, n_hat, h_hat]), kind="tangential_tnh")
 
 
-def bplane_frame(v_rel: np.ndarray) -> FrameBasis:
-    """Triad with the third axis along the incoming relative velocity."""
-    v = np.asarray(v_rel, dtype=float)
-    vn = np.linalg.norm(v)
-    if vn == 0.0:
-        raise ValueError("b-plane undefined: relative velocity is zero")
-    e3 = v / vn
-    seed = np.array([0.0, 0.0, 1.0]) if abs(e3[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(seed, e3)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
-    return FrameBasis(axes=np.array([e1, e2, e3]), kind="bplane")
-
-
 def flight_path_angle(e: float, nu):
     """Angle of the velocity above the transverse direction: tan g = e sin nu / (1 + e cos nu).
 
@@ -388,16 +377,50 @@ def flight_path_angle(e: float, nu):
 
 
 # ---------------------------------------------------------------------------
-# Gauss variational equations (tangential / normal / out-of-plane input)
+# Gauss variational equations and the RK4 step
 # ---------------------------------------------------------------------------
+
+def gauss_rates_rtn(a: float, e: float, inc: float, argp: float, nu: float,
+                    u_r: float, u_s: float, u_w: float, mu: float) -> tuple:
+    """Element rates (da, de, di, draan, dargp, dM)/dt on floats.
+
+    The classic radial/transverse/normal form of the Gauss variational
+    equations (Battin): ``u_r`` along the radius, ``u_s`` transverse in the
+    orbit plane, ``u_w`` along the angular momentum. The out-of-plane terms
+    are skipped when u_w = 0, so a planar orbit (i = 0) never meets the
+    sin(i) singularity; e = 0 stays singular. No guards: the deflection
+    loop calls this millions of times.
+    """
+    p = a * (1.0 - e * e)
+    cos_nu, sin_nu = math.cos(nu), math.sin(nu)
+    r = p / (1.0 + e * cos_nu)
+    h = math.sqrt(mu * p)
+
+    da = 2.0 * a * a / h * (e * sin_nu * u_r + (p / r) * u_s)
+    de = (p * sin_nu * u_r + ((p + r) * cos_nu + r * e) * u_s) / h
+    dargp = (-p * cos_nu * u_r + (p + r) * sin_nu * u_s) / (h * e)
+    if u_w != 0.0:
+        theta = nu + argp
+        cos_th, sin_th = math.cos(theta), math.sin(theta)
+        sin_i = math.sin(inc)
+        di = r * cos_th / h * u_w
+        draan = r * sin_th / (h * sin_i) * u_w
+        dargp -= r * sin_th * math.cos(inc) / (h * sin_i) * u_w
+    else:
+        di = 0.0
+        draan = 0.0
+    eta = math.sqrt(1.0 - e * e)
+    dm = math.sqrt(mu / a**3) + eta / (h * e) * ((p * cos_nu - 2.0 * r * e) * u_r
+                                                 - (p + r) * sin_nu * u_s)
+    return da, de, di, draan, dargp, dm
+
 
 def gauss_rates(k: OrbitalElements, u_tnh: np.ndarray, mu: float) -> np.ndarray:
     """Element rates [da, de, di, dO, dw, dM]/dt under acceleration u.
 
     ``u_tnh`` is given in the tangential frame (t along velocity, n = h x t
-    in-plane, h out-of-plane). Internally the input is rotated to the
-    radial/transverse split through the flight-path angle and the classic
-    radial-transverse-normal form of the variational equations is applied.
+    in-plane, h out-of-plane). The input is rotated to the radial/transverse
+    split through the flight-path angle and ``gauss_rates_rtn`` is applied.
     With u = 0 every rate is zero except dM/dt = n.
     """
     if k.e < SINGULARITY_GUARD:
@@ -405,37 +428,32 @@ def gauss_rates(k: OrbitalElements, u_tnh: np.ndarray, mu: float) -> np.ndarray:
     if k.i < SINGULARITY_GUARD:
         raise ValueError(f"Gauss rates singular: i={k.i} below guard {SINGULARITY_GUARD}")
 
-    a, e, inc = k.a, k.e, k.i
+    e = k.e
     nu = k.true_anomaly()
-    p = a * (1.0 - e * e)
-    h = math.sqrt(mu * p)
-    cos_nu, sin_nu = math.cos(nu), math.sin(nu)
-    r = p / (1.0 + e * cos_nu)
-    n_mm = math.sqrt(mu / a**3)
-    eta = math.sqrt(1.0 - e * e)
-
+    sin_nu, one_ec = math.sin(nu), 1.0 + e * math.cos(nu)
     u_t, u_n, u_h = float(u_tnh[0]), float(u_tnh[1]), float(u_tnh[2])
     # Rotate (t, n) -> (radial, transverse): t = sin(g) r + cos(g) s,
     # n = h x t = sin(g) s - cos(g) r, with g the flight-path angle.
-    w = math.hypot(e * sin_nu, 1.0 + e * cos_nu)
+    w = math.hypot(e * sin_nu, one_ec)
     sin_g = e * sin_nu / w
-    cos_g = (1.0 + e * cos_nu) / w
-    u_r = u_t * sin_g - u_n * cos_g
-    u_s = u_t * cos_g + u_n * sin_g
+    cos_g = one_ec / w
+    return np.array(gauss_rates_rtn(k.a, e, k.i, k.argp, nu, u_t * sin_g - u_n * cos_g,
+                                    u_t * cos_g + u_n * sin_g, u_h, mu))
 
-    theta = nu + k.argp
-    cos_th, sin_th = math.cos(theta), math.sin(theta)
-    sin_i = math.sin(inc)
 
-    da = 2.0 * a * a / h * (e * sin_nu * u_r + (p / r) * u_s)
-    de = (p * sin_nu * u_r + ((p + r) * cos_nu + r * e) * u_s) / h
-    di = r * cos_th / h * u_h
-    draan = r * sin_th / (h * sin_i) * u_h
-    dargp = (-p * cos_nu * u_r + (p + r) * sin_nu * u_s) / (h * e) \
-        - r * sin_th * math.cos(inc) / (h * sin_i) * u_h
-    dm = n_mm + eta / (h * e) * ((p * cos_nu - 2.0 * r * e) * u_r - (p + r) * sin_nu * u_s)
+def rk4_step(f, t: float, y, dt: float):
+    """One classic fixed-step RK4 step of dy/dt = f(t, y).
 
-    return np.array([da, de, di, draan, dargp, dm])
+    ``f(t, y) -> (dy, aux)`` takes and gives sequences of floats; ``aux``
+    is whatever the caller records at the start of the step. Returns the
+    new state as a list and the ``aux`` of the first stage.
+    """
+    k1, aux = f(t, y)
+    k2 = f(t + 0.5 * dt, [yj + 0.5 * dt * kj for yj, kj in zip(y, k1)])[0]
+    k3 = f(t + 0.5 * dt, [yj + 0.5 * dt * kj for yj, kj in zip(y, k2)])[0]
+    k4 = f(t + dt, [yj + dt * kj for yj, kj in zip(y, k3)])[0]
+    return [yj + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for yj, a, b, c, d in zip(y, k1, k2, k3, k4)], aux
 
 
 @dataclass(frozen=True)
@@ -463,34 +481,29 @@ def integrate_gauss(k0: OrbitalElements, accel_fn, t0: float, t1: float, mu: flo
                     step_fraction: float = 1e-3, record_every: int = 1) -> GaussHistory:
     """Fixed-step RK4 integration of the Gauss equations.
 
-    ``accel_fn(t, k_array) -> u_tnh`` supplies the perturbing acceleration
-    in the tangential frame. The step is at most ``step_fraction`` of the
-    initial period (reproducibility over adaptivity).
+    ``accel_fn(t, k) -> u_tnh`` supplies the perturbing acceleration in the
+    tangential frame, given the element list k = [a, e, i, raan, argp, M]
+    with M unwrapped. The step is at most ``step_fraction`` of the initial
+    period (reproducibility over adaptivity).
     """
     period = k0.period(mu)
     span = t1 - t0
     n_steps = max(1, int(math.ceil(span / (step_fraction * period))))
     dt = span / n_steps
 
-    k = k0.as_array()
+    k = k0.as_array().tolist()
     times = [t0]
-    rows = [k.copy()]
+    rows = [k]
 
     def rhs(t, karr):
-        kel = OrbitalElements.from_array(np.concatenate([karr[:5], [karr[5] % TWO_PI]]))
-        return gauss_rates(kel, accel_fn(t, karr), mu)
+        kel = OrbitalElements.from_array(karr[:5] + [karr[5] % TWO_PI])
+        return gauss_rates(kel, accel_fn(t, karr), mu).tolist(), None
 
-    t = t0
     for step in range(n_steps):
-        k1 = rhs(t, k)
-        k2 = rhs(t + 0.5 * dt, k + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, k + 0.5 * dt * k2)
-        k4 = rhs(t + dt, k + dt * k3)
-        k = k + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (step + 1) * dt
+        k, _ = rk4_step(rhs, t0 + step * dt, k, dt)
         if (step + 1) % record_every == 0 or step == n_steps - 1:
-            times.append(t)
-            rows.append(k.copy())
+            times.append(t0 + (step + 1) * dt)
+            rows.append(k)
 
     return GaussHistory(times=np.array(times), elements=np.array(rows), mu=mu)
 
@@ -598,24 +611,26 @@ def find_moid(k1: OrbitalElements, k2: OrbitalElements,
     return MoidResult(nu_1=nu1, nu_2=nu2, distance=best)
 
 
+def bplane_miss(s_dev: StateVector, s_0: StateVector, earth_state: StateVector) -> float:
+    """In-plane length of the deflection on the plane normal to the
+    asteroid-Earth relative velocity of the undeflected state ``s_0``."""
+    v_rel = s_0.velocity - earth_state.velocity
+    v_norm = float(np.linalg.norm(v_rel))
+    if v_norm < 1e-9 * float(np.linalg.norm(s_0.velocity)):
+        raise ValueError("b-plane undefined: asteroid-Earth relative velocity ~ 0")
+    v_hat = v_rel / v_norm
+    dr = s_dev.position - s_0.position
+    in_plane = dr - float(dr @ v_hat) * v_hat
+    return float(np.linalg.norm(in_plane))
+
+
 def impact_parameter(k_dev: OrbitalElements, k_0: OrbitalElements,
                      earth: BodyEphemeris, t_moid: float, mu: float) -> float:
     """Miss distance on the Earth b-plane at the virtual encounter epoch.
 
-    The deflected and undeflected orbits are both propagated to t_MOID; the
-    separation is projected onto the plane normal to the asteroid-Earth
-    relative velocity and the in-plane magnitude is returned.
+    The deflected and undeflected orbits are both propagated to t_MOID and
+    their separation is projected by ``bplane_miss``.
     """
     s_dev = elements_to_state(kepler_propagate(k_dev, t_moid - k_dev.epoch, mu), mu)
     s_0 = elements_to_state(kepler_propagate(k_0, t_moid - k_0.epoch, mu), mu)
-    s_e = earth.state_at(t_moid)
-
-    v_rel = s_0.velocity - s_e.velocity
-    v_norm = float(np.linalg.norm(v_rel))
-    if v_norm < 1e-9 * float(np.linalg.norm(s_0.velocity)):
-        raise ValueError("b-plane undefined: asteroid-Earth relative velocity ~ 0")
-
-    dr = s_dev.position - s_0.position
-    v_hat = v_rel / v_norm
-    in_plane = dr - (dr @ v_hat) * v_hat
-    return float(np.linalg.norm(in_plane))
+    return bplane_miss(s_dev, s_0, earth.state_at(t_moid))

@@ -36,26 +36,6 @@ from .sublimation import AsteroidModel, ellipse_radius
 
 
 @dataclass(frozen=True)
-class PlumeState:
-    """Plume exposure of one mirror: local density, deposit, degradation."""
-
-    rho_exp: float   # kg/m^3 at the spacecraft
-    h_cnd: float     # m, accumulated condensed-layer thickness
-    tau: float       # beamed-power degradation factor
-
-    def __post_init__(self):
-        if self.rho_exp < 0.0 or self.h_cnd < 0.0:
-            raise ValueError("density and layer thickness must be non-negative")
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError("degradation factor must be in (0, 1]")
-
-    @classmethod
-    def from_thickness(cls, rho_exp: float, h_cnd: float) -> "PlumeState":
-        return cls(rho_exp=rho_exp, h_cnd=h_cnd,
-                   tau=degradation_factor(h_cnd))
-
-
-@dataclass(frozen=True)
 class SpotGeometry:
     """Spot-to-spacecraft geometry in the Hill frame at one instant.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .formation import (
     NaturalOrbit,
     ShapedOrbit,
 )
-from .orbits import BodyEphemeris, OrbitalElements, true_to_mean
+from .orbits import BodyEphemeris, OrbitalElements
 from .sizing import EFFICIENCY_OPTIONS, SpacecraftDesign, design_from_option
 from .sublimation import AsteroidModel
 
@@ -89,6 +89,31 @@ def _number(node, where: str) -> float:
     return float(node)
 
 
+def _count(node, where: str) -> int:
+    if not isinstance(node, int) or isinstance(node, bool) or node < 1:
+        raise ScenarioError(f"{where}: positive integer required")
+    return node
+
+
+def _flag(node, where: str) -> bool:
+    if not isinstance(node, bool):
+        raise ScenarioError(f"{where}: expected true or false")
+    return node
+
+
+def _bounds(lo, hi, where: str) -> tuple:
+    if lo > hi:
+        raise ScenarioError(f"{where}: min {lo} exceeds max {hi}")
+    return lo, hi
+
+
+def _pair(node, where: str, parse) -> tuple:
+    """A [min, max] list, each end read by ``parse``."""
+    if not (isinstance(node, list) and len(node) == 2):
+        raise ScenarioError(f"{where}: expected a [min, max] list")
+    return _bounds(parse(node[0], f"{where}[0]"), parse(node[1], f"{where}[1]"), where)
+
+
 def _angles(node: dict, where: str) -> OrbitalElements:
     a = _quantity(node.get("semi_major_axis"), "length", f"{where}.semi_major_axis")
     e = _number(node.get("eccentricity"), f"{where}.eccentricity")
@@ -144,7 +169,6 @@ class Scenario:
     optimizer: dict
     experiments: dict
     sha256: str
-    raw: dict = field(repr=False, default_factory=dict)
 
     def formation(self):
         return self.natural if self.mode == "natural" else self.shaped
@@ -229,9 +253,7 @@ def _parse_design(node: dict) -> SpacecraftDesign:
     if option not in EFFICIENCY_OPTIONS:
         raise ScenarioError(f"{where}.efficiency_option: choose from "
                             f"{sorted(EFFICIENCY_OPTIONS)}")
-    n_sc = node.get("n_spacecraft", 1)
-    if not isinstance(n_sc, int) or isinstance(n_sc, bool) or n_sc < 1:
-        raise ScenarioError(f"{where}.n_spacecraft: positive integer required")
+    n_sc = _count(node.get("n_spacecraft", 1), f"{where}.n_spacecraft")
     try:
         design = design_from_option(
             aperture_diameter=_quantity(node.get("aperture_diameter"), "length",
@@ -284,6 +306,33 @@ def _parse_formation(node: dict) -> tuple[str, NaturalOrbit | None, ShapedOrbit 
     return mode, natural, shaped
 
 
+def _section(doc: dict, key: str) -> dict:
+    """An optional top-level object; absent means empty."""
+    node = doc.get(key, {})
+    if not isinstance(node, dict):
+        raise ScenarioError(f"{key}: expected an object")
+    return node
+
+
+def _parse_design_space(node: dict) -> DesignSpace:
+    where = "design_space"
+    space = DesignSpace()
+    aperture = space.aperture
+    if "aperture_diameter" in node:
+        ap = node["aperture_diameter"]
+        if not isinstance(ap, dict):
+            raise ScenarioError(f"{where}.aperture_diameter: expected {{'min': ..., 'max': ...}}")
+        aperture = _bounds(*(_quantity(ap.get(k), "length", f"{where}.aperture_diameter.{k}")
+                             for k in ("min", "max")), f"{where}.aperture_diameter")
+    return DesignSpace(
+        aperture=aperture,
+        n_spacecraft=_pair(node.get("n_spacecraft", list(space.n_spacecraft)),
+                           f"{where}.n_spacecraft", _count),
+        concentration=_pair(node.get("concentration_ratio", list(space.concentration)),
+                            f"{where}.concentration_ratio", _number),
+    )
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     text = path.read_bytes()
@@ -295,6 +344,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def parse_scenario(doc: dict, sha256: str = "") -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"top level: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != SCHEMA:
         raise ScenarioError(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
     seed = doc.get("seed", 0)
@@ -306,34 +357,23 @@ def parse_scenario(doc: dict, sha256: str = "") -> Scenario:
     design = _parse_design(doc.get("design"))
     mode, natural, shaped = _parse_formation(doc.get("formation"))
 
-    timing = doc.get("timing", {})
+    timing = _section(doc, "timing")
     moid_epoch = _quantity(timing.get("moid_epoch"), "time", "timing.moid_epoch") \
         if "moid_epoch" in timing else 12.0 * YEAR
     warning = tuple(_quantity(w, "time", "timing.warning_times[]")
                     for w in timing.get("warning_times", []))
 
-    control = doc.get("control", {})
+    control = _section(doc, "control")
     isp = _quantity(control.get("isp"), "time", "control.isp") if "isp" in control \
         else 2000.0
     gain_k = _number(control.get("gain_position", 1e-6), "control.gain_position")
     gain_cd = _number(control.get("gain_velocity", 1e-5), "control.gain_velocity")
 
-    model = doc.get("model", {})
+    model = _section(doc, "model")
     scattering = _number(model.get("scattering_factor", 2.0 / math.pi),
                          "model.scattering_factor")
 
-    design_node = doc.get("design_space", {})
-    space = DesignSpace(
-        aperture=(
-            _quantity(design_node["aperture_diameter"]["min"], "length",
-                      "design_space.aperture_diameter.min"),
-            _quantity(design_node["aperture_diameter"]["max"], "length",
-                      "design_space.aperture_diameter.max"))
-        if "aperture_diameter" in design_node else (2.0, 20.0),
-        n_spacecraft=tuple(design_node.get("n_spacecraft", (1, 10))),
-        concentration=tuple(float(v) for v in
-                            design_node.get("concentration_ratio", (1000.0, 5000.0))),
-    )
+    space = _parse_design_space(_section(doc, "design_space"))
 
     formation_node = doc.get("formation", {})
     y_limits = tuple(_quantity(y, "length", "formation.y_limits[]")
@@ -358,15 +398,11 @@ def parse_scenario(doc: dict, sha256: str = "") -> Scenario:
         gain_velocity=gain_cd,
         scattering_factor=scattering,
         moid_epoch=moid_epoch,
-        refine_encounter=bool(timing.get("refine_encounter", True)),
+        refine_encounter=_flag(timing.get("refine_encounter", True),
+                               "timing.refine_encounter"),
         warning_times=warning,
-        optimizer=dict(doc.get("optimizer", {})),
-        experiments=dict(doc.get("experiments", {})),
+        optimizer=dict(_section(doc, "optimizer")),
+        experiments=dict(_section(doc, "experiments")),
         sha256=sha256,
-        raw=doc,
     )
 
-
-def anomaly_from_degrees_true(nu_deg: float, e: float) -> float:
-    """Helper for scenario authoring: mean anomaly of a true anomaly in degrees."""
-    return true_to_mean(math.radians(nu_deg), e)

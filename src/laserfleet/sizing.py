@@ -14,7 +14,7 @@ margins on every subsystem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .constants import AU, SOLAR_FLUX_1AU, STEFAN_BOLTZMANN
 
@@ -23,12 +23,6 @@ from .constants import AU, SOLAR_FLUX_1AU, STEFAN_BOLTZMANN
 EFFICIENCY_OPTIONS = {"66/45": (0.66, 0.45), "60/40": (0.60, 0.40)}
 MIRROR_REFLECTIVITY = 0.90
 LINE_EFFICIENCY = 0.85
-
-# Design-space bounds for the fleet optimisation
-APERTURE_BOUNDS = (2.0, 20.0)          # m
-N_SPACECRAFT_BOUNDS = (1, 10)
-CONCENTRATION_BOUNDS = (1000.0, 5000.0)
-
 
 @dataclass(frozen=True)
 class ThermalProperties:
@@ -110,10 +104,6 @@ class SpacecraftDesign:
     def solar_array_area(self) -> float:
         """Array sized so the twice-reflected beam stays under the flux limit."""
         return self.eta_mirror**2 * self.collector_area / self.array_flux_limit
-
-    def with_option(self, option: str) -> "SpacecraftDesign":
-        eta_l, eta_s = EFFICIENCY_OPTIONS[option]
-        return replace(self, eta_laser=eta_l, eta_array=eta_s)
 
 
 def design_from_option(aperture_diameter: float, concentration_ratio: float,

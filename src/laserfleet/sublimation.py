@@ -2,8 +2,8 @@
 
 Energy balance on the illuminated spot (concentrated solar power in,
 black-body radiation and conduction into the body out), expelled mass flow
-over the moving spot, the resulting deflection thrust, the gravity-tug
-contribution of the hovering spacecraft, and asteroid mass depletion.
+over the moving spot, the resulting deflection thrust and the gravity-tug
+contribution of the hovering spacecraft.
 
 The asteroid is a tri-axial ellipsoid spinning about its minor axis; a
 surface point enters the spot, heats to the (constant) sublimation front
@@ -13,7 +13,6 @@ treated as ideal with Maxwellian speed at the sublimation temperature.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ from .constants import (
 )
 from . import batch
 from .orbits import OrbitalElements
-
-log = logging.getLogger(__name__)
 
 # Forsterite Mg2SiO4: 2*24.305 + 28.085 + 4*15.999 g/mol over Avogadro
 FORSTERITE_MOLECULE_MASS = 0.140691 / 6.02214076e23  # kg per molecule
@@ -99,61 +96,6 @@ def apophis_model(sublimation_enthalpy: float, mean_anomaly: float = 0.0,
         t_ambient=278.0,
         sublimation_enthalpy=sublimation_enthalpy,
     )
-
-
-@dataclass(frozen=True)
-class PowerBalance:
-    """Surface power densities (W/m^2) at a spot point; net is clipped at 0."""
-
-    p_in: float
-    q_rad: float
-    q_cond: float
-
-    @property
-    def net(self) -> float:
-        return max(self.p_in - self.q_rad - self.q_cond, 0.0)
-
-
-def spot_power_balance(design, ast: "AsteroidModel", r_a: float, tau: float,
-                       t_since_illumination: float) -> PowerBalance:
-    """Power balance of a spot point a given time after entering the beam."""
-    return PowerBalance(
-        p_in=input_power_density(design, r_a, tau, ast.albedo),
-        q_rad=radiation_loss(ast.t_sublimation, ast.emissivity),
-        q_cond=conduction_loss(t_since_illumination, ast))
-
-
-@dataclass(frozen=True)
-class ThrustState:
-    """Instantaneous deflection state of the coupled system."""
-
-    mdot_exp: float        # kg/s, total expelled mass flow
-    u_sub: np.ndarray      # m/s^2, sublimation-driven acceleration
-    u_tug: np.ndarray      # m/s^2, gravity-tug acceleration
-    m_a: float             # kg, current asteroid mass
-
-    def __post_init__(self):
-        if self.mdot_exp < 0.0:
-            raise ValueError("expelled flow must be non-negative")
-
-    @property
-    def u_dev(self) -> np.ndarray:
-        return self.u_sub + self.u_tug
-
-
-def thrust_state(design, ast: "AsteroidModel", r_a: float, tau: float,
-                 m_sc: float, m_a: float, formation_pos: np.ndarray,
-                 v_hat: np.ndarray, spin_phase_time: float = 0.0,
-                 theta_va: float = 0.0,
-                 scattering_factor: float = SCATTERING_FACTOR) -> ThrustState:
-    """One-shot evaluation of the deflection acceleration components."""
-    mdot = mass_flow_rate(design, ast, r_a, tau, design.n_spacecraft,
-                          spin_phase_time, theta_va)
-    return ThrustState(
-        mdot_exp=mdot,
-        u_sub=sublimation_acceleration(mdot, m_a, v_hat, ast, scattering_factor),
-        u_tug=tug_acceleration(design.n_spacecraft, m_sc, formation_pos),
-        m_a=m_a)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +277,3 @@ def tug_acceleration(n_sc: int, m_sc: float, delta_r: np.ndarray) -> np.ndarray:
     if dist <= 0.0:
         raise ValueError("spacecraft-asteroid separation must be positive")
     return n_sc * GRAVITATIONAL_CONSTANT * m_sc / dist**3 * delta_r
-
-
-def deplete_mass(m_a: float, mdot: float, dt: float) -> float:
-    """Asteroid mass after dt of expulsion at rate mdot, floored at zero."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    m_new = m_a - mdot * dt
-    if m_new < 0.0:
-        log.warning("mass depletion clamped to zero (m=%.3e, mdot=%.3e, dt=%.3e)",
-                    m_a, mdot, dt)
-        return 0.0
-    return m_new

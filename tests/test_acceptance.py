@@ -32,7 +32,6 @@ from laserfleet.constants import (
 from laserfleet.deflection import (
     DeflectionScenario,
     MdotTable,
-    bplane_miss,
     simulate_deflection,
 )
 from laserfleet.experiments import (
@@ -53,6 +52,7 @@ from laserfleet.moo import ProblemSpec, hypervolume_2d, optimize
 from laserfleet.orbits import (
     OrbitalElements,
     StateVector,
+    bplane_miss,
     delta_m_at_moid,
     elements_to_state,
     impact_parameter,

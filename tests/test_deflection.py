@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from laserfleet.constants import AU, SOLAR_FLUX_1AU, YEAR
+from laserfleet.constants import AU, YEAR
 from laserfleet.deflection import (
     DeflectionScenario,
     MdotTable,
-    bplane_miss,
+    peak_spot_power,
     simulate_deflection,
 )
 from laserfleet.formation import NaturalOrbit, ShapedOrbit
@@ -18,12 +18,6 @@ NATURAL = NaturalOrbit(dk=np.array([-1e-9, 5e-9, 0.0, 0.0, 8e-9]))
 SHAPED = ShapedOrbit(np.array([0.0, 0.0, -1000.0, 0.0, 0.0, -50.0, 0.0, 0.0]))
 
 
-def peak_power(design, ast):
-    r_peri = ast.elements0.a * (1.0 - ast.elements0.e)
-    return (design.eta_sys * design.concentration_ratio * (1.0 - ast.albedo)
-            * SOLAR_FLUX_1AU * (AU / r_peri) ** 2)
-
-
 def scenario(ast, earth, design, m_sc, warning, formation=NATURAL, **kw):
     return DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=m_sc,
                               t_start=0.0, t_moid=warning, formation=formation,
@@ -32,7 +26,7 @@ def scenario(ast, earth, design, m_sc, warning, formation=NATURAL, **kw):
 
 def test_mdot_table_matches_direct_quadrature(ast):
     design = design_from_option(10.0, 5000.0, option="60/40")
-    table = MdotTable.build(design, ast, p_max=peak_power(design, ast),
+    table = MdotTable.build(design, ast, p_max=peak_spot_power(design, ast, ast.elements0),
                             n_phases=16)
     spot_radius = design.spot_diameter / 2.0
     angles = (np.arange(16) + 0.5) * math.pi / 16
@@ -51,7 +45,7 @@ def test_mdot_table_matches_direct_quadrature(ast):
 
 def test_mdot_table_zero_below_floor(ast):
     design = design_from_option(10.0, 5000.0, option="60/40")
-    table = MdotTable.build(design, ast, p_max=peak_power(design, ast))
+    table = MdotTable.for_orbit(design, ast, ast.elements0)
     assert table(0.0) == 0.0
     assert table(1e5) == 0.0
 
@@ -123,7 +117,7 @@ def test_thrust_until_coast_drift(ast, earth):
 
 def test_mdot_table_used_matches_internal(ast, earth):
     design = design_from_option(10.0, 5000.0, n_spacecraft=2, option="60/40")
-    table = MdotTable.build(design, ast, p_max=peak_power(design, ast))
+    table = MdotTable.for_orbit(design, ast, ast.elements0)
     o1 = simulate_deflection(scenario(ast, earth, design, 900.0, YEAR))
     o2 = simulate_deflection(scenario(ast, earth, design, 900.0, YEAR),
                              mdot_table=table)
@@ -131,7 +125,7 @@ def test_mdot_table_used_matches_internal(ast, earth):
 
 
 def test_bplane_requires_relative_velocity():
-    from laserfleet.orbits import StateVector
+    from laserfleet.orbits import StateVector, bplane_miss
 
     s = StateVector(position=np.array([AU, 0.0, 0.0]),
                     velocity=np.array([0.0, 3e4, 0.0]))

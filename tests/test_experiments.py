@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laserfleet.constants import AU, MU_SUN, YEAR
-from laserfleet.deflection import DeflectionScenario, bplane_miss, simulate_deflection
+from laserfleet.deflection import DeflectionScenario, simulate_deflection
 from laserfleet.experiments import (
     _sweep_cell,
     crossing_states,
@@ -21,6 +21,7 @@ from laserfleet.formation import (
 )
 from laserfleet.orbits import (
     OrbitalElements,
+    bplane_miss,
     elements_to_state,
     kepler_propagate,
 )

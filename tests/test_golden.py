@@ -16,20 +16,31 @@ Natural orbits: J1, J2 and C of seventeen designs, recorded from the
 version that evaluated every refinement sample as a one-element array and
 swept the grid three times. They must match exactly: the one-sample path
 keeps numpy's trigonometry and squares by products (DECISIONS.md).
+
+Orbit core: the outputs of ``simulate_deflection``, ``integrate_gauss`` and
+``simulate_tracking``, recorded while each integrator still carried its own
+Gauss rates, RK4 loop and b-plane projection. They must match by ``repr``;
+recorded arrays are compared through a digest of the ``repr`` of their
+values.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from laserfleet.constants import YEAR
+from laserfleet.constants import AU, MU_SUN, YEAR
+from laserfleet.deflection import DeflectionScenario, simulate_deflection
 from laserfleet.formation import (
+    NaturalOrbit,
     ShapedControlContext,
     ShapedOrbit,
     natural_orbit_objectives,
     shaped_objectives,
+    simulate_tracking,
 )
+from laserfleet.orbits import OrbitalElements, integrate_gauss
 from laserfleet.sizing import design_from_option, mass_budget
 from laserfleet.sublimation import mass_flow_rate
 from tests.conftest import SCENARIO_DIR
@@ -163,3 +174,96 @@ def test_natural_orbit_objectives_golden(apophis_elements, name):
     assert got == expected
     # == does not tell -0.0 from 0.0; the CSV does
     assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+NATURAL = NaturalOrbit(dk=np.array([-1e-9, 5e-9, 0.0, 0.0, 8e-9]))   # di != 0: u_w != 0
+SHAPED = ShapedOrbit(np.array([0.0, 0.0, -1000.0, 0.0, 0.0, -50.0, 0.0, 0.0]))  # u_w = 0
+T_MOID = 13.0242 * YEAR
+
+# name: (formation, warning, n_spacecraft, thrust window or None, planar orbit)
+CELLS = {
+    "natural_8yr": (NATURAL, 8 * YEAR, 4, None, False),
+    "shaped_8yr": (SHAPED, 8 * YEAR, 4, None, False),
+    "planar_sweep": (SHAPED, 9 * YEAR, 1, None, True),
+    "coast": (NATURAL, 3 * YEAR, 4, 1 * YEAR, False),
+    "zero_warning": (NATURAL, 0.0, 4, None, False),
+}
+
+# name: (miss distance, delta M, final (a, e, i, raan, argp, M, epoch),
+#        record count, tau digest, mdot digest, asteroid-mass digest)
+DEFLECTION = {
+    "natural_8yr": (
+        "652337.0843254962", "-4.992190667962859e-06",
+        ("137989085252.9631", "0.19120004326486817", "0.05814040800403351",
+         "3.568200006556833", "2.206099565694377", "4.408131182070932", "411012493.92"),
+        182, "cc9ca6d10cffadda", "4a8979c9c283f79c", "ecc324f4d3be10da"),
+    "shaped_8yr": (
+        "4653435.0035545975", "-3.5749685082464566e-05",
+        ("137989187289.33008", "0.19120053075429674", "0.0581404080424351",
+         "3.5681999919962633", "2.206099661836494", "4.408100424576517", "411012493.92"),
+        182, "8801c2ac9eb0c8e5", "661624499cd2c753", "9d6f5df3ff250713"),
+    "planar_sweep": (
+        "354442.1178370925", "-2.9833816128643775e-06",
+        ("172037566586.94406", "0.30434788415094205", "0.0", "0.0",
+         "3.688624508918887e-09", "1.870663934515001", "411012493.92"),
+        147, "73ebd12f72339dbe", "8f942058d1bff221", "3a33897ba8921601"),
+    "coast": (
+        "176290.65040001657", "-1.227106984913462e-06",
+        ("137989082892.02457", "0.1912000332730767", "0.05814040803528875",
+         "3.568199994159342", "2.2060995805925097", "2.789722851222569", "347897293.92"),
+        24, "3f2ef81524788906", "2aeed48a828e8e52", "1b3902faa491cdd0"),
+    "zero_warning": (
+        "0.0", "0.0",
+        ("137989075933.68", "0.1912", "0.0581404080424351", "3.5681999919962633",
+         "2.2060996651793365", "4.4081361742616", "411012493.92"),
+        1, "c2272c0a862f11de", "c7e1e747ad32cf37", "fb08a4e6d75cae43"),
+}
+
+# final [a, e, i, raan, argp, M unwrapped] after one year of thrust u_tnh
+GAUSS = {
+    (1e-7, 0.0, 0.0): ("138017504862.5344", "0.19120238229308484", "0.0581404080424351",
+                       "3.5681999919962633", "2.2061542008184065", "7.09126122302641"),
+    (0.0, 0.0, 1e-7): ("137989075933.68", "0.1912", "0.05814719536304951",
+                       "3.567888911702271", "2.2064102207718252", "7.0923918916152795"),
+}
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(np.asarray(values).tolist()).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_deflection_golden(name, ast, earth):
+    formation, warning, n_sc, thrust_for, planar = CELLS[name]
+    t0 = T_MOID - warning
+    if planar:
+        # a sweep orbit: r_p = 0.8 AU, r_a = 1.5 AU, i = 0, at perihelion at t0
+        ast = replace(ast, elements0=OrbitalElements(
+            a=0.5 * (0.8 + 1.5) * AU, e=0.7 / 2.3, i=0.0, raan=0.0, argp=0.0,
+            anomaly=0.0, anomaly_kind="mean", epoch=t0))
+    design = design_from_option(10.0, 5000.0, n_spacecraft=n_sc, option="60/40")
+    m_sc = mass_budget(design, ast.elements0.a * (1 - ast.elements0.e)).m_total
+    out = simulate_deflection(DeflectionScenario(
+        ast=ast, design=design, earth=earth, m_sc=m_sc, t_start=t0, t_moid=T_MOID,
+        formation=formation,
+        thrust_until=None if thrust_for is None else t0 + thrust_for))
+
+    k = out.elements_final
+    got = (repr(out.miss_distance), repr(out.delta_mean_anomaly),
+           tuple(repr(v) for v in (k.a, k.e, k.i, k.raan, k.argp, k.anomaly, k.epoch)),
+           len(out.tau), _digest(out.tau), _digest(out.mdot), _digest(out.asteroid_mass))
+    assert got == DEFLECTION[name]
+
+
+@pytest.mark.parametrize("u_tnh", sorted(GAUSS))
+def test_integrate_gauss_golden(u_tnh, ast):
+    hist = integrate_gauss(ast.elements0, lambda t, k: np.array(u_tnh), 0.0, YEAR, MU_SUN)
+    assert tuple(repr(v) for v in hist.elements[-1].tolist()) == GAUSS[u_tnh]
+
+
+def test_tracking_golden(ast, design_20m):
+    m_sc = mass_budget(design_20m, ast.elements0.a * (1 - ast.elements0.e)).m_total
+    result = simulate_tracking(np.array([-1e-9, 5e-9, 0.0, 0.0, 8e-9]), ast, design_20m,
+                               m_sc, duration=0.05 * YEAR, step=400.0, plant="full")
+    assert repr(result.control.delta_v) == "1.7463090853482468"
+

@@ -9,6 +9,7 @@ from laserfleet.orbits import (
     BodyEphemeris,
     OrbitalElements,
     StateVector,
+    bplane_miss,
     delta_m_at_moid,
     elements_to_state,
     find_moid,
@@ -374,8 +375,6 @@ def test_impact_parameter_null(ast, earth):
 
 
 def test_bplane_projection_identities():
-    from laserfleet.deflection import bplane_miss
-
     v_rel = np.array([3.0e3, 1.0e3, -2.0e3])
     v_hat = v_rel / np.linalg.norm(v_rel)
     pos_e = np.array([AU, 0.0, 0.0])

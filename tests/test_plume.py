@@ -143,6 +143,7 @@ def test_degradation_factor():
     hs = np.linspace(0.0, 5e-6, 30)
     taus = [degradation_factor(float(h)) for h in hs]
     assert all(b < a for a, b in zip(taus, taus[1:]))
+    assert all(0.0 < t <= 1.0 for t in taus)
 
 
 def test_degradation_composes_multiplicatively(rng):
@@ -226,14 +227,3 @@ def test_line_of_sight(ast):
                                   ast.semi_axes)
     assert line_of_sight_occluded(spot, np.array([0.0, -1000.0, 0.0]),
                                   ast.semi_axes)
-
-
-def test_plume_state_record():
-    from laserfleet.plume import PlumeState
-
-    state = PlumeState.from_thickness(1e-12, 5e-7)
-    assert math.isclose(state.tau, degradation_factor(5e-7), rel_tol=1e-15)
-    with pytest.raises(ValueError):
-        PlumeState(rho_exp=-1.0, h_cnd=0.0, tau=1.0)
-    with pytest.raises(ValueError):
-        PlumeState(rho_exp=0.0, h_cnd=0.0, tau=0.0)

@@ -157,6 +157,38 @@ def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     assert main(["--scenario", str(bad), "deflection-map"]) == 1
 
 
+def _as_array(doc):
+    return [doc]
+
+
+def _drop_aperture_min(doc):
+    del doc["design_space"]["aperture_diameter"]["min"]
+    return doc
+
+
+def _set(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_as_array, "top level"),
+    (_drop_aperture_min, "design_space.aperture_diameter.min"),
+    (_set("design_space", "concentration_ratio", ["a", 2]),
+     "design_space.concentration_ratio[0]"),
+    (_set("design_space", "n_spacecraft", [10, 1]), "design_space.n_spacecraft"),
+    (_set("timing", "refine_encounter", "no"), "timing.refine_encounter"),
+], ids=["array", "aperture_min", "concentration", "n_spacecraft_order", "refine_flag"])
+def test_cli_malformed_scenario_names_field(edit, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(nominal_doc())))
+    assert main(["--scenario", str(path), "--out", str(tmp_path),
+                 "deflection-map"]) == 1
+    assert f"scenario error: {field}" in capsys.readouterr().err
+
+
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
     import laserfleet.cli as cli_mod
 

@@ -9,7 +9,6 @@ from laserfleet.sublimation import (
     AsteroidModel,
     apophis_model,
     conduction_loss,
-    deplete_mass,
     exhaust_velocity,
     input_power_density,
     mass_flow_rate,
@@ -149,7 +148,7 @@ def test_energy_bookkeeping(ast):
 
 
 # ---------------------------------------------------------------------------
-# Accelerations and depletion
+# Accelerations
 # ---------------------------------------------------------------------------
 
 def test_sublimation_acceleration(ast):
@@ -174,43 +173,23 @@ def test_tug_acceleration():
     assert math.isclose(float(np.linalg.norm(u2)), 2 * 6.674e-14, rel_tol=1e-12)
     u4 = tug_acceleration(1, 1000.0, np.array([2000.0, 0.0, 0.0]))
     assert math.isclose(float(np.linalg.norm(u4)), 6.674e-14 / 4, rel_tol=1e-12)
-
-
-def test_deplete_mass():
-    assert deplete_mass(1e10, 0.0, 100.0) == 1e10
-    assert deplete_mass(1.0, 1.0, 10.0) == 0.0  # floored
-    # constant-rate depletion matches the closed form over a year
-    m = 2.7e10
-    for _ in range(365):
-        m = deplete_mass(m, 0.5, 86400.0)
-    assert math.isclose(m, 2.7e10 - 0.5 * 365 * 86400.0, rel_tol=1e-12)
+    # attraction toward a formation along +y
+    assert tug_acceleration(3, 1500.0, np.array([0.0, 1000.0, 0.0]))[1] > 0.0
 
 
 def test_spot_power_balance(ast):
-    from laserfleet.sublimation import spot_power_balance
-
-    pb = spot_power_balance(DESIGN, ast, AU, 1.0, 5.0)
-    assert pb.p_in == input_power_density(DESIGN, AU, 1.0, ast.albedo)
-    assert pb.q_rad == radiation_loss(ast.t_sublimation, ast.emissivity)
-    assert pb.q_cond == conduction_loss(5.0, ast)
-    assert pb.net == max(pb.p_in - pb.q_rad - pb.q_cond, 0.0)
-    # deep space: losses win, net clipped at zero
-    far = spot_power_balance(DESIGN, ast, 5 * AU, 1.0, 5.0)
-    assert far.net == 0.0
-
-
-def test_thrust_state_combines_components(ast):
-    from laserfleet.sublimation import thrust_state
-    from laserfleet.sizing import design_from_option
-
+    # the delivered power against the radiating and conducting losses of a
+    # spot point 5 s into the beam; the net is clipped at zero
+    q_rad = radiation_loss(ast.t_sublimation, ast.emissivity)
+    q_cond = conduction_loss(5.0, ast)
+    near = input_power_density(DESIGN, AU, 1.0, ast.albedo)
+    assert near > q_rad                              # beats radiation alone
+    assert max(near - q_rad - q_cond, 0.0) == 0.0    # not conduction 5 s in
+    # deep space: the losses win and the spot expels nothing
+    far = input_power_density(DESIGN, 5 * AU, 1.0, ast.albedo)
+    assert far < q_rad
+    assert mass_flow_rate(DESIGN, ast, 5 * AU, 1.0, 1) == 0.0
+    # a fleet at perihelion clears the losses
     design = design_from_option(10.0, 5000.0, n_spacecraft=3, option="60/40")
     r = ast.elements0.a * (1.0 - ast.elements0.e)
-    state = thrust_state(design, ast, r, 1.0, 1500.0, ast.mass0,
-                         np.array([0.0, 1000.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-    assert state.mdot_exp > 0.0
-    assert np.allclose(state.u_dev, state.u_sub + state.u_tug)
-    assert state.u_tug[1] > 0.0  # attraction toward the formation
-    with pytest.raises(ValueError):
-        from laserfleet.sublimation import ThrustState
-        ThrustState(mdot_exp=-1.0, u_sub=np.zeros(3), u_tug=np.zeros(3),
-                    m_a=1e10)
+    assert mass_flow_rate(design, ast, r, 1.0, 3) > 0.0
