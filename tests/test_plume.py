@@ -227,3 +227,26 @@ def test_line_of_sight(ast):
                                   ast.semi_axes)
     assert line_of_sight_occluded(spot, np.array([0.0, -1000.0, 0.0]),
                                   ast.semi_axes)
+
+
+def test_plume_state_record(ast, earth):
+    # the deflection records the plume state it integrates: the condensed
+    # layer grows from clean optics and the degradation factor is that of
+    # the recorded thickness
+    from laserfleet.constants import YEAR
+    from laserfleet.deflection import DeflectionScenario, simulate_deflection
+    from laserfleet.formation import NaturalOrbit
+
+    design = design_from_option(10.0, 5000.0, n_spacecraft=5, option="60/40")
+    out = simulate_deflection(DeflectionScenario(
+        ast=ast, design=design, earth=earth, m_sc=1500.0, t_start=0.0,
+        t_moid=2 * YEAR, record_every=20,
+        formation=NaturalOrbit(dk=np.array([-1e-9, 5e-9, 0.0, 0.0, 8e-9]))))
+    assert out.contamination[0] == 0.0 and out.tau[0] == 1.0
+    assert out.contamination[-1] > 0.0
+    assert np.all(np.diff(out.contamination) >= 0.0)
+    for h, tau in zip(out.contamination, out.tau):
+        assert math.isclose(tau, degradation_factor(float(h)), rel_tol=1e-15)
+        assert 0.0 < tau <= 1.0
+    with pytest.raises(ValueError):
+        degradation_factor(-1.0)

@@ -177,6 +177,41 @@ def test_tug_acceleration():
     assert tug_acceleration(3, 1500.0, np.array([0.0, 1000.0, 0.0]))[1] > 0.0
 
 
+def test_thrust_state_combines_components(ast, earth):
+    # the deflection's thrust is the vector sum of the sublimation push along
+    # the velocity and the tug toward the formation, here held at 1 km along
+    # the transverse direction
+    from laserfleet.constants import DAY
+    from laserfleet.deflection import DeflectionScenario, simulate_deflection
+    from laserfleet.formation import ShapedOrbit
+    from laserfleet.orbits import flight_path_angle
+
+    design = design_from_option(10.0, 5000.0, n_spacecraft=3, option="60/40")
+    offset = np.array([0.0, 1000.0, 0.0])
+    formation = ShapedOrbit(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 0.0, 0.0]))
+
+    def initial(**kw):
+        out = simulate_deflection(DeflectionScenario(
+            ast=ast, design=design, earth=earth, t_start=0.0, t_moid=DAY,
+            formation=formation, **kw))
+        return out.thrust[0] / ast.mass0, out.mdot[0]
+
+    u_tug = tug_acceleration(3, 1500.0, offset)
+    u_only_tug, _ = initial(m_sc=1500.0, scattering_factor=0.0)
+    assert math.isclose(u_only_tug, float(np.linalg.norm(u_tug)), rel_tol=1e-12)
+
+    u_only_sub, mdot = initial(m_sc=0.0)
+    assert mdot > 0.0
+    gamma = flight_path_angle(ast.elements0.e, ast.elements0.true_anomaly())
+    v_hat = np.array([math.sin(gamma), math.cos(gamma), 0.0])
+    u_sub = sublimation_acceleration(mdot, ast.mass0, v_hat, ast)
+    assert math.isclose(u_only_sub, float(np.linalg.norm(u_sub)), rel_tol=1e-12)
+
+    u_dev, _ = initial(m_sc=1500.0)
+    assert math.isclose(u_dev, float(np.linalg.norm(u_sub + u_tug)), rel_tol=1e-12)
+    assert u_dev > max(u_only_sub, u_only_tug)
+
+
 def test_spot_power_balance(ast):
     # the delivered power against the radiating and conducting losses of a
     # spot point 5 s into the beam; the net is clipped at zero
