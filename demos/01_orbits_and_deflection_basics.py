@@ -55,7 +55,7 @@ print(f"da = {kf.a - k0.a:+.1f} m, de = {kf.e - k0.e:+.2e}")
 n0 = k0.mean_motion(MU_SUN)
 ni = kf.mean_motion(MU_SUN)
 t_moid = 8 * YEAR
-dm = delta_m_at_moid(hist, 0.0, YEAR, t_moid, n0, ni)
+dm = delta_m_at_moid(hist.mean_anomaly_integral(), 0.0, YEAR, t_moid, n0, ni)
 print(f"anomaly offset at the encounter epoch (8 yr): {dm:+.3e} rad "
       f"(~{abs(dm) * k0.a / 1e3:.0f} km along track)")
 

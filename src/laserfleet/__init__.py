@@ -25,6 +25,11 @@ from .sublimation import (  # noqa: F401
 from .plume import SpotGeometry, degradation_factor, plume_density  # noqa: F401
 from .sizing import MassBudget, SpacecraftDesign, design_from_option, mass_budget  # noqa: F401
 from .formation import NaturalOrbit, ShapedOrbit  # noqa: F401
-from .deflection import DeflectionOutcome, DeflectionScenario, simulate_deflection  # noqa: F401
+from .deflection import (  # noqa: F401
+    DeflectionOutcome,
+    DeflectionScenario,
+    simulate_deflection,
+    simulate_deflections,
+)
 from .moo import ParetoArchive, ProblemSpec, dominates, optimize  # noqa: F401
 from .scenario import Scenario, ScenarioError, load_scenario  # noqa: F401

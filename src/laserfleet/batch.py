@@ -13,21 +13,44 @@ can differ from the same samples taken one at a time in the last bits.
 
 A branch of a relation becomes a mask: ``apply_where`` evaluates the
 branch only on the samples that take it, so no sample produces a NaN or
-a warning that is then thrown away.
+a warning that is then thrown away. A relation that calls in its
+innermost loop can instead guard a branch with ``any`` and select with
+``where`` from values that are finite on every sample; one sample then
+pays a plain ``if`` and one small call. ``runs`` splits a sorted batch
+into the contiguous rows that share a key, such as a flow table.
 """
 
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
+from types import ModuleType
 
 import numpy as np
 
-# The functions a relation needs, under the same names for both kinds
-FLOAT = SimpleNamespace(sin=math.sin, cos=math.cos, sqrt=math.sqrt, acos=math.acos,
-                        atan2=math.atan2, clip=lambda x, lo, hi: max(lo, min(hi, x)))
-ARRAY = SimpleNamespace(sin=np.sin, cos=np.cos, sqrt=np.sqrt, acos=np.arccos,
-                        atan2=np.arctan2, clip=np.clip)
+
+def _namespace(name: str, **functions) -> ModuleType:
+    # a module object: the interpreter looks up a module's attributes
+    # faster than a SimpleNamespace's, and the float path looks them up in
+    # its innermost loops
+    ns = ModuleType(name)
+    ns.__dict__.update(functions)
+    return ns
+
+
+# The functions a relation needs, under the same names for both kinds.
+# ``where(c, a, b)`` takes both values already computed, so each must be
+# finite on every sample (a masked denominator is replaced, not divided
+# by); ``any(c)`` is whether a branch has a sample to take it.
+FLOAT = _namespace("FLOAT", sin=math.sin, cos=math.cos, sqrt=math.sqrt, acos=math.acos,
+                   atan2=math.atan2, exp=math.exp, hypot=math.hypot,
+                   clip=lambda x, lo, hi: max(lo, min(hi, x)),
+                   where=lambda c, a, b: a if c else b, any=bool)
+# np.clip and ndarray.any cost two to four times what these do on short
+# columns, and give the same results
+ARRAY = _namespace("ARRAY", sin=np.sin, cos=np.cos, sqrt=np.sqrt, acos=np.arccos,
+                   atan2=np.arctan2, exp=np.exp, hypot=np.hypot,
+                   clip=lambda x, lo, hi: np.maximum(lo, np.minimum(hi, x)),
+                   where=np.where, any=np.count_nonzero)
 
 
 # One sample's zero vector, the fill of masked vector results; read-only,
@@ -39,6 +62,13 @@ ZERO3.flags.writeable = False
 def xp(x):
     """``ARRAY`` when ``x`` is an array, ``FLOAT`` otherwise."""
     return ARRAY if isinstance(x, np.ndarray) else FLOAT
+
+
+def runs(keys) -> list:
+    """(start, stop, key) of each maximal run of equal consecutive ``keys``."""
+    keys = list(keys)
+    cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
+    return [(lo, hi, keys[lo]) for lo, hi in zip([0] + cuts, cuts + [len(keys)])]
 
 
 def any_true(cond) -> bool:

@@ -16,6 +16,16 @@ orbital period (reproducible output over adaptive stepping); the mass-flow
 quadrature is pre-tabulated against delivered power, averaged over the
 asteroid spin phase, because the integrator samples it far too often to
 re-run the quadrature in place.
+
+One ``rates`` body serves two entry points, as in ``laserfleet.batch``.
+``simulate_deflection`` runs one deflection on floats.
+``simulate_deflections`` runs many as one batch: the state is eight (N,)
+columns with one run per row, each row with its own start, step and step
+count, and a row leaves the columns when its steps are done. Each branch
+of ``rates`` is a mask on a batch. A row's numbers do not depend on the
+other rows of its batch; they can differ from the same run on floats in
+the last bits, where numpy's exp, arctan2, arccos, hypot and power differ
+from libm (DECISIONS.md).
 """
 
 from __future__ import annotations
@@ -23,9 +33,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from . import batch
 from .constants import (
     ABSORPTION_COEFFICIENT,
     ADIABATIC_INDEX,
@@ -43,12 +56,14 @@ from .formation import NaturalOrbit, ShapedOrbit
 from .orbits import (
     BodyEphemeris,
     OrbitalElements,
+    delta_m_at_moid,
     eccentric_to_true,
     gauss_rates_rtn,
     impact_parameter,
     kepler_propagate,
     rk4_step,
     solve_kepler,
+    solve_kepler_array,
 )
 from .sublimation import (
     AsteroidModel,
@@ -116,6 +131,44 @@ class MdotTable:
         return flows[j - 1] + w * (flows[j] - flows[j - 1])
 
 
+class _FlowColumns:
+    """``MdotTable.__call__`` on a column of powers whose rows run on several
+    tables: the same bisection and the same interpolation, so the same bits.
+
+    Each table's intervals are indexed by ``bisect_right``'s j; the two
+    outer ones hold the end flows with a zero slope, which is the clamp.
+    """
+
+    def __init__(self, tables):
+        self.powers = [np.array(t.powers) for t in tables]
+        self.offsets = np.cumsum([0] + [p.size + 1 for p in self.powers[:-1]]).tolist()
+        p_lo, dp, f_lo, df = [], [], [], []
+        for p, f in zip(self.powers, (np.array(t.flows) for t in tables)):
+            p_lo += [p[:1], p[:-1], p[-1:]]
+            dp += [[1.0], np.diff(p), [1.0]]
+            f_lo += [f[:1], f[:-1], f[-1:]]
+            df += [[0.0], np.diff(f), [0.0]]
+        self.p_lo, self.dp, self.f_lo, self.df = (
+            np.concatenate(part) for part in (p_lo, dp, f_lo, df))
+
+    def lookup(self, runs):
+        """The flow relation of rows whose table indices run as ``runs``
+        (``batch.runs``)."""
+        p_lo, dp, f_lo, df = self.p_lo, self.dp, self.f_lo, self.df
+        parts = [(lo, hi, self.powers[t], self.offsets[t]) for lo, hi, t in runs]
+
+        def flow(p):
+            if len(parts) == 1:
+                _, _, powers, offset = parts[0]
+                j = powers.searchsorted(p, "right") + offset
+            else:
+                j = np.empty(p.shape, dtype=np.intp)
+                for lo, hi, powers, offset in parts:
+                    j[lo:hi] = powers.searchsorted(p[lo:hi], "right") + offset
+            return f_lo.take(j) + (p - p_lo.take(j)) / dp.take(j) * df.take(j)
+        return flow
+
+
 @dataclass(frozen=True)
 class DeflectionScenario:
     """Everything one deflection run needs."""
@@ -145,8 +198,20 @@ class DeflectionOutcome:
     tau: np.ndarray             # beamed-power degradation factor
     mdot: np.ndarray            # kg/s, total expelled flow
     delta_mean_anomaly: float   # rad, at the encounter epoch
-    miss_distance: float        # m, b-plane impact parameter
     elements_final: OrbitalElements
+    elements_start: OrbitalElements  # undeflected, at t_start
+    scenario: DeflectionScenario = field(repr=False)
+
+    @cached_property
+    def miss_distance(self) -> float:
+        """m, b-plane impact parameter at the ephemeris Earth at the
+        encounter epoch. Computed when first read: a study that places its
+        own encounter (the eccentricity sweep) never pays for it."""
+        sc = self.scenario
+        if sc.t_moid == sc.t_start:
+            return 0.0
+        return impact_parameter(self.elements_final, self.elements_start, sc.earth,
+                                sc.t_moid, MU_SUN)
 
 
 def spot_power_coefficient(design: SpacecraftDesign, albedo: float) -> float:
@@ -162,92 +227,171 @@ def peak_spot_power(design: SpacecraftDesign, ast: AsteroidModel,
     return spot_power_coefficient(design, ast.albedo) / (k.a * (1.0 - k.e)) ** 2
 
 
-def simulate_deflection(sc: DeflectionScenario,
-                        mdot_table: MdotTable | None = None) -> DeflectionOutcome:
-    """Run the coupled deflection from t_start to the encounter epoch.
+class _Constants(NamedTuple):
+    """What ``rates`` takes of a run besides its state: floats for one run,
+    (N,) columns for a batch. The products are formed once here, in the
+    order the relations form them, so they give the same bits."""
 
-    The miss distance is taken in the b-plane of the ephemeris Earth at
-    the encounter epoch. A prebuilt ``mdot_table`` can be shared across
-    runs of the same design.
-    """
+    p_coeff: float      # W, spot power density times r^2
+    n_sc: float
+    lam_v: float        # scattering factor times exhaust speed
+    tug_coeff: float    # G m_sc n_sc
+    w_spin: float
+    a_ell: float
+    b_ell: float
+    ab_ell: float       # a_ell * b_ell
+    a2_ell: float       # a_ell * a_ell
+    b2_ell: float       # b_ell * b_ell
+    v_area: float       # exhaust speed times spot area
+    two_v: float        # 2 * exhaust speed
+    d_spot: float
+    # the undeflected orbit at the start, for the natural formation
+    a0: float
+    ae0: float          # a0 * e0
+    e0: float
+    eta0: float
+    eta0_2: float       # eta0 ** 2
+    eta0_3: float       # eta0 ** 3
+    cos_i0: float
+    sin_i0: float
+    argp0: float
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One deflection ready to integrate: the undeflected start, the flow
+    table, the thrust window and its steps, and the constants of ``rates``."""
+
+    sc: DeflectionScenario
+    k0: OrbitalElements
+    table: MdotTable
+    t_end: float
+    n_steps: int
+    dt: float
+    consts: _Constants
+
+    def state0(self) -> list:
+        k0 = self.k0
+        return [k0.a, k0.e, k0.i, k0.raan, k0.argp, k0.mean_anomaly(),
+                self.sc.ast.mass0, 0.0]
+
+
+def _prepare(sc: DeflectionScenario, mdot_table: MdotTable | None) -> _Run:
     ast, design = sc.ast, sc.design
-    mu = MU_SUN
     t0 = sc.t_start
-    t_end = sc.t_moid if sc.thrust_until is None else min(sc.thrust_until, sc.t_moid)
-
     if sc.t_moid < t0:
         raise ValueError("encounter epoch precedes the deflection start")
+    if sc.thrust_until is not None and sc.thrust_until < t0:
+        raise ValueError("thrust_until precedes the deflection start")
+    t_end = sc.t_moid if sc.thrust_until is None else min(sc.thrust_until, sc.t_moid)
 
     k0 = ast.elements0
     if k0.epoch != t0:
-        k0 = kepler_propagate(k0, t0 - k0.epoch, mu)
-
-    # Per-run constants
-    v_bar = exhaust_velocity(ast)
-    lam = sc.scattering_factor
-    n_sc = design.n_spacecraft
-    albedo = ast.albedo
-    p_coeff = spot_power_coefficient(design, albedo)
-    a0, e0, i0 = k0.a, k0.e, k0.i
-    argp0 = k0.argp
-    eta0 = math.sqrt(1.0 - e0 * e0)
-    cos_i0, sin_i0 = math.cos(i0), math.sin(i0)
-    a_ell, b_ell, _ = ast.semi_axes
-    w_spin = ast.spin_rate
-    spot_area = design.spot_area
-    d_spot = design.spot_diameter
-
+        k0 = kepler_propagate(k0, t0 - k0.epoch, MU_SUN)
     if mdot_table is None:
         mdot_table = MdotTable.for_orbit(design, ast, k0)
 
-    shaped = isinstance(sc.formation, ShapedOrbit)
-    if shaped:
-        x1, x2, x3, y1, y2, y3, z1, z2 = (float(c) for c in sc.formation.coeffs)
-    else:
-        de, di, draan, dargp, dm_d = (float(c) for c in sc.formation.dk)
+    n_steps, dt = 0, 0.0
+    span = t_end - t0
+    if span > 0.0:
+        n_steps = max(1, int(math.ceil(span / (sc.step_fraction * k0.period(MU_SUN)))))
+        dt = span / n_steps
 
-    tug_coeff = GRAVITATIONAL_CONSTANT * sc.m_sc * n_sc
+    v_bar = exhaust_velocity(ast)
+    a_ell, b_ell, _ = ast.semi_axes
+    a0, e0 = k0.a, k0.e
+    eta0 = math.sqrt(1.0 - e0 * e0)
+    consts = _Constants(
+        p_coeff=spot_power_coefficient(design, ast.albedo), n_sc=design.n_spacecraft,
+        lam_v=sc.scattering_factor * v_bar,
+        tug_coeff=GRAVITATIONAL_CONSTANT * sc.m_sc * design.n_spacecraft,
+        w_spin=ast.spin_rate, a_ell=a_ell, b_ell=b_ell, ab_ell=a_ell * b_ell,
+        a2_ell=a_ell * a_ell, b2_ell=b_ell * b_ell, v_area=v_bar * design.spot_area,
+        two_v=2.0 * v_bar, d_spot=design.spot_diameter,
+        a0=a0, ae0=a0 * e0, e0=e0, eta0=eta0, eta0_2=eta0**2, eta0_3=eta0**3,
+        cos_i0=math.cos(k0.i), sin_i0=math.sin(k0.i), argp0=k0.argp)
+    return _Run(sc=sc, k0=k0, table=mdot_table, t_end=t_end, n_steps=n_steps, dt=dt,
+                consts=consts)
+
+
+def _position(formation, k: _Constants, m):
+    """Hill-frame position of the formation's representative spacecraft, as
+    a function of the cos and sin of the true anomaly, the osculating
+    radius and the true anomaly. The natural orbit is the first-order
+    relation of ``linear_proximal_position`` on the osculating r, not k0's."""
+    if isinstance(formation, ShapedOrbit):
+        x1, x2, x3, y1, y2, y3, z1, z2 = formation.coeffs.tolist()
+
+        def shaped(c, s, r, nu):
+            return (x1 * c + x2 * s + x3, y1 * c + y2 * s + y3, z1 * c + z2 * s)
+        return shaped
+
+    de, di, draan, dargp, dm_d = formation.dk.tolist()
+    a0, ae0, e0, eta0, eta0_2, eta0_3 = k.a0, k.ae0, k.e0, k.eta0, k.eta0_2, k.eta0_3
+    cos_i0, sin_i0, argp0 = k.cos_i0, k.sin_i0, k.argp0
+    sin, cos = m.sin, m.cos
+
+    def natural(c, s, r, nu):
+        theta = nu + argp0
+        x = (ae0 * s / eta0) * dm_d - a0 * c * de
+        y = (r / eta0_3) * (1.0 + e0 * c) ** 2 * dm_d + r * dargp \
+            + (r * s / eta0_2) * (2.0 + e0 * c) * de + r * cos_i0 * draan
+        z = r * (sin(theta) * di - cos(theta) * sin_i0 * draan)
+        return (x, y, z)
+    return natural
+
+
+def _rates(k: _Constants, position, flow, kepler, m):
+    """The right-hand side ``f(t, y) -> (dy, (mdot, |u|))`` of the coupled
+    deflection, y = (a, e, i, raan, argp, M unwrapped, asteroid mass,
+    contamination thickness).
+
+    One run: floats, ``m`` = ``batch.FLOAT``, ``kepler`` = ``solve_kepler``
+    and ``flow`` its ``MdotTable``. A batch: (N,) columns, ``batch.ARRAY``,
+    ``solve_kepler_array`` and a ``_FlowColumns`` lookup. ``position`` is
+    ``_position``'s relation, or its batch over formation runs.
+    """
+    p_coeff, n_sc, lam_v, tug_coeff, w_spin = k.p_coeff, k.n_sc, k.lam_v, k.tug_coeff, k.w_spin
+    a_ell, b_ell, ab_ell, a2_ell, b2_ell = k.a_ell, k.b_ell, k.ab_ell, k.a2_ell, k.b2_ell
+    v_area, two_v, d_spot = k.v_area, k.two_v, k.d_spot
+    exp, sin, cos, sqrt, hypot, atan2, acos = m.exp, m.sin, m.cos, m.sqrt, m.hypot, m.atan2, m.acos
+    where, any_, clip = m.where, m.any, m.clip
+    mu = MU_SUN
+    absorb = -2.0 * ABSORPTION_COEFFICIENT
+    two_max = 2.0 * MAX_EXPANSION_ANGLE
     angular_exp = 2.0 / (ADIABATIC_INDEX - 1.0)
 
-    # inline, not linear_proximal_position: this takes the osculating r, that k0's
-    def formation_position(c: float, s: float, r: float, theta: float):
-        if shaped:
-            return (x1 * c + x2 * s + x3, y1 * c + y2 * s + y3, z1 * c + z2 * s)
-        x = (a0 * e0 * s / eta0) * dm_d - a0 * c * de
-        y = (r / eta0**3) * (1.0 + e0 * c) ** 2 * dm_d + r * dargp \
-            + (r * s / eta0**2) * (2.0 + e0 * c) * de + r * cos_i0 * draan
-        z = r * (math.sin(theta) * di - math.cos(theta) * sin_i0 * draan)
-        return (x, y, z)
-
-    # Spot, plume and contamination stay inline: one plume.spot_to_spacecraft
-    # sample costs ~20 us, a whole rates call ~9 us.
+    # The spot, plume and contamination relations stay in this body instead
+    # of calling plume.spot_to_spacecraft and plume_density: those take
+    # 3-vectors or (N, 3) rows with their own checks, this body floats or
+    # (N,) columns, and one spot_to_spacecraft sample (21-22 us) costs more
+    # than two whole float rates calls (about 9 us each)
     def rates(t, y):
         a, e, inc, raan, argp, m_unwrapped, m_a, h_cnd = y
         # Anomaly and geometry of the osculating orbit
-        nu = eccentric_to_true(solve_kepler(m_unwrapped % TWO_PI, e), e)
-        cos_nu, sin_nu = math.cos(nu), math.sin(nu)
+        nu = eccentric_to_true(kepler(m_unwrapped % TWO_PI, e), e)
+        cos_nu, sin_nu = cos(nu), sin(nu)
         one_ec = 1.0 + e * cos_nu
         r = a * (1.0 - e * e) / one_ec
 
         # Delivered power and expelled flow
-        tau = math.exp(-2.0 * ABSORPTION_COEFFICIENT * h_cnd)
-        p_in = tau * p_coeff / (r * r)
-        mdot1 = mdot_table(p_in)
-        mdot = n_sc * mdot1
+        p_in = exp(absorb * h_cnd) * p_coeff / (r * r)
+        mdot = n_sc * flow(p_in)
 
         # Thrust on the asteroid: ablation along the velocity, tug toward
         # the formation. Flight-path angle splits them into radial and
         # transverse components.
-        gamma_w = math.hypot(e * sin_nu, one_ec)
-        sin_g = e * sin_nu / gamma_w
+        es = e * sin_nu
+        gamma_w = hypot(es, one_ec)
+        sin_g = es / gamma_w
         cos_g = one_ec / gamma_w
-        u_sub = lam * v_bar * mdot / m_a if (m_a > 0.0 and mdot > 0.0) else 0.0
+        # a masked row divides by infinity, which gives it exactly 0
+        u_sub = lam_v * mdot / where((m_a > 0.0) & (mdot > 0.0), m_a, math.inf)
 
-        theta = nu + argp0
-        fx, fy, fz = formation_position(cos_nu, sin_nu, r, theta)
+        fx, fy, fz = position(cos_nu, sin_nu, r, nu)
         dr2 = fx * fx + fy * fy + fz * fz
-        dr_norm = math.sqrt(dr2)
-        tug = tug_coeff / (dr2 * dr_norm) if dr_norm > 0.0 else 0.0
+        dr_norm = sqrt(dr2)
+        tug = tug_coeff / where(dr_norm > 0.0, dr2 * dr_norm, math.inf)
         u_r = u_sub * sin_g + tug * fx
         u_s = u_sub * cos_g + tug * fy
         u_w = tug * fz
@@ -256,78 +400,180 @@ def simulate_deflection(sc: DeflectionScenario,
 
         # Contamination growth at the formation's representative spacecraft
         dh = 0.0
-        if mdot > 0.0:
-            theta_va = math.atan2(e * sin_nu, one_ec)
+        exposed = mdot > 0.0
+        if any_(exposed):
+            theta_va = atan2(es, one_ec)
             w_t = w_spin * t
             angle = -w_t - theta_va
-            cos_a, sin_a = math.cos(angle), math.sin(angle)
-            r_ell = a_ell * b_ell / math.sqrt((b_ell * cos_a) ** 2 + (a_ell * sin_a) ** 2)
-            sin_wt, cos_wt = math.sin(w_t), math.cos(w_t)
+            cos_a, sin_a = cos(angle), sin(angle)
+            r_ell = ab_ell / sqrt((b_ell * cos_a) ** 2 + (a_ell * sin_a) ** 2)
+            sin_wt, cos_wt = sin(w_t), cos(w_t)
             sx = r_ell * (sin_wt * cos_a - cos_wt * sin_a)
             sy = r_ell * (cos_wt * cos_a + sin_wt * sin_a)
-            ox, oy, oz = fx - sx, fy - sy, fz
-            on = math.sqrt(ox * ox + oy * oy + oz * oz)
-            if on > 0.0 and ox > 0.0:  # optics exposed only from the +x side
+            ox, oy = fx - sx, fy - sy
+            on = sqrt(ox * ox + oy * oy + fz * fz)
+            exposed = exposed & (on > 0.0) & (ox > 0.0)  # optics exposed only from +x
+            if any_(exposed):
                 # body occlusion: scaled <spot, sc> must exceed 1 to clear it
-                vis = (sx * fx / (a_ell * a_ell) + sy * fy / (b_ell * b_ell)) > 1.0 + 1e-9
-                if vis:
-                    phi = math.acos(max(-1.0, min(1.0, oy / on)))
-                    if phi < MAX_EXPANSION_ANGLE:
-                        big_theta = math.pi * phi / (2.0 * MAX_EXPANSION_ANGLE)
-                        rho = JET_CONSTANT * mdot / (v_bar * spot_area) \
+                exposed = exposed & ((sx * fx / a2_ell + sy * fy / b2_ell) > 1.0 + 1e-9)
+                if any_(exposed):
+                    on = where(exposed, on, 1.0)
+                    phi = acos(clip(oy / on, -1.0, 1.0))
+                    exposed = exposed & (phi < MAX_EXPANSION_ANGLE)
+                    if any_(exposed):
+                        big_theta = math.pi * where(exposed, phi, 0.0) / two_max
+                        rho = JET_CONSTANT * mdot / v_area \
                             * (d_spot / (2.0 * on + d_spot)) ** 2 \
-                            * math.cos(big_theta) ** angular_exp
-                        cos_psi = ox / on
-                        dh = 2.0 * v_bar * rho * cos_psi / LAYER_DENSITY
+                            * cos(big_theta) ** angular_exp
+                        dh = where(exposed, two_v * rho * (ox / on) / LAYER_DENSITY, 0.0)
 
-        u_mag = math.sqrt(u_r * u_r + u_s * u_s + u_w * u_w)
+        u_mag = sqrt(u_r * u_r + u_s * u_s + u_w * u_w)
         return (da, de_r, di_r, draan_r, dargp_r, dm_r, -mdot, dh), (mdot, u_mag)
+    return rates
 
-    # --- fixed-step RK4 over the thrust window ------------------------------
-    period0 = k0.period(mu)
-    span = t_end - t0
-    m0_unwrapped = k0.mean_anomaly()
-    state = [a0, e0, i0, k0.raan, argp0, m0_unwrapped, ast.mass0, 0.0]
 
-    _, (mdot_init, u_init) = rates(t0, state)
-    rec_t = [t0]
-    rec_thrust = [u_init * ast.mass0]
-    rec_h = [0.0]
-    rec_mass = [ast.mass0]
-    rec_tau = [1.0]
-    rec_mdot = [mdot_init]
-
-    n_steps = 0
-    if span > 0.0:
-        n_steps = max(1, int(math.ceil(span / (sc.step_fraction * period0))))
-        dt = span / n_steps
-        for step in range(n_steps):
-            state, (mdot_now, u_now) = rk4_step(rates, t0 + step * dt, state, dt)
-            if state[6] < 0.0:
-                state[6] = 0.0
-            if (step + 1) % sc.record_every == 0 or step == n_steps - 1:
-                rec_t.append(t0 + (step + 1) * dt)
-                rec_thrust.append(u_now * state[6])
-                rec_h.append(state[7])
-                rec_mass.append(state[6])
-                rec_tau.append(math.exp(-2.0 * ABSORPTION_COEFFICIENT * state[7]))
-                rec_mdot.append(mdot_now)
-
-    # --- encounter bookkeeping ----------------------------------------------
-    a_f, e_f, i_f, raan_f, argp_f, m_unwrapped_f, mass_f, h_f = state
-    n_a0 = k0.mean_motion(mu)
-    n_ai = math.sqrt(mu / a_f**3)
-    delta_m = (m_unwrapped_f - m0_unwrapped) + n_a0 * (t0 - sc.t_moid) \
-        + n_ai * (sc.t_moid - t_end)
-
+def _outcome(run: _Run, state, times, thrust, h, mass, mdot) -> DeflectionOutcome:
+    """The outcome of a run from its final state (floats) and its records."""
+    sc, k0 = run.sc, run.k0
+    a_f, e_f, i_f, raan_f, argp_f, m_unwrapped_f, _, _ = state
+    delta_m = delta_m_at_moid(m_unwrapped_f - k0.mean_anomaly(), sc.t_start, run.t_end,
+                              sc.t_moid, k0.mean_motion(MU_SUN), math.sqrt(MU_SUN / a_f**3))
     k_dev = OrbitalElements(a=a_f, e=e_f, i=i_f, raan=raan_f, argp=argp_f,
                             anomaly=m_unwrapped_f % TWO_PI, anomaly_kind="mean",
-                            epoch=t_end)
-    miss = 0.0 if sc.t_moid == t0 else impact_parameter(k_dev, k0, sc.earth, sc.t_moid, mu)
-
+                            epoch=run.t_end)
+    tau = [math.exp(-2.0 * ABSORPTION_COEFFICIENT * v) for v in h]
     return DeflectionOutcome(
-        times=np.array(rec_t), thrust=np.array(rec_thrust),
-        contamination=np.array(rec_h), asteroid_mass=np.array(rec_mass),
-        tau=np.array(rec_tau), mdot=np.array(rec_mdot),
-        delta_mean_anomaly=delta_m, miss_distance=miss,
-        elements_final=k_dev)
+        times=np.array(times), thrust=np.array(thrust), contamination=np.array(h),
+        asteroid_mass=np.array(mass), tau=np.array(tau), mdot=np.array(mdot),
+        delta_mean_anomaly=delta_m, elements_final=k_dev, elements_start=k0, scenario=sc)
+
+
+def simulate_deflection(sc: DeflectionScenario,
+                        mdot_table: MdotTable | None = None) -> DeflectionOutcome:
+    """Run the coupled deflection from t_start to the encounter epoch.
+
+    The miss distance is taken in the b-plane of the ephemeris Earth at
+    the encounter epoch. A prebuilt ``mdot_table`` can be shared across
+    runs of the same design.
+    """
+    run = _prepare(sc, mdot_table)
+    k = run.consts
+    rates = _rates(k, _position(sc.formation, k, batch.FLOAT), run.table, solve_kepler,
+                   batch.FLOAT)
+    t0, dt, n_steps = sc.t_start, run.dt, run.n_steps
+    state = run.state0()
+
+    _, (mdot_now, u_now) = rates(t0, state)
+    rec_t, rec_thrust, rec_h, rec_mass, rec_mdot = \
+        [t0], [u_now * state[6]], [0.0], [state[6]], [mdot_now]
+    for step in range(n_steps):
+        state, (mdot_now, u_now) = rk4_step(rates, t0 + step * dt, state, dt)
+        if state[6] < 0.0:
+            state[6] = 0.0
+        if (step + 1) % sc.record_every == 0 or step == n_steps - 1:
+            rec_t.append(t0 + (step + 1) * dt)
+            rec_thrust.append(u_now * state[6])
+            rec_h.append(state[7])
+            rec_mass.append(state[6])
+            rec_mdot.append(mdot_now)
+    return _outcome(run, state, rec_t, rec_thrust, rec_h, rec_mass, rec_mdot)
+
+
+def _first_seen(objects) -> tuple[list, list]:
+    """Index of each object among the distinct ones (by identity), and those."""
+    index, distinct = {}, []
+    for obj in objects:
+        if id(obj) not in index:
+            index[id(obj)] = len(distinct)
+            distinct.append(obj)
+    return [index[id(obj)] for obj in objects], distinct
+
+
+def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]:
+    """``simulate_deflection`` for many runs, integrated as one batch.
+
+    ``mdot_tables`` gives each scenario a prebuilt table, or None to build
+    its own. Rows are ordered by formation and then by table, so the
+    formation position and the flow lookup take contiguous slices. Each
+    row steps with its own start and step, keeps its records at its own
+    ``record_every`` and leaves the columns after its last step. A row's
+    numbers do not depend on the other rows; against ``simulate_deflection``
+    they can move in the last bits (module docstring). Outcomes come back
+    in the order of ``scenarios``.
+    """
+    scenarios = list(scenarios)
+    if mdot_tables is None:
+        mdot_tables = [None] * len(scenarios)
+    runs = [_prepare(sc, table) for sc, table in zip(scenarios, mdot_tables, strict=True)]
+    if not runs:
+        return []
+    form_of, forms = _first_seen([run.sc.formation for run in runs])
+    table_of, tables = _first_seen([run.table for run in runs])
+    order = sorted(range(len(runs)), key=lambda i: (form_of[i], table_of[i]))
+    runs = [runs[i] for i in order]
+    n = len(runs)
+
+    consts = _Constants._make(np.array(col, dtype=float)
+                              for col in zip(*(run.consts for run in runs)))
+    form_key = np.array([form_of[i] for i in order])
+    table_key = np.array([table_of[i] for i in order])
+    flows = _FlowColumns(tables)
+
+    def kernel(live):
+        k = _Constants._make(col[live] for col in consts)
+        parts = [(lo, hi, _position(forms[f], _Constants._make(col[lo:hi] for col in k),
+                                    batch.ARRAY))
+                 for lo, hi, f in batch.runs(form_key[live].tolist())]
+        if len(parts) == 1:
+            position = parts[0][2]
+        else:
+            def position(c, s, r, nu):
+                pieces = [fn(c[lo:hi], s[lo:hi], r[lo:hi], nu[lo:hi]) for lo, hi, fn in parts]
+                return tuple(np.concatenate(xs) for xs in zip(*pieces))
+        flow = flows.lookup(batch.runs(table_key[live].tolist()))
+        return _rates(k, position, flow, solve_kepler_array, batch.ARRAY)
+
+    live = np.arange(n)
+    t0 = np.array([run.sc.t_start for run in runs])
+    dt = np.array([run.dt for run in runs])
+    n_steps = np.array([run.n_steps for run in runs])
+    every = np.array([run.sc.record_every for run in runs])
+    state = [np.array(col, dtype=float) for col in zip(*(run.state0() for run in runs))]
+    rates = kernel(live)
+
+    # records: t, thrust, h, mass, mdot, one row per run, filled to count[row]
+    records = np.empty((5, n, int((1 - -n_steps // every).max())))
+    count = np.ones(n, dtype=int)
+    _, (mdot_now, u_now) = rates(t0, state)
+    for q, value in enumerate((t0, u_now * state[6], state[7], state[6], mdot_now)):
+        records[q, :, 0] = value
+    final = np.empty((n, len(state)))
+
+    step = 0
+    while True:
+        ending = n_steps == step
+        if np.count_nonzero(ending):
+            final[live[ending]] = np.stack([col[ending] for col in state], axis=1)
+            keep = ~ending
+            live, t0, dt, n_steps, every = (x[keep] for x in (live, t0, dt, n_steps, every))
+            if live.size == 0:
+                break
+            state = [col[keep] for col in state]
+            rates = kernel(live)
+        state, (mdot_now, u_now) = rk4_step(rates, t0 + step * dt, state, dt)
+        state[6] = np.maximum(state[6], 0.0)
+        step += 1
+        due = (step % every == 0) | (n_steps == step)
+        if np.count_nonzero(due):
+            rows = live[due]
+            slot = count[rows]
+            for q, value in enumerate((t0 + step * dt, u_now * state[6], state[7], state[6],
+                                       mdot_now)):
+                records[q, rows, slot] = value[due]
+            count[rows] += 1
+
+    outcomes = [None] * n
+    for row, run in enumerate(runs):
+        outcomes[order[row]] = _outcome(run, final[row].tolist(),
+                                        *records[:, row, :count[row]])
+    return outcomes

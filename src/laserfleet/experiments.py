@@ -8,8 +8,10 @@
     * eccentricity-sweep: miss distance over perihelion/aphelion radius for
       a virtual planar deep-crosser family.
 
-All runners are deterministic functions of (scenario, seed); grid studies
-can fan out over processes with assembly ordered by cell index.
+All runners are deterministic functions of (scenario, seed). The grid
+studies integrate their cells as one batch (``simulate_deflections``), or
+as one contiguous chunk per process, with rows assembled in cell order; a
+row's numbers do not depend on how the cells are chunked.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .constants import AU, MU_SUN, YEAR
-from .deflection import DeflectionScenario, MdotTable, peak_spot_power, simulate_deflection
+from .deflection import (
+    DeflectionScenario,
+    MdotTable,
+    peak_spot_power,
+    simulate_deflection,
+    simulate_deflections,
+)
 from .formation import (
     NATURAL_BOUNDS_LOWER,
     NATURAL_BOUNDS_UPPER,
@@ -280,18 +288,25 @@ def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable
 # Deflection map
 # ---------------------------------------------------------------------------
 
-def _map_cell(args) -> tuple:
-    (mode, aperture, n_sc, warning, scenario_ast, earth, formation, c_r, option,
-     t_moid, m_sc, mdot_table, scattering) = args
-    design = design_from_option(aperture, c_r, n_spacecraft=n_sc, option=option)
-    dscn = DeflectionScenario(ast=scenario_ast, design=design, earth=earth,
-                              m_sc=m_sc, t_start=t_moid - warning, t_moid=t_moid,
-                              formation=formation, scattering_factor=scattering)
-    out = simulate_deflection(dscn, mdot_table=mdot_table)
-    mdot_peak = float(np.max(out.mdot))
-    return (mode, aperture, n_sc, warning / YEAR, out.miss_distance,
-            float(out.tau[-1]), float(out.mdot[-1]), mdot_peak,
-            float(out.asteroid_mass[-1]))
+def _in_batches(rows_of, cells: list, threads: int) -> list:
+    """``rows_of(cells)``, or the same rows from ``threads`` processes, each
+    taking one contiguous chunk of the cells as one batch."""
+    if threads <= 1:
+        return rows_of(cells)
+    size, extra = divmod(len(cells), threads)
+    cuts = [k * size + min(k, extra) for k in range(threads + 1)]
+    chunks = [cells[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return [row for rows in pool.map(rows_of, chunks) for row in rows]
+
+
+def _map_rows(cells: list) -> list:
+    """Map rows of ``(row key, DeflectionScenario, MdotTable)`` cells."""
+    outs = simulate_deflections([dscn for _, dscn, _ in cells],
+                                [table for _, _, table in cells])
+    return [(*key, out.miss_distance, float(out.tau[-1]), float(out.mdot[-1]),
+             float(np.max(out.mdot)), float(out.asteroid_mass[-1]))
+            for (key, _, _), out in zip(cells, outs)]
 
 
 def run_deflection_map(scenario: Scenario, seed: int | None = None,
@@ -323,16 +338,15 @@ def run_deflection_map(scenario: Scenario, seed: int | None = None,
         formation = _fleet_formation(scenario, mode)
         for aperture in apertures:
             for n_sc in n_list:
+                design = design_from_option(aperture, c_r, n_spacecraft=n_sc, option=option)
                 for warning in warnings:
-                    cells.append((mode, aperture, n_sc, warning, ast, scenario.earth,
-                                  formation, c_r, option, t_moid, masses[aperture],
-                                  tables[aperture], scenario.scattering_factor))
-
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_map_cell, cells, chunksize=4))
-    else:
-        rows = [_map_cell(c) for c in cells]
+                    dscn = DeflectionScenario(
+                        ast=ast, design=design, earth=scenario.earth, m_sc=masses[aperture],
+                        t_start=t_moid - warning, t_moid=t_moid, formation=formation,
+                        scattering_factor=scenario.scattering_factor)
+                    cells.append(((mode, aperture, n_sc, warning / YEAR), dscn,
+                                  tables[aperture]))
+    rows = _in_batches(_map_rows, cells, threads)
 
     table = ResultTable(
         name="deflection_map",
@@ -398,22 +412,28 @@ def _sweep_orbit(r_p: float, r_a: float) -> OrbitalElements:
                            epoch=0.0)
 
 
-def _sweep_cell(args) -> tuple:
-    (r_p, r_a, template, earth, design, formation, m_sc, warning, scattering,
-     mdot_table) = args
-    k0 = _sweep_orbit(r_p, r_a)
-    if k0.e <= 0.0:
-        return (r_p / AU, r_a / AU, 0.0, False, None)
-    if abs(crossing_cosine(k0)) > 1.0 + 1e-9:
-        return (r_p / AU, r_a / AU, k0.e, False, None)
-
-    ast = replace(template, elements0=k0)
-    dscn = DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=m_sc,
-                              t_start=0.0, t_moid=warning, formation=formation,
-                              scattering_factor=scattering)
-    out = simulate_deflection(dscn, mdot_table=mdot_table)
-    b = bplane_miss(*crossing_states(k0, out.elements_final, out.delta_mean_anomaly))
-    return (r_p / AU, r_a / AU, k0.e, True, b)
+def _sweep_rows(cells: list) -> list:
+    """Sweep rows of ``(r_p, r_a, asteroid template, earth, design, formation,
+    m_sc, warning, scattering factor, MdotTable or None)`` cells; the cells
+    whose orbit crosses 1 AU are integrated as one batch."""
+    rows, crossing = [], []
+    for i, (r_p, r_a, template, earth, design, formation, m_sc, warning, scattering,
+            mdot_table) in enumerate(cells):
+        k0 = _sweep_orbit(r_p, r_a)
+        rows.append((r_p / AU, r_a / AU, k0.e, False, None))
+        if k0.e > 0.0 and abs(crossing_cosine(k0)) <= 1.0 + 1e-9:
+            dscn = DeflectionScenario(ast=replace(template, elements0=k0), design=design,
+                                      earth=earth, m_sc=m_sc, t_start=0.0, t_moid=warning,
+                                      formation=formation, scattering_factor=scattering)
+            crossing.append((i, k0, dscn, mdot_table))
+    outs = simulate_deflections([dscn for _, _, dscn, _ in crossing],
+                                [table for *_, table in crossing])
+    # the sweep places its own encounter at the 1 AU crossing, so the
+    # outcome's ephemeris-Earth miss is never read
+    for (i, k0, _, _), out in zip(crossing, outs):
+        b = bplane_miss(*crossing_states(k0, out.elements_final, out.delta_mean_anomaly))
+        rows[i] = rows[i][:3] + (True, b)
+    return rows
 
 
 def run_eccentricity_sweep(scenario: Scenario, seed: int | None = None,
@@ -446,11 +466,7 @@ def run_eccentricity_sweep(scenario: Scenario, seed: int | None = None,
                    warning, scenario.scattering_factor, table)
                   for r_a in r_a_grid.tolist()]
 
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=4))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
+    rows = _in_batches(_sweep_rows, cells, threads)
 
     table = ResultTable(
         name="eccentricity_sweep",

@@ -157,12 +157,13 @@ def solve_kepler(mean_anomaly: float, e: float) -> float:
         return m % TWO_PI
     ecc = e
     # Starter: Danby's initial guess
-    E = m + 0.85 * math.copysign(ecc, math.sin(m))
+    sin, cos = math.sin, math.cos  # the deflection loop calls this millions of times
+    E = m + 0.85 * math.copysign(ecc, sin(m))
     for _ in range(KEPLER_MAX_ITER):
-        f = E - ecc * math.sin(E) - m
+        f = E - ecc * sin(E) - m
         if abs(f) < KEPLER_TOL:
             return E % TWO_PI
-        fp = 1.0 - ecc * math.cos(E)
+        fp = 1.0 - ecc * cos(E)
         E -= f / fp
     # Newton failed (should not happen for e < 1); bisect on [m-e, m+e]
     lo, hi = m - ecc, m + ecc
@@ -178,53 +179,56 @@ def solve_kepler(mean_anomaly: float, e: float) -> float:
     return E % TWO_PI
 
 
-def solve_kepler_array(mean_anomaly, e: float) -> np.ndarray:
+def solve_kepler_array(mean_anomaly, e) -> np.ndarray:
     """``solve_kepler`` over an array of mean anomalies, element by element.
 
-    Same reduction to [-pi, pi], Danby starter, tolerance, iteration cap
-    and bisection fallback as the scalar solver; each element stops where
-    the scalar solver would return it.
+    ``e`` is one eccentricity or one per element. Same reduction to
+    [-pi, pi], Danby starter, tolerance, iteration cap and bisection
+    fallback as the scalar solver; each element stops where the scalar
+    solver would return it. (At e = 0 the starter is already the root, so
+    the scalar solver's shortcut gives the same bits.)
     """
     # math.remainder as an exact fmod folded into [-pi, pi]; the two part
     # only at an exact tie, +pi against -pi, which solve to the same E
     m = np.fmod(np.asarray(mean_anomaly, dtype=float), TWO_PI)
     m = np.where(m > math.pi, m - TWO_PI, np.where(m < -math.pi, m + TWO_PI, m))
-    if e == 0.0:
-        return m % TWO_PI
 
+    # Newton on every element, each frozen once it has converged: cheaper
+    # than gathering the live elements at the sizes the deflection batch runs
     E = m + 0.85 * np.copysign(e, np.sin(m))
-    E_flat, m_flat = E.reshape(-1), m.reshape(-1)
-    live = np.arange(m_flat.size)
     for _ in range(KEPLER_MAX_ITER):
-        E_live = E_flat[live]
-        f = E_live - e * np.sin(E_live) - m_flat[live]
-        going = ~(np.abs(f) < KEPLER_TOL)
-        live, E_live, f = live[going], E_live[going], f[going]
-        if live.size == 0:
+        f = E - e * np.sin(E) - m
+        done = np.abs(f) < KEPLER_TOL
+        if np.count_nonzero(done) == done.size:
             return E % TWO_PI
-        E_flat[live] = E_live - f / (1.0 - e * np.cos(E_live))
+        E = np.where(done, E, E - f / (1.0 - e * np.cos(E)))
     # Newton failed (should not happen for e < 1); bisect on [m-e, m+e]
-    lo, hi = m_flat[live] - e, m_flat[live] + e
+    E_flat, m_flat = E.reshape(-1), m.reshape(-1)
+    e = np.broadcast_to(e, m.shape).reshape(-1)
+    live = np.flatnonzero(~done.reshape(-1))
+    lo, hi = m_flat[live] - e[live], m_flat[live] + e[live]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         E_flat[live] = mid
-        f = mid - e * np.sin(mid) - m_flat[live]
+        f = mid - e[live] * np.sin(mid) - m_flat[live]
         going = ~(np.abs(f) < KEPLER_TOL)
         live, lo, hi, mid, f = live[going], lo[going], hi[going], mid[going], f[going]
         if live.size == 0:
             break
         hi = np.where(f > 0.0, mid, hi)
         lo = np.where(f > 0.0, lo, mid)
-    return E % TWO_PI
+    return E_flat.reshape(m.shape) % TWO_PI
 
 
-def eccentric_to_true(E, e: float):
-    """True anomaly of an eccentric anomaly; ``E`` a float or an array."""
+def eccentric_to_true(E, e):
+    """True anomaly of an eccentric anomaly; ``E`` a float or an array, and
+    ``e`` a float or one eccentricity per element."""
     # the deflection loop calls this once per rates call, so floats skip
     # the xp() call
     m = math if isinstance(E, float) else batch.xp(E)
-    return (2.0 * m.atan2(math.sqrt(1.0 + e) * m.sin(E / 2.0),
-                          math.sqrt(1.0 - e) * m.cos(E / 2.0))) % TWO_PI
+    half = E / 2.0
+    return (2.0 * m.atan2(m.sqrt(1.0 + e) * m.sin(half),
+                          m.sqrt(1.0 - e) * m.cos(half))) % TWO_PI
 
 
 def true_to_eccentric(nu: float, e: float) -> float:
@@ -380,38 +384,45 @@ def flight_path_angle(e: float, nu):
 # Gauss variational equations and the RK4 step
 # ---------------------------------------------------------------------------
 
-def gauss_rates_rtn(a: float, e: float, inc: float, argp: float, nu: float,
-                    u_r: float, u_s: float, u_w: float, mu: float) -> tuple:
-    """Element rates (da, de, di, draan, dargp, dM)/dt on floats.
+def gauss_rates_rtn(a, e, inc, argp, nu, u_r, u_s, u_w, mu: float) -> tuple:
+    """Element rates (da, de, di, draan, dargp, dM)/dt on floats, or on
+    (N,) columns with one orbit per row.
 
     The classic radial/transverse/normal form of the Gauss variational
     equations (Battin): ``u_r`` along the radius, ``u_s`` transverse in the
     orbit plane, ``u_w`` along the angular momentum. The out-of-plane terms
-    are skipped when u_w = 0, so a planar orbit (i = 0) never meets the
-    sin(i) singularity; e = 0 stays singular. No guards: the deflection
-    loop calls this millions of times.
+    are skipped when u_w = 0 (a batch row with u_w = 0 gets terms of +-0),
+    so a planar orbit (i = 0) never meets the sin(i) singularity; e = 0
+    stays singular. No guards: the deflection loop calls this millions of
+    times.
     """
+    # the deflection loop calls this once per rates call, so floats skip
+    # the xp() call
+    m = batch.FLOAT if isinstance(nu, float) else batch.ARRAY
     p = a * (1.0 - e * e)
-    cos_nu, sin_nu = math.cos(nu), math.sin(nu)
+    cos_nu, sin_nu = m.cos(nu), m.sin(nu)
     r = p / (1.0 + e * cos_nu)
-    h = math.sqrt(mu * p)
+    h = m.sqrt(mu * p)
+    # shared factors, formed as each term forms them
+    p_cos, p_r, h_e = p * cos_nu, p + r, h * e
+    p_r_sin = p_r * sin_nu
 
     da = 2.0 * a * a / h * (e * sin_nu * u_r + (p / r) * u_s)
-    de = (p * sin_nu * u_r + ((p + r) * cos_nu + r * e) * u_s) / h
-    dargp = (-p * cos_nu * u_r + (p + r) * sin_nu * u_s) / (h * e)
-    if u_w != 0.0:
+    de = (p * sin_nu * u_r + (p_r * cos_nu + r * e) * u_s) / h
+    dargp = (-p_cos * u_r + p_r_sin * u_s) / h_e
+    di = draan = 0.0
+    out_of_plane = u_w != 0.0
+    if m.any(out_of_plane):
         theta = nu + argp
-        cos_th, sin_th = math.cos(theta), math.sin(theta)
-        sin_i = math.sin(inc)
+        cos_th, sin_th = m.cos(theta), m.sin(theta)
+        # A row of a batch with u_w = 0 takes sin(i) = 1, so its terms are
+        # +-0: adding them leaves its elements as they are
+        h_sin_i = h * m.where(out_of_plane, m.sin(inc), 1.0)
         di = r * cos_th / h * u_w
-        draan = r * sin_th / (h * sin_i) * u_w
-        dargp -= r * sin_th * math.cos(inc) / (h * sin_i) * u_w
-    else:
-        di = 0.0
-        draan = 0.0
-    eta = math.sqrt(1.0 - e * e)
-    dm = math.sqrt(mu / a**3) + eta / (h * e) * ((p * cos_nu - 2.0 * r * e) * u_r
-                                                 - (p + r) * sin_nu * u_s)
+        draan = r * sin_th / h_sin_i * u_w
+        dargp = dargp - r * sin_th * m.cos(inc) / h_sin_i * u_w
+    eta = m.sqrt(1.0 - e * e)
+    dm = m.sqrt(mu / a**3) + eta / h_e * ((p_cos - 2.0 * r * e) * u_r - p_r_sin * u_s)
     return da, de, di, draan, dargp, dm
 
 
@@ -444,15 +455,17 @@ def gauss_rates(k: OrbitalElements, u_tnh: np.ndarray, mu: float) -> np.ndarray:
 def rk4_step(f, t: float, y, dt: float):
     """One classic fixed-step RK4 step of dy/dt = f(t, y).
 
-    ``f(t, y) -> (dy, aux)`` takes and gives sequences of floats; ``aux``
-    is whatever the caller records at the start of the step. Returns the
-    new state as a list and the ``aux`` of the first stage.
+    ``f(t, y) -> (dy, aux)`` takes and gives sequences of floats, or of
+    (N,) columns with one run per row (``t`` and ``dt`` then columns too);
+    ``aux`` is whatever the caller records at the start of the step.
+    Returns the new state as a list and the ``aux`` of the first stage.
     """
+    half, sixth = 0.5 * dt, dt / 6.0
     k1, aux = f(t, y)
-    k2 = f(t + 0.5 * dt, [yj + 0.5 * dt * kj for yj, kj in zip(y, k1)])[0]
-    k3 = f(t + 0.5 * dt, [yj + 0.5 * dt * kj for yj, kj in zip(y, k2)])[0]
+    k2 = f(t + half, [yj + half * kj for yj, kj in zip(y, k1)])[0]
+    k3 = f(t + half, [yj + half * kj for yj, kj in zip(y, k2)])[0]
     k4 = f(t + dt, [yj + dt * kj for yj, kj in zip(y, k3)])[0]
-    return [yj + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+    return [yj + sixth * (a + 2.0 * b + 2.0 * c + d)
             for yj, a, b, c, d in zip(y, k1, k2, k3, k4)], aux
 
 
@@ -508,17 +521,19 @@ def integrate_gauss(k0: OrbitalElements, accel_fn, t0: float, t1: float, mu: flo
     return GaussHistory(times=np.array(times), elements=np.array(rows), mu=mu)
 
 
-def delta_m_at_moid(history: GaussHistory, t0: float, ti: float, t_moid: float,
+def delta_m_at_moid(integral: float, t0: float, ti: float, t_moid: float,
                     n_a0: float, n_ai: float) -> float:
     """Accumulated change in mean anomaly at the virtual encounter epoch.
 
     dM = integral(dM/dt, t0..ti) + n_A0 (t0 - t_MOID) + n_Ai (t_MOID - ti),
     i.e. the anomaly offset between the deflected orbit (thrusting until ti,
     coasting after) and the undeflected orbit, both evaluated at t_MOID.
+    ``integral`` is the unwrapped mean-anomaly change over the thrust
+    window, e.g. ``GaussHistory.mean_anomaly_integral()``.
     """
     if not (t0 <= ti <= t_moid):
         raise ValueError("expected t0 <= ti <= t_moid")
-    return history.mean_anomaly_integral() + n_a0 * (t0 - t_moid) + n_ai * (t_moid - ti)
+    return integral + n_a0 * (t0 - t_moid) + n_ai * (t_moid - ti)
 
 
 # ---------------------------------------------------------------------------

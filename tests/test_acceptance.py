@@ -10,6 +10,7 @@ geometry) fall. DECISIONS.md holds the analysis.
 """
 
 import functools
+import json
 import math
 import time
 from collections import defaultdict
@@ -164,7 +165,7 @@ def test_criterion_2_null(nominal):
     for window in (0.5 * YEAR, YEAR):
         hist = integrate_gauss(k0, lambda t, k: np.zeros(3), 0.0, window, MU_SUN)
         n0 = k0.mean_motion(MU_SUN)
-        dm = delta_m_at_moid(hist, 0.0, window, 3 * YEAR, n0, n0)
+        dm = delta_m_at_moid(hist.mean_anomaly_integral(), 0.0, window, 3 * YEAR, n0, n0)
         assert abs(dm) < 1e-12, f"dM = {dm}"
 
     b = impact_parameter(k0, k0, nominal.earth, nominal.moid_epoch, MU_SUN)
@@ -412,6 +413,25 @@ def test_criterion_8_deflection_map(nominal, map_table):
     assert out.tau[-1] < 0.9  # the optics genuinely degraded
 
 
+MAP_GOLDEN = Path(__file__).resolve().parent / "deflection_map_golden.json"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deflection_map_golden(map_table):
+    """The shipped map against its 200 rows recorded while every cell ran
+    alone on floats. The batch moves a row only through the last bits of
+    numpy's transcendental functions (DECISIONS.md): b, the difference of
+    two positions 1.4e11 m from the Sun, within 1e-2 m, the rest within
+    1e-11 relative."""
+    golden = json.loads(MAP_GOLDEN.read_text())
+    assert len(map_table.rows) == len(golden) == 200
+    for row, want in zip(map_table.rows, golden, strict=True):
+        assert list(row[:4]) == want[:4]
+        assert abs(row[4] - want[4]) <= 1e-2, f"{want[:4]}: b {row[4]!r} vs {want[4]!r}"
+        for got, ref in zip(row[5:], want[5:], strict=True):
+            assert got == pytest.approx(ref, rel=1e-11, abs=0.0), f"{want[:4]}: {got!r} vs {ref!r}"
+
+
 # ---------------------------------------------------------------------------
 # 9. Eccentricity sweep
 # ---------------------------------------------------------------------------
@@ -572,8 +592,8 @@ def test_criterion_9a_aphelion_monotonicity(sweep_scenario, sweep_table):
 
         hist = integrate_gauss(k0, accel, 0.0, span, MU_SUN)
         kd = hist.final()
-        dm = delta_m_at_moid(hist, 0.0, span, span, k0.mean_motion(MU_SUN),
-                             kd.mean_motion(MU_SUN))
+        dm = delta_m_at_moid(hist.mean_anomaly_integral(), 0.0, span, span,
+                             k0.mean_motion(MU_SUN), kd.mean_motion(MU_SUN))
         b_gauss = bplane_miss(*crossing_states(k0, kd, dm))
         b_ref, _ = _crossing_response(r_p, r_a, laws["1/r^2"], span)
         assert abs(b_gauss / b_ref - 1.0) < 1e-5, \

@@ -78,6 +78,19 @@ def test_kepler_array_matches_scalar_elementwise(rng, e):
     assert np.all(_wrapped_gap(got, want) <= 1e-12 / (1.0 - e))
 
 
+@pytest.mark.parametrize("max_iter", [orbits.KEPLER_MAX_ITER, 1])
+def test_kepler_array_per_row_e_is_scalar_bits(rng, monkeypatch, max_iter):
+    """One eccentricity per element, as the deflection batch passes them,
+    gives the scalar solver's bits element by element, through Newton and
+    through the bisection fallback."""
+    monkeypatch.setattr(orbits, "KEPLER_MAX_ITER", max_iter)
+    m = _kepler_samples(rng)
+    e = rng.choice([0.0, 0.05, 0.1912, 0.6, 0.9, 0.97], m.size)
+    got = solve_kepler_array(m, e)
+    want = [solve_kepler(float(v), float(ev)) for v, ev in zip(m, e)]
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+
+
 def test_kepler_array_bisection_fallback(rng, monkeypatch):
     # one Newton step is too few; both solvers fall back to bisection
     monkeypatch.setattr(orbits, "KEPLER_MAX_ITER", 1)

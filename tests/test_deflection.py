@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from laserfleet.constants import AU, YEAR
 from laserfleet.deflection import (
     DeflectionScenario,
     MdotTable,
+    _FlowColumns,
     peak_spot_power,
     simulate_deflection,
+    simulate_deflections,
 )
 from laserfleet.formation import NaturalOrbit, ShapedOrbit
+from laserfleet.orbits import OrbitalElements
 from laserfleet.sizing import design_from_option, mass_budget
 from laserfleet.sublimation import ellipse_radius, mass_flow_from_power
 
@@ -139,3 +143,103 @@ def test_moid_epoch_before_start_rejected(ast, earth):
         simulate_deflection(DeflectionScenario(
             ast=ast, design=design, earth=earth, m_sc=0.0,
             t_start=YEAR, t_moid=0.0, formation=SHAPED))
+
+
+def test_thrust_until_before_start_rejected(ast, earth):
+    """A thrust window that ends before it starts is an error on both entry
+    points, not a miss from a negative window."""
+    design = design_from_option(10.0, 5000.0, n_spacecraft=3, option="60/40")
+    for days in (1.0, 30.0):
+        early = scenario(ast, earth, design, 1200.0, YEAR, thrust_until=-days * 86400.0)
+        with pytest.raises(ValueError, match="thrust_until"):
+            simulate_deflection(early)
+        with pytest.raises(ValueError, match="thrust_until"):
+            simulate_deflections([scenario(ast, earth, design, 1200.0, YEAR), early])
+    # a window of zero length is still a coast with no thrust
+    out = simulate_deflection(scenario(ast, earth, design, 1200.0, YEAR, thrust_until=0.0))
+    assert out.delta_mean_anomaly == 0.0 and len(out.times) == 1
+    assert out.miss_distance < 1.0
+
+
+def test_flow_columns_match_table(ast, rng):
+    """The batch's flow lookup gives ``MdotTable.__call__``'s bits, at the
+    grid points, between them and beyond both ends, for rows on two tables."""
+    tables = [MdotTable.for_orbit(design_from_option(d, 5000.0, option="60/40"), ast,
+                                  ast.elements0) for d in (5.0, 10.0)]
+    columns = _FlowColumns(tables)
+    for lo, hi in ((0, 1), (1, 2), (0, 2)):
+        ps, want = [], []
+        for t in tables[lo:hi]:
+            grid = np.array(t.powers)
+            p = np.concatenate([grid, rng.uniform(-1.0, 1.2 * grid[-1], 300),
+                                [-0.0, 1e300, np.nextafter(grid[-1], 0.0)]])
+            ps.append(p)
+            want += [t(float(v)) for v in p]
+        runs = [(0, ps[0].size, lo)] + ([(ps[0].size, ps[0].size + ps[1].size, 1)]
+                                        if hi - lo == 2 else [])
+        got = columns.lookup(runs)(np.concatenate(ps))
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+
+
+def _batch_cells(ast, earth):
+    """Natural and shaped cells on the 5 m and 10 m tables, warnings of 0, 1
+    and 2 yr, a coast, and a planar (i = 0) orbit with a table of its own."""
+    t_moid = 2.5 * YEAR
+    cells = []
+    for aperture in (5.0, 10.0):
+        design1 = design_from_option(aperture, 5000.0, option="60/40")
+        table = MdotTable.for_orbit(design1, ast, ast.elements0)
+        m_sc = mass_budget(design1, ast.elements0.a * (1 - ast.elements0.e)).m_total
+        for formation, n_sc in ((NATURAL, 4), (SHAPED, 7)):
+            design = design_from_option(aperture, 5000.0, n_spacecraft=n_sc, option="60/40")
+            for warning in (0.0, 1.0, 2.0):
+                cells.append((DeflectionScenario(
+                    ast=ast, design=design, earth=earth, m_sc=m_sc, t_start=t_moid - warning
+                    * YEAR, t_moid=t_moid, formation=formation), table))
+    design = design_from_option(10.0, 5000.0, n_spacecraft=4, option="60/40")
+    cells.append((DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=1500.0,
+                                     t_start=0.0, t_moid=t_moid, formation=NATURAL,
+                                     thrust_until=0.7 * YEAR, record_every=37), None))
+    planar = replace(ast, elements0=OrbitalElements(
+        a=1.15 * AU, e=0.7 / 2.3, i=0.0, raan=0.0, argp=0.0, anomaly=0.0,
+        anomaly_kind="mean", epoch=0.0))
+    cells.append((DeflectionScenario(ast=planar, design=design, earth=earth, m_sc=1500.0,
+                                     t_start=0.5 * YEAR, t_moid=t_moid, formation=SHAPED),
+                  None))
+    return cells
+
+
+def _bits(out):
+    k = out.elements_final
+    return (repr(out.delta_mean_anomaly), repr(out.miss_distance),
+            [repr(v) for v in (k.a, k.e, k.i, k.raan, k.argp, k.anomaly, k.epoch)],
+            [[repr(v) for v in a.tolist()] for a in
+             (out.times, out.thrust, out.contamination, out.asteroid_mass, out.tau, out.mdot)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deflection_batch_equals_rows(ast, earth):
+    """Each row of a mixed batch is the run taken alone on floats, up to the
+    last bits numpy's transcendental functions move (DECISIONS.md), and a
+    row's bits do not depend on the rows beside it."""
+    cells = _batch_cells(ast, earth)
+    batch = simulate_deflections([sc for sc, _ in cells], [t for _, t in cells])
+    for (sc, table), got in zip(cells, batch, strict=True):
+        alone = simulate_deflection(sc, mdot_table=table)
+        assert got.times.tolist() == alone.times.tolist()
+        assert abs(got.miss_distance - alone.miss_distance) <= 1e-2
+        assert got.delta_mean_anomaly == pytest.approx(alone.delta_mean_anomaly,
+                                                       rel=1e-9, abs=1e-18)
+        for name in ("a", "e", "i", "raan", "argp", "anomaly", "epoch"):
+            assert getattr(got.elements_final, name) == pytest.approx(
+                getattr(alone.elements_final, name), rel=1e-11, abs=1e-15)
+        for name in ("thrust", "contamination", "asteroid_mass", "tau", "mdot"):
+            np.testing.assert_allclose(getattr(got, name), getattr(alone, name),
+                                       rtol=1e-11, atol=0.0, err_msg=name)
+
+    # the same rows beside other companions, and alone in a batch of one
+    for picks in ((3, 12), (9, 0, 13), (13,)):
+        again = simulate_deflections([cells[i][0] for i in picks],
+                                     [cells[i][1] for i in picks])
+        for i, out in zip(picks, again, strict=True):
+            assert _bits(out) == _bits(batch[i])

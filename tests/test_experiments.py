@@ -6,7 +6,7 @@ import pytest
 from laserfleet.constants import AU, MU_SUN, YEAR
 from laserfleet.deflection import DeflectionScenario, simulate_deflection
 from laserfleet.experiments import (
-    _sweep_cell,
+    _sweep_rows,
     crossing_states,
     resolve_encounter_epoch,
     run_eccentricity_sweep,
@@ -163,9 +163,10 @@ def test_sweep_rows_match_cells_with_their_own_tables(sweep_scenario):
                                 option=meta["efficiency_option"])
     grid = [(r_p, r_a) for r_p in (np.linspace(0.5, 1.0, 2) * AU).tolist()
             for r_a in (np.linspace(1.0, 2.0, 2) * AU).tolist()]
-    for row, (r_p, r_a) in zip(table.rows, grid, strict=True):
-        own = _sweep_cell((r_p, r_a, sweep_scenario.asteroid,
-                           sweep_scenario.earth, design, sweep_scenario.shaped,
-                           meta["spacecraft_mass_kg"], meta["warning_yr"] * YEAR,
-                           sweep_scenario.scattering_factor, None))
-        assert tuple(row) == own
+    # one batch: a row's bits do not depend on the rows beside it
+    own = _sweep_rows([(r_p, r_a, sweep_scenario.asteroid, sweep_scenario.earth, design,
+                        sweep_scenario.shaped, meta["spacecraft_mass_kg"],
+                        meta["warning_yr"] * YEAR, sweep_scenario.scattering_factor, None)
+                       for r_p, r_a in grid])
+    for row, own_row in zip(table.rows, own, strict=True):
+        assert tuple(row) == own_row

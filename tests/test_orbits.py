@@ -223,7 +223,7 @@ def test_delta_m_zero_thrust_cancels(ast):
     hist = integrate_gauss(ast.elements0, lambda t, k: np.zeros(3),
                            0.0, YEAR, MU_SUN)
     n0 = ast.elements0.mean_motion(MU_SUN)
-    dm = delta_m_at_moid(hist, 0.0, YEAR, 3 * YEAR, n0, n0)
+    dm = delta_m_at_moid(hist.mean_anomaly_integral(), 0.0, YEAR, 3 * YEAR, n0, n0)
     assert abs(dm) < 1e-12
 
 
@@ -232,7 +232,7 @@ def test_delta_m_thrust_end_at_moid(ast):
                            0.0, YEAR, MU_SUN)
     n0 = ast.elements0.mean_motion(MU_SUN)
     ni = hist.final().mean_motion(MU_SUN)
-    dm = delta_m_at_moid(hist, 0.0, YEAR, YEAR, n0, ni)
+    dm = delta_m_at_moid(hist.mean_anomaly_integral(), 0.0, YEAR, YEAR, n0, ni)
     assert math.isclose(dm, hist.mean_anomaly_integral() - n0 * YEAR, rel_tol=1e-12)
 
 
@@ -246,7 +246,7 @@ def test_delta_m_vs_cartesian_oracle(ast):
     n0 = ast.elements0.mean_motion(MU_SUN)
     k_end = hist.final()
     ni = k_end.mean_motion(MU_SUN)
-    dm = delta_m_at_moid(hist, 0.0, span, t_moid, n0, ni)
+    dm = delta_m_at_moid(hist.mean_anomaly_integral(), 0.0, span, t_moid, n0, ni)
 
     k_cart = cartesian_oracle(ast.elements0, u_t, span)
     m_dev = k_cart.mean_anomaly() + k_cart.mean_motion(MU_SUN) * (t_moid - span)
