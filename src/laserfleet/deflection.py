@@ -433,7 +433,8 @@ def _rates(k: _Constants, position, flow, kepler, m):
 
 
 def _outcome(run: _Run, state, times, thrust, h, mass, mdot) -> DeflectionOutcome:
-    """The outcome of a run from its final state (floats) and its records."""
+    """The outcome of a run from its final state (floats) and its records,
+    lists or rows of a batch's record array (kept as views, not copied)."""
     sc, k0 = run.sc, run.k0
     a_f, e_f, i_f, raan_f, argp_f, m_unwrapped_f, _, _ = state
     delta_m = delta_m_at_moid(m_unwrapped_f - k0.mean_anomaly(), sc.t_start, run.t_end,
@@ -443,8 +444,8 @@ def _outcome(run: _Run, state, times, thrust, h, mass, mdot) -> DeflectionOutcom
                             epoch=run.t_end)
     tau = [math.exp(-2.0 * ABSORPTION_COEFFICIENT * v) for v in h]
     return DeflectionOutcome(
-        times=np.array(times), thrust=np.array(thrust), contamination=np.array(h),
-        asteroid_mass=np.array(mass), tau=np.array(tau), mdot=np.array(mdot),
+        times=np.asarray(times), thrust=np.asarray(thrust), contamination=np.asarray(h),
+        asteroid_mass=np.asarray(mass), tau=np.array(tau), mdot=np.asarray(mdot),
         delta_mean_anomaly=delta_m, elements_final=k_dev, elements_start=k0, scenario=sc)
 
 
@@ -541,12 +542,16 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
     state = [np.array(col, dtype=float) for col in zip(*(run.state0() for run in runs))]
     rates = kernel(live)
 
-    # records: t, thrust, h, mass, mdot, one row per run, filled to count[row]
-    records = np.empty((5, n, int((1 - -n_steps // every).max())))
+    # records (t, thrust, h, mass, mdot): row i fills its own span of one
+    # buffer from start[i], up to count[i]; it records its start, every
+    # record_every-th step and its last step
+    widths = 1 + -(-n_steps // every)
+    start = np.cumsum(widths) - widths
+    records = np.empty((5, int(widths.sum())))
     count = np.ones(n, dtype=int)
     _, (mdot_now, u_now) = rates(t0, state)
     for q, value in enumerate((t0, u_now * state[6], state[7], state[6], mdot_now)):
-        records[q, :, 0] = value
+        records[q, start] = value
     final = np.empty((n, len(state)))
 
     step = 0
@@ -566,14 +571,14 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
         due = (step % every == 0) | (n_steps == step)
         if np.count_nonzero(due):
             rows = live[due]
-            slot = count[rows]
+            slot = start[rows] + count[rows]
             for q, value in enumerate((t0 + step * dt, u_now * state[6], state[7], state[6],
                                        mdot_now)):
-                records[q, rows, slot] = value[due]
+                records[q, slot] = value[due]
             count[rows] += 1
 
     outcomes = [None] * n
     for row, run in enumerate(runs):
         outcomes[order[row]] = _outcome(run, final[row].tolist(),
-                                        *records[:, row, :count[row]])
+                                        *records[:, start[row]:start[row] + count[row]])
     return outcomes
