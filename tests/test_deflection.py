@@ -194,8 +194,9 @@ def _batch_cells(ast, earth):
             design = design_from_option(aperture, 5000.0, n_spacecraft=n_sc, option="60/40")
             for warning in (0.0, 1.0, 2.0):
                 cells.append((DeflectionScenario(
-                    ast=ast, design=design, earth=earth, m_sc=m_sc, t_start=t_moid - warning
-                    * YEAR, t_moid=t_moid, formation=formation), table))
+                    ast=ast, design=design, earth=earth, m_sc=m_sc,
+                    t_start=t_moid - warning * YEAR, t_moid=t_moid, formation=formation),
+                    table))
     design = design_from_option(10.0, 5000.0, n_spacecraft=4, option="60/40")
     cells.append((DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=1500.0,
                                      t_start=0.0, t_moid=t_moid, formation=NATURAL,
