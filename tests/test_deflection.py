@@ -145,6 +145,7 @@ def test_moid_epoch_before_start_rejected(ast, earth):
             t_start=YEAR, t_moid=0.0, formation=SHAPED))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_thrust_until_before_start_rejected(ast, earth):
     """A thrust window that ends before it starts is an error on both entry
     points, not a miss from a negative window."""
@@ -161,6 +162,7 @@ def test_thrust_until_before_start_rejected(ast, earth):
     assert out.miss_distance < 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_columns_match_table(ast, rng):
     """The batch's flow lookup gives ``MdotTable.__call__``'s bits, at the
     grid points, between them and beyond both ends, for rows on two tables."""
