@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -31,6 +32,14 @@ from .experiments import (
 from .scenario import ScenarioError, load_scenario
 
 
+def _threads(text: str) -> int:
+    """A worker count from 1 to the machine's CPU count."""
+    n, n_cpu = (int(text) if text.isdecimal() else 0), os.cpu_count() or 1
+    if not 1 <= n <= n_cpu:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to {n_cpu}, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laserfleet",
@@ -42,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory for CSV tables")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for grid experiments")
+    parser.add_argument("--threads", type=_threads, default=1,
+                        help="worker processes for grid experiments, at most the CPU count")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("formation-design", "shaped-design", "fleet-design",

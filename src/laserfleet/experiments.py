@@ -53,15 +53,19 @@ from .orbits import (
     true_to_mean,
 )
 from .results import ResultTable
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 from .sizing import design_from_option, mass_budget
 from .sublimation import mass_flow_rate
 
 
-def _optimizer_settings(scenario: Scenario, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    cfg.update(scenario.optimizer)
-    return cfg
+def _optimizer_settings(scenario: Scenario, **defaults) -> dict:
+    """``optimize`` keywords: the study's defaults, overridden by the scenario's."""
+    cfg = defaults | scenario.optimizer
+    if cfg["budget"] < cfg["population"]:
+        raise ScenarioError(f"optimizer.budget: {cfg['budget']} is below the "
+                            f"population of {cfg['population']}")
+    return {"population": cfg["population"], "budget": cfg["budget"],
+            "archive_size": cfg["archive"]}
 
 
 def resolve_encounter_epoch(scenario: Scenario) -> float:
@@ -95,8 +99,7 @@ def resolve_encounter_epoch(scenario: Scenario) -> float:
 def run_formation_design(scenario: Scenario, seed: int | None = None) -> ResultTable:
     seed = scenario.seed if seed is None else seed
     k_a = scenario.asteroid.elements0
-    cfg = _optimizer_settings(scenario, {"population": 48, "budget": 4000,
-                                         "archive": 96})
+    cfg = _optimizer_settings(scenario, population=48, budget=4000, archive=96)
 
     table = ResultTable(
         name="formation_design",
@@ -124,9 +127,7 @@ def run_formation_design(scenario: Scenario, seed: int | None = None) -> ResultT
 
         problem = ProblemSpec(lower=NATURAL_BOUNDS_LOWER, upper=NATURAL_BOUNDS_UPPER,
                               n_objectives=2, n_constraints=1, evaluate=evaluate)
-        result = optimize(problem, budget=int(cfg["budget"]), seed=seed + j,
-                          population=int(cfg["population"]),
-                          archive_size=int(cfg["archive"]), on_generation=keep_archived)
+        result = optimize(problem, seed=seed + j, on_generation=keep_archived, **cfg)
         if not result.archive.feasible_found:
             table.metadata[f"y_lim_{y_lim:g}_infeasible"] = True
             continue
@@ -157,14 +158,10 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
     design; DECISIONS.md says why it stays.
     """
     seed = scenario.seed if seed is None else seed
-    exp = dict(scenario.experiments.get("shaped_design", {}))
-    aperture = float(exp.get("aperture_m", 20.0))
-    n_sc = int(exp.get("n_spacecraft", 10))
-    duration = float(exp.get("duration_yr", 1.0)) * YEAR
-    n_samples = int(exp.get("control_samples", 512))
-    option = exp.get("efficiency_option", "66/45")
-    cfg = _optimizer_settings(scenario, {"population": 32, "budget": 5000,
-                                         "archive": 96})
+    exp = scenario.experiments["shaped_design"]
+    aperture, n_sc, option = exp["aperture_m"], exp["n_spacecraft"], exp["efficiency_option"]
+    duration = exp["duration_yr"] * YEAR
+    cfg = _optimizer_settings(scenario, population=32, budget=5000, archive=96)
 
     ast = scenario.asteroid
     design = design_from_option(aperture, scenario.design.concentration_ratio,
@@ -177,15 +174,13 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
 
     def evaluate(x):
         s = ShapedOrbit(coeffs=x)
-        res = shaped_objectives(s, ctx, duration, n_samples)
+        res = shaped_objectives(s, ctx, duration, exp["control_samples"])
         return (np.array([res["J1"], res["J2"], res["J3"]]),
                 np.array([max(0.0, res["C1"]), max(0.0, res["C2"])]))
 
     problem = ProblemSpec(lower=SHAPED_BOUNDS_LOWER, upper=SHAPED_BOUNDS_UPPER,
                           n_objectives=3, n_constraints=2, evaluate=evaluate)
-    result = optimize(problem, budget=int(cfg["budget"]), seed=seed,
-                      population=int(cfg["population"]),
-                      archive_size=int(cfg["archive"]))
+    result = optimize(problem, seed=seed, **cfg)
 
     table = ResultTable(
         name="shaped_design",
@@ -214,29 +209,24 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
 # ---------------------------------------------------------------------------
 
 def _fleet_formation(scenario: Scenario, mode: str):
-    if mode == "natural":
-        if scenario.natural is None:
-            raise ValueError("fleet design in natural mode needs a natural block")
-        return scenario.natural
-    if scenario.shaped is None:
-        raise ValueError("fleet design in shaped mode needs a shaped block")
-    return scenario.shaped
+    formation = scenario.natural if mode == "natural" else scenario.shaped
+    if formation is None:
+        raise ScenarioError(f"formation.{mode}: a study in {mode} mode needs this block")
+    return formation
 
 
 def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable:
     seed = scenario.seed if seed is None else seed
-    exp = dict(scenario.experiments.get("fleet_design", {}))
-    warning = float(exp.get("warning_yr", 8.0)) * YEAR
-    modes = list(exp.get("modes", ["natural", "shaped"]))
-    options = list(exp.get("efficiency_options", ["60/40", "66/45"]))
-    cfg = _optimizer_settings(scenario, {"population": 24, "budget": 240,
-                                         "archive": 64})
+    exp = scenario.experiments["fleet_design"]
+    warning = exp["warning_yr"] * YEAR
+    cfg = _optimizer_settings(scenario, population=24, budget=240, archive=64)
 
     ast = scenario.asteroid
     t_moid = resolve_encounter_epoch(scenario)
     t0 = t_moid - warning
     r_peri = ast.elements0.a * (1.0 - ast.elements0.e)
-    space = scenario.design_space
+    box = [scenario.design_space[k]
+           for k in ("aperture_diameter", "n_spacecraft", "concentration_ratio")]
 
     table = ResultTable(
         name="fleet_design",
@@ -247,9 +237,9 @@ def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable
         metadata=scenario.metadata() | {"warning_yr": warning / YEAR,
                                         "moid_epoch_s": t_moid})
 
-    for mi, mode in enumerate(modes):
+    for mi, mode in enumerate(exp["modes"]):
         formation = _fleet_formation(scenario, mode)
-        for oi, option in enumerate(options):
+        for oi, option in enumerate(exp["efficiency_options"]):
             def evaluate(x, option=option, formation=formation):
                 d_m, n_sc, c_r = float(x[0]), int(round(x[1])), float(x[2])
                 design = design_from_option(d_m, c_r, n_spacecraft=n_sc, option=option)
@@ -265,16 +255,10 @@ def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable
                 return (np.array([-out.miss_distance, n_sc * m_sc]), np.zeros(0))
 
             problem = ProblemSpec(
-                lower=np.array([space.aperture[0], space.n_spacecraft[0],
-                                space.concentration[0]]),
-                upper=np.array([space.aperture[1], space.n_spacecraft[1],
-                                space.concentration[1]]),
+                lower=np.array([lo for lo, _ in box]), upper=np.array([hi for _, hi in box]),
                 integer_mask=np.array([False, True, False]),
                 n_objectives=2, evaluate=evaluate)
-            result = optimize(problem, budget=int(cfg["budget"]),
-                              seed=seed + 10 * mi + oi,
-                              population=int(cfg["population"]),
-                              archive_size=int(cfg["archive"]))
+            result = optimize(problem, seed=seed + 10 * mi + oi, **cfg)
             for m in result.archive.members:
                 d_m, n_sc, c_r = float(m.x[0]), int(round(m.x[1])), float(m.x[2])
                 design = design_from_option(d_m, c_r, n_spacecraft=n_sc, option=option)
@@ -296,7 +280,8 @@ def _in_batches(rows_of, cells: list, threads: int) -> list:
     size, extra = divmod(len(cells), threads)
     cuts = [k * size + min(k, extra) for k in range(threads + 1)]
     chunks = [cells[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # one worker a chunk: a pool under fork starts all its workers at once
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return [row for rows in pool.map(rows_of, chunks) for row in rows]
 
 
@@ -311,16 +296,8 @@ def _map_rows(cells: list) -> list:
 
 def run_deflection_map(scenario: Scenario, seed: int | None = None,
                        threads: int = 1) -> ResultTable:
-    exp = dict(scenario.experiments.get("deflection_map", {}))
-    apertures = [float(a) for a in exp.get("apertures_m", [5.0, 10.0])]
-    c_r = float(exp.get("concentration_ratio", 5000.0))
-    option = exp.get("efficiency_option", "60/40")
-    n_list = [int(n) for n in exp.get("n_spacecraft", range(1, 11))]
-    if scenario.warning_times:
-        warnings = list(scenario.warning_times)
-    else:
-        warnings = [w * YEAR for w in exp.get("warning_times_yr", [1, 3, 5, 8, 12])]
-    modes = list(exp.get("modes", ["natural", "shaped"]))
+    exp = scenario.experiments["deflection_map"]
+    c_r, option = exp["concentration_ratio"], exp["efficiency_option"]
 
     ast = scenario.asteroid
     t_moid = resolve_encounter_epoch(scenario)
@@ -328,18 +305,18 @@ def run_deflection_map(scenario: Scenario, seed: int | None = None,
 
     tables = {}
     masses = {}
-    for aperture in apertures:
+    for aperture in exp["apertures_m"]:
         design1 = design_from_option(aperture, c_r, n_spacecraft=1, option=option)
         tables[aperture] = MdotTable.for_orbit(design1, ast, ast.elements0)
         masses[aperture] = mass_budget(design1, r_peri).m_total
 
     cells = []
-    for mode in modes:
+    for mode in exp["modes"]:
         formation = _fleet_formation(scenario, mode)
-        for aperture in apertures:
-            for n_sc in n_list:
+        for aperture in exp["apertures_m"]:
+            for n_sc in exp["n_spacecraft"]:
                 design = design_from_option(aperture, c_r, n_spacecraft=n_sc, option=option)
-                for warning in warnings:
+                for warning in (w * YEAR for w in exp["warning_times_yr"]):
                     dscn = DeflectionScenario(
                         ast=ast, design=design, earth=scenario.earth, m_sc=masses[aperture],
                         t_start=t_moid - warning, t_moid=t_moid, formation=formation,
@@ -438,16 +415,12 @@ def _sweep_rows(cells: list) -> list:
 
 def run_eccentricity_sweep(scenario: Scenario, seed: int | None = None,
                            threads: int = 1) -> ResultTable:
-    exp = dict(scenario.experiments.get("eccentricity_sweep", {}))
-    n_rp = int(exp.get("n_perihelion", 11))
-    n_ra = int(exp.get("n_aphelion", 11))
-    r_p_grid = np.linspace(0.5, 1.0, n_rp) * AU
-    r_a_grid = np.linspace(1.0, 2.0, n_ra) * AU
-    warning = float(exp.get("warning_yr", 9.0)) * YEAR
-    aperture = float(exp.get("aperture_m", 20.0))
-    c_r = float(exp.get("concentration_ratio", 5000.0))
-    n_sc = int(exp.get("n_spacecraft", 1))
-    option = exp.get("efficiency_option", "60/40")
+    exp = scenario.experiments["eccentricity_sweep"]
+    r_p_grid = np.linspace(0.5, 1.0, exp["n_perihelion"]) * AU
+    r_a_grid = np.linspace(1.0, 2.0, exp["n_aphelion"]) * AU
+    warning = exp["warning_yr"] * YEAR
+    aperture, c_r = exp["aperture_m"], exp["concentration_ratio"]
+    n_sc, option = exp["n_spacecraft"], exp["efficiency_option"]
 
     design = design_from_option(aperture, c_r, n_spacecraft=n_sc, option=option)
     template = scenario.asteroid

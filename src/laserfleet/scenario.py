@@ -1,9 +1,11 @@
 """Scenario ingestion: one JSON document drives every experiment.
 
-Every dimensioned quantity in the file carries an explicit unit string and
-is converted to SI at the boundary; a wrong or missing unit is a parse
-error, not a silent guess. The parsed scenario is frozen and hashed so
-result tables can name exactly what produced them.
+Every key a scenario may hold is declared once, in ``_SCENARIO``, with its
+kind, range and default. One walker reads a document against it: an unknown
+key, a wrong or missing unit or a value out of range is an error naming its
+dotted field; dimensioned quantities are converted to SI and defaults filled
+in. The parsed scenario is frozen and hashed so result tables can name
+exactly what produced them.
 """
 
 from __future__ import annotations
@@ -11,13 +13,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .constants import AU, DAY, YEAR
+from .constants import AU, DAY, MU_SUN, YEAR
 from .formation import (
+    DEFAULT_GAIN_CD,
+    DEFAULT_GAIN_K,
     SHAPED_BOUNDS_LOWER,
     SHAPED_BOUNDS_UPPER,
     NaturalOrbit,
@@ -29,6 +35,8 @@ from .sublimation import AsteroidModel
 
 SCHEMA = "laserfleet-scenario/1"
 AVOGADRO = 6.02214076e23
+MODES = ("natural", "shaped")
+REQUIRED = object()  # the default of a key every document must give
 
 
 class ScenarioError(ValueError):
@@ -42,108 +50,314 @@ _UNITS = {
     "yr": ("time", YEAR), "year": ("time", YEAR),
     "rad": ("angle", 1.0), "deg": ("angle", math.pi / 180.0),
     "rad/s": ("angular_rate", 1.0), "deg/s": ("angular_rate", math.pi / 180.0),
-    "kg": ("mass", 1.0),
+    "kg": ("mass", 1.0), "kg/mol": ("molar_mass", 1.0), "g/mol": ("molar_mass", 1e-3),
     "m^3/s^2": ("grav_param", 1.0), "km^3/s^2": ("grav_param", 1e9),
     "J/kg": ("specific_energy", 1.0), "MJ/kg": ("specific_energy", 1e6),
-    "K": ("temperature", 1.0),
-    "J/(kg K)": ("specific_heat", 1.0),
-    "W/(m K)": ("conductivity", 1.0),
-    "kg/m^3": ("density", 1.0),
+    "K": ("temperature", 1.0), "J/(kg K)": ("specific_heat", 1.0),
+    "W/(m K)": ("conductivity", 1.0), "kg/m^3": ("density", 1.0),
     "m/s": ("speed", 1.0), "km/s": ("speed", 1e3),
 }
 
+# ---------------------------------------------------------------------------
+# Kinds. Each gives a schema key: (read(node, where) -> value, default). The
+# default is a document fragment, read like a given value; None leaves an
+# absent key out of its block, and REQUIRED makes its absence an error.
+# ---------------------------------------------------------------------------
 
-def _quantity(node, dimension: str, where: str) -> float:
-    if not isinstance(node, dict) or "value" not in node or "unit" not in node:
-        raise ScenarioError(f"{where}: expected {{'value': ..., 'unit': ...}}")
-    unit = node["unit"]
-    if unit not in _UNITS:
-        raise ScenarioError(f"{where}: unknown unit {unit!r}")
-    dim, factor = _UNITS[unit]
-    if dim != dimension:
-        raise ScenarioError(f"{where}: unit {unit!r} is a {dim}, expected {dimension}")
+def _kind(check, expected: str, default):
+    def read(node, where):
+        if not check(node):
+            raise ScenarioError(f"{where}: expected {expected}, got {node!r}")
+        return node
+    return read, default
+
+
+def flag(default=REQUIRED):
+    return _kind(lambda v: type(v) is bool, "true or false", default)
+
+
+def text(default=REQUIRED):
+    return _kind(lambda v: type(v) is str, "a string", default)
+
+
+def choice(options, default=REQUIRED):
+    return _kind(lambda v: type(v) is str and v in options, f"one of {sorted(options)}",
+                 default)
+
+
+def count(low: int = 1, default=REQUIRED):
+    return _kind(lambda v: type(v) is int and v >= low, f"an integer >= {low}", default)
+
+
+def number(interval: str = "(-inf, inf)", default=REQUIRED):
+    """A plain number in ``interval``, such as ``"(0, inf)"`` or ``"[0, 1)"``;
+    a quantity reads its value through it with the unit's ``scale``."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+
+    def read(node, where, scale=float):
+        if type(node) not in (int, float):
+            raise ScenarioError(f"{where}: expected a plain number, got {node!r}")
+        try:
+            x = scale(node)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not (math.isfinite(x) and (lo < x or interval[0] == "[" and x == lo)
+                and (x < hi or interval[-1] == "]" and x == hi)):
+            raise ScenarioError(f"{where}: {x!r} outside {interval}")
+        return x
+    return read, default
+
+
+def quantity(dimension: str, interval: str = "(-inf, inf)", default=REQUIRED,
+             size: int | None = None):
+    """A ``{"value": ..., "unit": ...}`` object of ``dimension`` in SI, bounded by
+    ``interval``; ``size`` reads a list of that many values. A ``molecular_mass``
+    is a per-molecule mass in kg, or a molar mass in g/mol or kg/mol."""
+    read_number = number(interval)[0]
+    accepts = ("mass", "molar_mass") if dimension == "molecular_mass" else (dimension,)
+
+    def read(node, where):
+        if type(node) is not dict or node.keys() != {"value", "unit"}:
+            raise ScenarioError(f"{where}: expected {{'value': ..., 'unit': ...}}")
+        unit, value = node["unit"], node["value"]
+        if type(unit) is not str or unit not in _UNITS:
+            raise ScenarioError(f"{where}: unknown unit {unit!r}")
+        dim, factor = _UNITS[unit]
+        if dim not in accepts:
+            raise ScenarioError(f"{where}: unit {unit!r} is a {dim}, expected {dimension}")
+        per = AVOGADRO if dim == "molar_mass" else 1.0  # x * factor / 1.0 is exact
+
+        def si(v, at):
+            return read_number(v, at, lambda x: float(x) * factor / per)
+        if size is None:
+            return si(value, f"{where}.value")
+        if type(value) is not list or len(value) != size:
+            raise ScenarioError(f"{where}.value: expected a list of {size} numbers")
+        return tuple(si(v, f"{where}.value[{i}]") for i, v in enumerate(value))
+    return read, default
+
+
+def listof(item, default=REQUIRED, size: int | None = None, build=None):
+    """A non-empty list (of ``size`` entries, if given) of ``item``, as a tuple."""
+    def read(node, where):
+        if type(node) is not list or not node or size not in (None, len(node)):
+            raise ScenarioError(f"{where}: expected a list of {size or 'one or more'} entries")
+        return _built(build, tuple(item[0](v, f"{where}[{i}]") for i, v in enumerate(node)),
+                      where)
+    return read, default
+
+
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def block(fields: dict, default=REQUIRED, build=None):
+    """An object of the keys in ``fields``, as a read-only mapping, or what
+    ``build`` makes of it. A key outside ``fields`` is an error; absent keys
+    take their default."""
+    def read(node, where):
+        if type(node) is not dict:
+            raise ScenarioError(f"{where or 'top level'}: expected a JSON object")
+        out = {}
+        for key, (read_key, key_default) in fields.items():
+            at = _at(where, key)
+            if key in node:
+                out[key] = read_key(node[key], at)
+            elif key_default is REQUIRED:
+                raise ScenarioError(f"{at}: required")
+            elif key_default is not None:
+                out[key] = read_key(key_default, at)
+        unknown = [key for key in node if key not in fields]
+        if unknown:
+            raise ScenarioError(f"{_at(where, unknown[0])}: unknown key")
+        return _built(build, MappingProxyType(out), where)
+    return read, default
+
+
+def _built(build, value, where: str):
+    """``build(value)``, if given; its ValueError names the field."""
     try:
-        value = float(node["value"])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: non-numeric value") from exc
-    return value * factor
-
-
-def _molecular_mass(node, where: str) -> float:
-    """Accept a per-molecule mass in kg or a molar mass in g/mol / kg/mol."""
-    if not isinstance(node, dict) or "value" not in node or "unit" not in node:
-        raise ScenarioError(f"{where}: expected {{'value': ..., 'unit': ...}}")
-    unit, value = node["unit"], float(node["value"])
-    if unit == "kg":
-        return value
-    if unit == "kg/mol":
-        return value / AVOGADRO
-    if unit == "g/mol":
-        return value * 1e-3 / AVOGADRO
-    raise ScenarioError(f"{where}: unit {unit!r} not usable for a molecular mass")
-
-
-def _number(node, where: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ScenarioError(f"{where}: expected a plain number")
-    return float(node)
-
-
-def _count(node, where: str) -> int:
-    if not isinstance(node, int) or isinstance(node, bool) or node < 1:
-        raise ScenarioError(f"{where}: positive integer required")
-    return node
-
-
-def _flag(node, where: str) -> bool:
-    if not isinstance(node, bool):
-        raise ScenarioError(f"{where}: expected true or false")
-    return node
-
-
-def _bounds(lo, hi, where: str) -> tuple:
-    if lo > hi:
-        raise ScenarioError(f"{where}: min {lo} exceeds max {hi}")
-    return lo, hi
-
-
-def _pair(node, where: str, parse) -> tuple:
-    """A [min, max] list, each end read by ``parse``."""
-    if not (isinstance(node, list) and len(node) == 2):
-        raise ScenarioError(f"{where}: expected a [min, max] list")
-    return _bounds(parse(node[0], f"{where}[0]"), parse(node[1], f"{where}[1]"), where)
-
-
-def _angles(node: dict, where: str) -> OrbitalElements:
-    a = _quantity(node.get("semi_major_axis"), "length", f"{where}.semi_major_axis")
-    e = _number(node.get("eccentricity"), f"{where}.eccentricity")
-    inc = _quantity(node.get("inclination"), "angle", f"{where}.inclination")
-    raan = _quantity(node.get("raan"), "angle", f"{where}.raan")
-    argp = _quantity(node.get("arg_periapsis"), "angle", f"{where}.arg_periapsis")
-    epoch = _quantity(node["epoch"], "time", f"{where}.epoch") if "epoch" in node else 0.0
-
-    if "mean_anomaly" in node:
-        anomaly = _quantity(node["mean_anomaly"], "angle", f"{where}.mean_anomaly")
-        kind = "mean"
-    elif "true_anomaly" in node:
-        anomaly = _quantity(node["true_anomaly"], "angle", f"{where}.true_anomaly")
-        kind = "true"
-    else:
-        raise ScenarioError(f"{where}: need mean_anomaly or true_anomaly")
-    try:
-        return OrbitalElements(a=a, e=e, i=inc, raan=raan, argp=argp,
-                               anomaly=anomaly, anomaly_kind=kind, epoch=epoch)
+        return value if build is None else build(value)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DesignSpace:
-    """Fleet-design variable box (aperture m, spacecraft count, concentration)."""
+def _ordered(bounds) -> tuple:
+    if bounds[0] > bounds[1]:
+        raise ValueError(f"min {bounds[0]} exceeds max {bounds[1]}")
+    return tuple(bounds)
 
-    aperture: tuple[float, float] = (2.0, 20.0)
-    n_spacecraft: tuple[int, int] = (1, 10)
-    concentration: tuple[float, float] = (1000.0, 5000.0)
+
+# --- model objects built from parsed blocks ---------------------------------
+
+def _elements(v: Mapping) -> OrbitalElements:
+    if ("mean_anomaly" in v) == ("true_anomaly" in v):
+        raise ValueError("give one of mean_anomaly and true_anomaly")
+    kind = "mean" if "mean_anomaly" in v else "true"
+    return OrbitalElements(a=v["semi_major_axis"], e=v["eccentricity"], i=v["inclination"],
+                           raan=v["raan"], argp=v["arg_periapsis"],
+                           anomaly=v[f"{kind}_anomaly"], anomaly_kind=kind,
+                           epoch=v["epoch"])
+
+
+def _asteroid(v: Mapping) -> AsteroidModel:
+    return AsteroidModel(
+        elements0=v["elements"], mass0=v["mass"], mu=v["mu"], semi_axes=v["semi_axes"],
+        spin_rate=v["spin_rate"], albedo=v["albedo"], heat_capacity=v["heat_capacity"],
+        conductivity=v["conductivity"], density=v["density"],
+        t_sublimation=v["sublimation_temperature"], t_ambient=v["ambient_temperature"],
+        sublimation_enthalpy=v["sublimation_enthalpy"], molecular_mass=v["molar_mass"],
+        emissivity=v["emissivity"])
+
+
+def _earth(v: Mapping) -> tuple[BodyEphemeris, bool]:
+    """(ephemeris, circular?) of a keplerian or circular Earth."""
+    circular = v["kind"] == "circular"
+    need = "radius" if circular else "elements"
+    if v.keys() != {"kind", need}:
+        raise ValueError(f"kind {v['kind']} takes {need} and no other key")
+    elements = OrbitalElements(a=v["radius"], e=0.0, i=0.0, raan=0.0, argp=0.0,
+                               anomaly=0.0) if circular else v["elements"]
+    return BodyEphemeris(elements=elements, mu_central=MU_SUN), circular
+
+
+def _shaped(v: Mapping) -> ShapedOrbit:
+    coeffs = np.array([v[k] for k in _SHAPED_KEYS])
+    if np.any(coeffs < SHAPED_BOUNDS_LOWER - 1e-9) or \
+            np.any(coeffs > SHAPED_BOUNDS_UPPER + 1e-9):
+        raise ValueError("coefficients outside the design box")
+    return ShapedOrbit(coeffs=coeffs)
+
+
+def _formation(v: Mapping) -> Mapping:
+    if v["mode"] not in v:
+        raise ValueError(f"mode {v['mode']} but no {v['mode']} block")
+    return v
+
+
+# --- the schema ------------------------------------------------------------
+
+POSITIVE = "(0, inf)"
+_SHAPED_KEYS = ("x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2")
+_ELEMENTS = {
+    "semi_major_axis": quantity("length", POSITIVE),
+    "eccentricity": number("[0, 1)"),
+    "inclination": quantity("angle", f"[0, {math.pi!r}]"),
+    "raan": quantity("angle"),
+    "arg_periapsis": quantity("angle"),
+    "mean_anomaly": quantity("angle", default=None),
+    "true_anomaly": quantity("angle", default=None),
+    "epoch": quantity("time", default={"value": 0.0, "unit": "s"}),
+}
+
+_SCENARIO = block({
+    "schema": choice((SCHEMA,)),
+    "name": text(default="unnamed"),
+    "seed": count(low=0, default=0),
+    "notes": listof(text(), default=None),
+    "asteroid": block({
+        "name": text(default=None),
+        "elements": block(_ELEMENTS, build=_elements),
+        "mass": quantity("mass", POSITIVE),
+        "mu": quantity("grav_param", POSITIVE),
+        "semi_axes": quantity("length", POSITIVE, size=3),
+        "spin_rate": quantity("angular_rate", POSITIVE),
+        "albedo": number("[0, 1]"),
+        "heat_capacity": quantity("specific_heat", POSITIVE),
+        "conductivity": quantity("conductivity", POSITIVE),
+        "density": quantity("density", POSITIVE),
+        "sublimation_temperature": quantity("temperature", POSITIVE),
+        "ambient_temperature": quantity("temperature", POSITIVE),
+        "sublimation_enthalpy": quantity("specific_energy", POSITIVE),
+        "molar_mass": quantity("molecular_mass", POSITIVE),
+        "emissivity": number("(0, 1]", default=1.0),
+    }, build=_asteroid),
+    "earth": block({
+        "kind": choice(("keplerian", "circular")),
+        "elements": block(_ELEMENTS, default=None, build=_elements),
+        "radius": quantity("length", POSITIVE, default=None),
+    }, build=_earth),
+    "design": block({
+        "aperture_diameter": quantity("length", POSITIVE),
+        "concentration_ratio": number(POSITIVE),
+        "n_spacecraft": count(default=1),
+        "efficiency_option": choice(EFFICIENCY_OPTIONS, default="66/45"),
+        "array_flux_limit": number(POSITIVE, default=SpacecraftDesign.array_flux_limit),
+    }, build=lambda v: replace(
+        design_from_option(v["aperture_diameter"], v["concentration_ratio"],
+                           n_spacecraft=v["n_spacecraft"], option=v["efficiency_option"]),
+        array_flux_limit=v["array_flux_limit"])),
+    # the fleet-design search box: (min, max) of each variable
+    "design_space": block({
+        "aperture_diameter": block(
+            {"min": quantity("length", POSITIVE), "max": quantity("length", POSITIVE)},
+            default={"min": {"value": 2.0, "unit": "m"}, "max": {"value": 20.0, "unit": "m"}},
+            build=lambda v: _ordered((v["min"], v["max"]))),
+        "n_spacecraft": listof(count(), default=[1, 10], size=2, build=_ordered),
+        "concentration_ratio": listof(number(POSITIVE), default=[1000, 5000], size=2,
+                                      build=_ordered),
+    }, default={}),
+    "formation": block({
+        "mode": choice(MODES),
+        "y_limits": listof(quantity("length", POSITIVE), default=[
+            {"value": 500.0, "unit": "m"}, {"value": 1000.0, "unit": "m"}]),
+        "natural": block({
+            "de": number(),
+            **{k: quantity("angle") for k in ("di", "draan", "dargp", "dm")},
+        }, default=None, build=lambda v: NaturalOrbit(dk=np.array(
+            [v["de"], v["di"], v["draan"], v["dargp"], v["dm"]]))),
+        "shaped": block({k: quantity("length") for k in _SHAPED_KEYS},
+                        default=None, build=_shaped),
+    }, build=_formation),
+    "timing": block({
+        "moid_epoch": quantity("time", default={"value": 12.0, "unit": "yr"}),
+        "refine_encounter": flag(default=True),
+    }, default={}),
+    "control": block({
+        "isp": quantity("time", POSITIVE, default={"value": 2000.0, "unit": "s"}),
+        "gain_position": number(POSITIVE, default=DEFAULT_GAIN_K),
+        "gain_velocity": number(POSITIVE, default=DEFAULT_GAIN_CD),
+    }, default={}),
+    "model": block({
+        "scattering_factor": number("[0, 1]", default=2.0 / math.pi),
+    }, default={}),
+    # each study has its own optimizer settings; these override them
+    "optimizer": block({"population": count(default=None), "budget": count(default=None),
+                        "archive": count(low=2, default=None)}, default={}),
+    "experiments": block({
+        "formation_design": block({}, default={}),
+        "shaped_design": block({
+            "aperture_m": number(POSITIVE, default=20.0),
+            "n_spacecraft": count(default=10),
+            "duration_yr": number(POSITIVE, default=1.0),
+            "control_samples": count(low=2, default=512),
+            "efficiency_option": choice(EFFICIENCY_OPTIONS, default="66/45"),
+        }, default={}),
+        "fleet_design": block({
+            "warning_yr": number(POSITIVE, default=8.0),
+            "modes": listof(choice(MODES), default=list(MODES)),
+            "efficiency_options": listof(choice(EFFICIENCY_OPTIONS),
+                                         default=["60/40", "66/45"]),
+        }, default={}),
+        "deflection_map": block({
+            "apertures_m": listof(number(POSITIVE), default=[5.0, 10.0]),
+            "concentration_ratio": number(POSITIVE, default=5000.0),
+            "efficiency_option": choice(EFFICIENCY_OPTIONS, default="60/40"),
+            "n_spacecraft": listof(count(), default=list(range(1, 11))),
+            "warning_times_yr": listof(number("[0, inf)"), default=[1, 3, 5, 8, 12]),
+            "modes": listof(choice(MODES), default=list(MODES)),
+        }, default={}),
+        "eccentricity_sweep": block({
+            "n_perihelion": count(default=11),
+            "n_aphelion": count(default=11),
+            "warning_yr": number(POSITIVE, default=9.0),
+            "aperture_m": number(POSITIVE, default=20.0),
+            "concentration_ratio": number(POSITIVE, default=5000.0),
+            "n_spacecraft": count(default=1),
+            "efficiency_option": choice(EFFICIENCY_OPTIONS, default="60/40"),
+        }, default={}),
+    }, default={}),
+})
 
 
 @dataclass(frozen=True)
@@ -154,7 +368,7 @@ class Scenario:
     earth: BodyEphemeris
     earth_circular: bool
     design: SpacecraftDesign
-    design_space: DesignSpace
+    design_space: Mapping           # variable -> (min, max), aperture in m
     natural: NaturalOrbit | None
     shaped: ShapedOrbit | None
     mode: str                       # "natural" | "shaped"
@@ -165,13 +379,9 @@ class Scenario:
     scattering_factor: float
     moid_epoch: float               # s, virtual encounter epoch
     refine_encounter: bool
-    warning_times: tuple[float, ...]  # s
-    optimizer: dict
-    experiments: dict
+    optimizer: Mapping              # the optimizer keys the scenario gives
+    experiments: Mapping            # study name -> its settings, defaults filled
     sha256: str
-
-    def formation(self):
-        return self.natural if self.mode == "natural" else self.shaped
 
     def metadata(self) -> dict:
         """Open model parameters every result table must carry."""
@@ -187,222 +397,26 @@ class Scenario:
         }
 
 
-def _parse_asteroid(node: dict) -> AsteroidModel:
-    where = "asteroid"
-    if not isinstance(node, dict):
-        raise ScenarioError(f"{where}: missing section")
-    semi = node.get("semi_axes")
-    if not (isinstance(semi, dict) and isinstance(semi.get("value"), list)
-            and len(semi["value"]) == 3):
-        raise ScenarioError(f"{where}.semi_axes: expected 3-element value list")
-    unit = semi.get("unit")
-    if unit not in ("m", "km"):
-        raise ScenarioError(f"{where}.semi_axes: unit must be a length")
-    factor = _UNITS[unit][1]
-    axes = tuple(float(v) * factor for v in semi["value"])
-
-    try:
-        return AsteroidModel(
-            elements0=_angles(node.get("elements"), f"{where}.elements"),
-            mass0=_quantity(node.get("mass"), "mass", f"{where}.mass"),
-            mu=_quantity(node.get("mu"), "grav_param", f"{where}.mu"),
-            semi_axes=axes,
-            spin_rate=_quantity(node.get("spin_rate"), "angular_rate", f"{where}.spin_rate"),
-            albedo=_number(node.get("albedo"), f"{where}.albedo"),
-            heat_capacity=_quantity(node.get("heat_capacity"), "specific_heat",
-                                    f"{where}.heat_capacity"),
-            conductivity=_quantity(node.get("conductivity"), "conductivity",
-                                   f"{where}.conductivity"),
-            density=_quantity(node.get("density"), "density", f"{where}.density"),
-            t_sublimation=_quantity(node.get("sublimation_temperature"), "temperature",
-                                    f"{where}.sublimation_temperature"),
-            t_ambient=_quantity(node.get("ambient_temperature"), "temperature",
-                                f"{where}.ambient_temperature"),
-            sublimation_enthalpy=_quantity(node.get("sublimation_enthalpy"),
-                                           "specific_energy",
-                                           f"{where}.sublimation_enthalpy"),
-            molecular_mass=_molecular_mass(node.get("molar_mass"), f"{where}.molar_mass"),
-            emissivity=_number(node.get("emissivity", 1.0), f"{where}.emissivity"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def _parse_earth(node: dict) -> tuple[BodyEphemeris, bool]:
-    from .constants import MU_SUN
-
-    where = "earth"
-    if not isinstance(node, dict) or "kind" not in node:
-        raise ScenarioError(f"{where}: need kind 'keplerian' or 'circular'")
-    if node["kind"] == "circular":
-        radius = _quantity(node.get("radius"), "length", f"{where}.radius")
-        elements = OrbitalElements(a=radius, e=0.0, i=0.0, raan=0.0, argp=0.0,
-                                   anomaly=0.0, anomaly_kind="mean", epoch=0.0)
-        return BodyEphemeris(elements=elements, mu_central=MU_SUN), True
-    if node["kind"] == "keplerian":
-        return BodyEphemeris(elements=_angles(node.get("elements"), f"{where}.elements"),
-                             mu_central=MU_SUN), False
-    raise ScenarioError(f"{where}.kind: unknown {node['kind']!r}")
-
-
-def _parse_design(node: dict) -> SpacecraftDesign:
-    where = "design"
-    if not isinstance(node, dict):
-        raise ScenarioError(f"{where}: missing section")
-    option = node.get("efficiency_option", "66/45")
-    if option not in EFFICIENCY_OPTIONS:
-        raise ScenarioError(f"{where}.efficiency_option: choose from "
-                            f"{sorted(EFFICIENCY_OPTIONS)}")
-    n_sc = _count(node.get("n_spacecraft", 1), f"{where}.n_spacecraft")
-    try:
-        design = design_from_option(
-            aperture_diameter=_quantity(node.get("aperture_diameter"), "length",
-                                        f"{where}.aperture_diameter"),
-            concentration_ratio=_number(node.get("concentration_ratio"),
-                                        f"{where}.concentration_ratio"),
-            n_spacecraft=n_sc, option=option)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-    flux = node.get("array_flux_limit")
-    if flux is not None:
-        from dataclasses import replace
-        design = replace(design, array_flux_limit=_number(flux, f"{where}.array_flux_limit"))
-    return design
-
-
-def _parse_formation(node: dict) -> tuple[str, NaturalOrbit | None, ShapedOrbit | None]:
-    where = "formation"
-    if not isinstance(node, dict) or "mode" not in node:
-        raise ScenarioError(f"{where}: need mode 'natural' or 'shaped'")
-    mode = node["mode"]
-    natural = shaped = None
-
-    nat_node = node.get("natural")
-    if nat_node is not None:
-        dk = np.array([
-            _number(nat_node.get("de"), f"{where}.natural.de"),
-            _quantity(nat_node.get("di"), "angle", f"{where}.natural.di"),
-            _quantity(nat_node.get("draan"), "angle", f"{where}.natural.draan"),
-            _quantity(nat_node.get("dargp"), "angle", f"{where}.natural.dargp"),
-            _quantity(nat_node.get("dm"), "angle", f"{where}.natural.dm"),
-        ])
-        natural = NaturalOrbit(dk=dk)
-
-    shp_node = node.get("shaped")
-    if shp_node is not None:
-        coeffs = np.array([_quantity(shp_node.get(k), "length", f"{where}.shaped.{k}")
-                           for k in ("x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2")])
-        if np.any(coeffs < SHAPED_BOUNDS_LOWER - 1e-9) or \
-                np.any(coeffs > SHAPED_BOUNDS_UPPER + 1e-9):
-            raise ScenarioError(f"{where}.shaped: coefficients outside the design box")
-        shaped = ShapedOrbit(coeffs=coeffs)
-
-    if mode == "natural" and natural is None:
-        raise ScenarioError(f"{where}: mode natural but no natural block")
-    if mode == "shaped" and shaped is None:
-        raise ScenarioError(f"{where}: mode shaped but no shaped block")
-    if mode not in ("natural", "shaped"):
-        raise ScenarioError(f"{where}.mode: unknown {mode!r}")
-    return mode, natural, shaped
-
-
-def _section(doc: dict, key: str) -> dict:
-    """An optional top-level object; absent means empty."""
-    node = doc.get(key, {})
-    if not isinstance(node, dict):
-        raise ScenarioError(f"{key}: expected an object")
-    return node
-
-
-def _parse_design_space(node: dict) -> DesignSpace:
-    where = "design_space"
-    space = DesignSpace()
-    aperture = space.aperture
-    if "aperture_diameter" in node:
-        ap = node["aperture_diameter"]
-        if not isinstance(ap, dict):
-            raise ScenarioError(f"{where}.aperture_diameter: expected {{'min': ..., 'max': ...}}")
-        aperture = _bounds(*(_quantity(ap.get(k), "length", f"{where}.aperture_diameter.{k}")
-                             for k in ("min", "max")), f"{where}.aperture_diameter")
-    return DesignSpace(
-        aperture=aperture,
-        n_spacecraft=_pair(node.get("n_spacecraft", list(space.n_spacecraft)),
-                           f"{where}.n_spacecraft", _count),
-        concentration=_pair(node.get("concentration_ratio", list(space.concentration)),
-                            f"{where}.concentration_ratio", _number),
-    )
-
-
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    text = path.read_bytes()
+    data = path.read_bytes()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data)
+    except ValueError as exc:  # malformed JSON, bad UTF-8, an over-long integer
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_scenario(doc, sha256=hashlib.sha256(text).hexdigest())
+    return parse_scenario(doc, sha256=hashlib.sha256(data).hexdigest())
 
 
 def parse_scenario(doc: dict, sha256: str = "") -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"top level: expected a JSON object, got {type(doc).__name__}")
-    if doc.get("schema") != SCHEMA:
-        raise ScenarioError(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ScenarioError("seed: non-negative integer required")
-
-    asteroid = _parse_asteroid(doc.get("asteroid"))
-    earth, circular = _parse_earth(doc.get("earth"))
-    design = _parse_design(doc.get("design"))
-    mode, natural, shaped = _parse_formation(doc.get("formation"))
-
-    timing = _section(doc, "timing")
-    moid_epoch = _quantity(timing.get("moid_epoch"), "time", "timing.moid_epoch") \
-        if "moid_epoch" in timing else 12.0 * YEAR
-    warning = tuple(_quantity(w, "time", "timing.warning_times[]")
-                    for w in timing.get("warning_times", []))
-
-    control = _section(doc, "control")
-    isp = _quantity(control.get("isp"), "time", "control.isp") if "isp" in control \
-        else 2000.0
-    gain_k = _number(control.get("gain_position", 1e-6), "control.gain_position")
-    gain_cd = _number(control.get("gain_velocity", 1e-5), "control.gain_velocity")
-
-    model = _section(doc, "model")
-    scattering = _number(model.get("scattering_factor", 2.0 / math.pi),
-                         "model.scattering_factor")
-
-    space = _parse_design_space(_section(doc, "design_space"))
-
-    formation_node = doc.get("formation", {})
-    y_limits = tuple(_quantity(y, "length", "formation.y_limits[]")
-                     for y in formation_node.get("y_limits", []))
-    if not y_limits:
-        y_limits = (500.0, 1000.0)
-
+    v = _SCENARIO[0](doc, "")
+    earth, circular = v["earth"]
+    formation, timing, control = v["formation"], v["timing"], v["control"]
     return Scenario(
-        name=str(doc.get("name", "unnamed")),
-        seed=seed,
-        asteroid=asteroid,
-        earth=earth,
-        earth_circular=circular,
-        design=design,
-        design_space=space,
-        natural=natural,
-        shaped=shaped,
-        mode=mode,
-        y_limits=y_limits,
-        isp=isp,
-        gain_position=gain_k,
-        gain_velocity=gain_cd,
-        scattering_factor=scattering,
-        moid_epoch=moid_epoch,
-        refine_encounter=_flag(timing.get("refine_encounter", True),
-                               "timing.refine_encounter"),
-        warning_times=warning,
-        optimizer=dict(_section(doc, "optimizer")),
-        experiments=dict(_section(doc, "experiments")),
-        sha256=sha256,
-    )
-
+        name=v["name"], seed=v["seed"], asteroid=v["asteroid"], earth=earth,
+        earth_circular=circular, design=v["design"], design_space=v["design_space"],
+        natural=formation.get("natural"), shaped=formation.get("shaped"),
+        mode=formation["mode"], y_limits=formation["y_limits"], isp=control["isp"],
+        gain_position=control["gain_position"], gain_velocity=control["gain_velocity"],
+        scattering_factor=v["model"]["scattering_factor"],
+        moid_epoch=timing["moid_epoch"], refine_encounter=timing["refine_encounter"],
+        optimizer=v["optimizer"], experiments=v["experiments"], sha256=sha256)

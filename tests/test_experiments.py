@@ -130,10 +130,10 @@ def test_sweep_cell_refinement_oracle(sweep_scenario):
 
 def test_sweep_matches_inline_recipe(sweep_scenario):
     """The experiment's cell evaluation is reproducible from the public API."""
-    small = dataclasses.replace(sweep_scenario)
-    small.experiments["eccentricity_sweep"] = dict(
-        sweep_scenario.experiments["eccentricity_sweep"],
-        n_perihelion=2, n_aphelion=2)
+    exp = sweep_scenario.experiments
+    small = dataclasses.replace(sweep_scenario, experiments=exp | {
+        "eccentricity_sweep": exp["eccentricity_sweep"] | {"n_perihelion": 2,
+                                                           "n_aphelion": 2}})
     table = run_eccentricity_sweep(small)
     assert len(table.rows) == 4
     cols = [c[0] for c in table.columns]

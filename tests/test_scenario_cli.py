@@ -1,17 +1,27 @@
+import copy
+import dataclasses
 import json
 import math
+import os
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from laserfleet.cli import main
+import laserfleet.cli as cli_mod
+import laserfleet.experiments as experiments_mod
+from laserfleet.cli import build_parser, main
 from laserfleet.constants import AU
 from laserfleet.results import ResultTable
 from laserfleet.scenario import ScenarioError, load_scenario, parse_scenario
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "apophis_nominal.json"
 SWEEP = Path(__file__).resolve().parents[1] / "scenarios" / "eccentricity_sweep.json"
+GOLDEN = Path(__file__).with_name("scenario_parse_golden.json")
 
 
 def nominal_doc():
@@ -166,9 +176,21 @@ def _drop_aperture_min(doc):
     return doc
 
 
-def _set(section, key, value):
+def _put(field, value):
+    """Set the dotted ``field`` of the document to ``value``."""
+    *path, key = field.split(".")
+
     def edit(doc):
-        doc[section][key] = value
+        reduce(getitem, path, doc)[key] = value
+        return doc
+    return edit
+
+
+def _drop(field):
+    *path, key = field.split(".")
+
+    def edit(doc):
+        del reduce(getitem, path, doc)[key]
         return doc
     return edit
 
@@ -176,17 +198,56 @@ def _set(section, key, value):
 @pytest.mark.parametrize("edit, field", [
     (_as_array, "top level"),
     (_drop_aperture_min, "design_space.aperture_diameter.min"),
-    (_set("design_space", "concentration_ratio", ["a", 2]),
+    (_put("design_space.concentration_ratio", ["a", 2]),
      "design_space.concentration_ratio[0]"),
-    (_set("design_space", "n_spacecraft", [10, 1]), "design_space.n_spacecraft"),
-    (_set("timing", "refine_encounter", "no"), "timing.refine_encounter"),
-], ids=["array", "aperture_min", "concentration", "n_spacecraft_order", "refine_flag"])
+    (_put("design_space.n_spacecraft", [10, 1]), "design_space.n_spacecraft"),
+    (_put("timing.refine_encounter", "no"), "timing.refine_encounter"),
+    (_drop("asteroid.elements"), "asteroid.elements"),
+    (_put("formation.natural", 5), "formation.natural"),
+    (_put("formation.y_limits", 3), "formation.y_limits"),
+    (_put("asteroid.semi_axes", {"value": ["a", 1, 2], "unit": "m"}), "asteroid.semi_axes"),
+    (_put("experiments.deflection_map.apertures_m", "x"),
+     "experiments.deflection_map.apertures_m"),
+    (_put("experiments.fleet_design.warning_yr", "soon"),
+     "experiments.fleet_design.warning_yr"),
+    (_put("timing.refine_encounterr", True), "timing.refine_encounterr"),
+    (_put("experiments.deflection_map.aperturez_m", [5.0]),
+     "experiments.deflection_map.aperturez_m"),
+    (_put("control.gain_position", -1.0), "control.gain_position"),
+    (_put("model.scattering_factor", -0.5), "model.scattering_factor"),
+    (_drop("asteroid.elements.mean_anomaly"), "asteroid.elements"),
+    (_put("asteroid.semi_axes", {"value": [95.0, 135.0, 191.0], "unit": "m"}), "asteroid"),
+    (_put("optimizer.archive", 1), "optimizer.archive"),
+], ids=["array", "aperture_min", "concentration", "n_spacecraft_order", "refine_flag",
+        "no_elements", "natural_number", "y_limits_number", "semi_axes_text",
+        "apertures_text", "warning_text", "refine_misspelt", "apertures_misspelt",
+        "negative_gain", "negative_scattering", "no_anomaly", "axes_order",
+        "archive_of_one"])
 def test_cli_malformed_scenario_names_field(edit, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(nominal_doc())))
     assert main(["--scenario", str(path), "--out", str(tmp_path),
                  "deflection-map"]) == 1
     assert f"scenario error: {field}" in capsys.readouterr().err
+
+
+def test_cli_budget_below_population_names_field(tmp_path, capsys):
+    doc = nominal_doc()
+    doc["optimizer"] = {"population": 8, "budget": 4}
+    path = tmp_path / "small_budget.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path), "shaped-design"]) == 1
+    assert "scenario error: optimizer.budget" in capsys.readouterr().err
+
+
+def test_cli_study_mode_needs_its_formation_block(tmp_path, capsys):
+    doc = nominal_doc()
+    del doc["formation"]["shaped"]
+    doc["experiments"]["fleet_design"]["modes"] = ["shaped"]
+    path = tmp_path / "no_shaped.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path), "fleet-design"]) == 1
+    assert "scenario error: formation.shaped" in capsys.readouterr().err
 
 
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -238,6 +299,44 @@ def test_cli_seed_override_changes_nothing_for_grid(tmp_path):
                  "deflection-map"]) == 0
     meta = json.loads((out / "deflection_map.meta.json").read_text())
     assert meta["seed"] == 7
+
+
+@pytest.mark.parametrize("threads, ok", [
+    ("1", True), ("4", True), ("0", False), ("-1", False), ("5", False),
+    ("5000", False), ("two", False)])
+def test_cli_threads_bounded_by_cpu_count(threads, ok, monkeypatch):
+    # parse only: no pool is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ["--threads", threads, "validate"]
+    if ok:
+        assert build_parser().parse_args(argv).threads == int(threads)
+    else:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
+def test_worker_pool_sized_from_chunks(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Stands in for the process pool; runs the chunks in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(experiments_mod, "ProcessPoolExecutor", InlinePool)
+    rows = experiments_mod._in_batches(lambda cells: [c * 10 for c in cells], [1, 2, 3], 4)
+    assert rows == [10, 20, 30]
+    assert started == [3]  # one worker per non-empty chunk, not one per thread
 
 
 def test_cli_threads_reproduce_sequential(tmp_path):
@@ -296,3 +395,95 @@ def test_sweep_scenario_loads():
     sc = load_scenario(SWEEP)
     assert sc.earth_circular
     assert sc.mode == "shaped"
+
+
+# ---------------------------------------------------------------------------
+# Schema: goldens of the shipped scenarios and mutated documents
+# ---------------------------------------------------------------------------
+
+def _reprs(x):
+    """Leaves as ``repr`` strings: floats compare bit for bit, and an int
+    never passes for a float."""
+    if isinstance(x, np.ndarray):
+        return _reprs(x.tolist())
+    if isinstance(x, (list, tuple)):
+        return [_reprs(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _reprs(v) for k, v in x.items()}
+    if dataclasses.is_dataclass(x):
+        return {f.name: _reprs(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    return repr(x)
+
+
+@pytest.mark.parametrize("name", ["apophis_nominal", "eccentricity_sweep"])
+def test_shipped_scenarios_parse_to_golden(name):
+    """Every parsed field, the metadata and each study's settings after
+    defaults, as the parser before the schema table gave them (numbers as
+    floats, counts as ints)."""
+    sc = load_scenario(SCENARIO.with_name(f"{name}.json"))
+    got = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)
+           if f.name not in ("sha256", "earth", "natural", "shaped", "design_space",
+                             "optimizer", "experiments")}
+    got |= {"earth": sc.earth, "natural": None if sc.natural is None else sc.natural.dk,
+            "shaped": None if sc.shaped is None else sc.shaped.coeffs,
+            "design_space": dict(sc.design_space), "optimizer": dict(sc.optimizer),
+            "metadata": sc.metadata(),
+            "studies": {k: dict(v) for k, v in sc.experiments.items()}}
+    assert _reprs(got) == json.loads(GOLDEN.read_text())[name]
+
+
+DOCS = [json.loads(p.read_text()) for p in (SCENARIO, SWEEP)]
+UNITS = ["m", "km", "AU", "s", "yr", "deg", "rad", "deg/s", "kg", "g/mol", "kg/mol",
+         "km^3/s^2", "K", "MJ/kg", "kg/m^3", "furlong", ""]
+VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**400, 10**400), st.floats(),
+    st.text(max_size=6), st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["value", "unit", "min", "max"]),
+                    st.one_of(st.floats(), st.sampled_from(UNITS)), max_size=2))
+
+
+def _nodes(node, path=()):
+    """``(path, node)`` of every object and list in a document, the root first."""
+    yield path, node
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(child, (dict, list)):
+            yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A shipped document with one key dropped, retyped or re-unitted, or
+    one key added."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+    _, node = draw(st.sampled_from(list(_nodes(doc))))
+    action = draw(st.sampled_from(["drop", "retype", "unit", "add"]))
+    if action == "add" or not node:
+        if isinstance(node, dict):
+            node[draw(st.text(min_size=1, max_size=12))] = draw(VALUES)
+        else:
+            node.append(draw(VALUES))
+        return doc
+    key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    if action == "drop":
+        del node[key]
+    elif action == "unit" and isinstance(node, dict) and "unit" in node:
+        node["unit"] = draw(st.sampled_from(UNITS))
+    else:
+        node[key] = draw(VALUES)
+    return doc
+
+
+@settings(max_examples=1000, deadline=None)
+@given(doc=mutated_documents())
+def test_mutated_scenario_is_parsed_or_named_never_a_crash(doc, tmp_path_factory):
+    try:
+        parse_scenario(doc)
+    except ScenarioError:
+        pass
+    work = tmp_path_factory.mktemp("mutated")
+    path = work / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_mod, "run_deflection_map",
+                   lambda *a, **k: ResultTable(name="stub", columns=[("x", "")]))
+        assert main(["--scenario", str(path), "--out", str(work), "deflection-map"]) != 2
