@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import AU, MU_SUN, YEAR
 from .deflection import (
@@ -38,6 +37,7 @@ from .formation import (
     SHAPED_BOUNDS_UPPER,
     ShapedControlContext,
     ShapedOrbit,
+    _minimize_bounded,
     natural_family_label,
     natural_orbit_objectives,
     shaped_feasibility,
@@ -87,9 +87,8 @@ def resolve_encounter_epoch(scenario: Scenario) -> float:
     idx = int(np.argmin(seps))
     lo = times[max(idx - 1, 0)]
     hi = times[min(idx + 1, len(times) - 1)]
-    res = minimize_scalar(separation, bounds=(float(lo), float(hi)),
-                          method="bounded", options={"xatol": 1.0})
-    return float(res.x)
+    t_min, _ = _minimize_bounded(separation, float(lo), float(hi), xatol=1.0)
+    return t_min
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import batch
 from .constants import G0, MU_SUN, TWO_PI
@@ -35,6 +34,7 @@ from .orbits import (
     flight_path_angle,
     linear_proximal_position,
     mean_to_true,
+    proximal_relation,
     rk4_step,
 )
 from .plume import (
@@ -329,10 +329,11 @@ def sweep_extremum(f, n_sweep: int = 720, refine: bool = True,
                    ) -> tuple[float, float]:
     """Extremum of a scalar function of nu over one revolution.
 
-    Dense sweep followed by a bounded golden-section refinement around the
+    Dense sweep followed by Brent's bounded search (golden-section and
+    parabolic steps, ``_minimize_bounded``) within one grid step of the
     incumbent grid point. ``f`` must accept a scalar or an array; a caller
     that has ``f`` on ``sweep_grid(n_sweep)`` already passes those
-    ``values``, and ``f`` then sees scalars only.
+    ``values``, and ``f`` then sees floats only.
     """
     nus = sweep_grid(n_sweep)
     vals = np.asarray(f(nus) if values is None else values, dtype=float)
@@ -343,13 +344,97 @@ def sweep_extremum(f, n_sweep: int = 720, refine: bool = True,
 
     h = TWO_PI / n_sweep
     sign = -1.0 if maximize else 1.0
-    res = minimize_scalar(lambda nu: sign * float(f(nu)),
-                          bounds=(nu_best - h, nu_best + h), method="bounded",
-                          options={"xatol": 1e-10})
-    refined = sign * float(res.fun)  # back to the caller's sign convention
+    nu, fun = _minimize_bounded(lambda nu: sign * float(f(nu)),
+                                nu_best - h, nu_best + h, xatol=1e-10)
+    refined = sign * fun  # back to the caller's sign convention
     if sign * refined < sign * val_best:
-        return float(res.x) % TWO_PI, refined
+        return nu % TWO_PI, refined
     return nu_best, val_best
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAXFUN = 500
+
+
+def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """(x, func(x)) at the minimum of a float function on [lo, hi].
+
+    Brent's bounded search as scipy runs it for
+    ``minimize_scalar(method="bounded")``: a float-only port of
+    ``scipy.optimize._optimize._minimize_scalar_bounded`` with the same
+    golden and parabolic steps, tolerances and 500-evaluation cap, and the
+    same arithmetic in the same order, so it returns scipy's ``x`` and
+    ``fun`` to the bit. ``abs``, ``max`` and a float sign replace
+    ``np.abs``, ``np.maximum`` and ``np.sign``, which cost more than the
+    step itself on one number.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = -tol1 if xm - xf < 0.0 else tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+
+        # rat is finite here, so np.sign(rat) + (rat == 0) is -1 or +1
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+
+    return xf, fx
 
 
 def hill_to_tangential(pos: np.ndarray, gamma: float) -> np.ndarray:
@@ -378,30 +463,28 @@ def natural_orbit_objectives(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
     the velocity-aligned frame. C: clearance of |y| above the y_lim
     stand-off (feasible when positive).
     """
-    dk = np.asarray(dk, dtype=float)
-    pos = linear_proximal_position(k_a, dk, sweep_grid(n_sweep))
+    position = proximal_relation(k_a, dk)
+    x, y, z = position(sweep_grid(n_sweep))
     cos_g, sin_g = _sweep_flight_path(k_a.e, n_sweep)
 
-    # the grid takes the rows of ``pos``; the refinements take one float
-    # sample at a time
+    # the grid takes columns; the refinements take one float sample at a time
     def dist(nu):
-        x, y, z = linear_proximal_position(k_a, dk, nu).tolist()
+        x, y, z = position(nu)
         return math.sqrt(x * x + y * y + z * z)  # np.linalg.norm's order
 
     def abs_y(nu):
-        return abs(float(linear_proximal_position(k_a, dk, nu)[1]))
+        return abs(position(nu)[1])
 
     def plume_angle(nu):
         g = flight_path_angle(k_a.e, nu)
-        return _plume_axis_angle(linear_proximal_position(k_a, dk, nu),
-                                 float(np.cos(g)), float(np.sin(g)))
+        return _plume_axis_angle(*position(nu), float(np.cos(g)), float(np.sin(g)))
 
     _, j1 = sweep_extremum(dist, n_sweep, refine, maximize=True,
-                           values=np.linalg.norm(pos, axis=-1))
+                           values=np.linalg.norm(batch.vector(x, y, z), axis=-1))
     _, min_angle = sweep_extremum(plume_angle, n_sweep, refine, maximize=False,
-                                  values=_plume_axis_angle(pos, cos_g, sin_g))
+                                  values=_plume_axis_angle(x, y, z, cos_g, sin_g))
     _, min_abs_y = sweep_extremum(abs_y, n_sweep, refine, maximize=False,
-                                  values=np.abs(pos[:, 1]))
+                                  values=np.abs(y))
 
     return {"J1": j1, "J2": -min_angle, "C": min_abs_y - y_lim}
 
@@ -415,21 +498,22 @@ def _sweep_flight_path(e: float, n_sweep: int) -> tuple[np.ndarray, np.ndarray]:
     return cos_g, sin_g
 
 
-def _plume_axis_angle(pos: np.ndarray, cos_g, sin_g):
+def _plume_axis_angle(x, y, z, cos_g, sin_g):
     """Angle of a Hill position from the plume axis, which runs along the velocity.
 
-    ``pos`` is a 3-vector with float ``cos_g``, ``sin_g`` of the flight-path
-    angle, or an (N, 3) batch with one angle per row. On the axis itself
-    (no lateral offset and no offset along it) the angle is 0.
+    ``x``, ``y``, ``z`` are one position's floats with float ``cos_g``,
+    ``sin_g`` of the flight-path angle, or the columns of a batch with one
+    angle per row. On the axis itself (no lateral offset and no offset
+    along it) the angle is 0.
     """
-    x, y, z = batch.components(pos)
     x_t = x * cos_g - y * sin_g
     y_t = x * sin_g + y * cos_g
-    lateral = batch.xp(x_t).sqrt(x_t * x_t + z * z)
-    if pos.ndim == 1:
+    if not isinstance(x_t, np.ndarray):
+        lateral = math.sqrt(x_t * x_t + z * z)
         if y_t == 0.0:  # lateral / (+-0) is +-inf, or NaN on the axis
             return 0.0 if lateral == 0.0 else float(np.arctan(math.copysign(math.inf, y_t)))
         return float(np.arctan(lateral / y_t))
+    lateral = np.sqrt(x_t * x_t + z * z)
     with np.errstate(divide="ignore", invalid="ignore"):
         ang = np.arctan(lateral / y_t)
     return np.where(np.isnan(ang), 0.0, ang)

@@ -540,39 +540,53 @@ def delta_m_at_moid(integral: float, t0: float, ti: float, t_moid: float,
 # Linearised proximal motion
 # ---------------------------------------------------------------------------
 
-def linear_proximal_position(k_a: OrbitalElements, dk: np.ndarray, nu: float) -> np.ndarray:
-    """Hill-frame position of a neighbouring orbit, first order in the deltas.
+def proximal_relation(k_a: OrbitalElements, dk: np.ndarray):
+    """Hill-frame position of a neighbouring orbit, first order in the deltas,
+    as a function of the true anomaly.
 
     ``dk`` = [de, di, draan, dargp, dM]; the semi-major-axis delta is zero by
-    construction so the relative motion is periodic in nu. ``nu`` is a float,
-    giving a 3-vector, or an array, giving one row per anomaly.
+    construction so the relative motion is periodic in nu. The function
+    takes a float nu, giving floats (x, y, z), or an array, giving three
+    columns with one row per anomaly.
 
     One sample runs on floats but keeps numpy's sin and cos, and squares by
     a product as numpy does, so it gives the bits of its row in a batch.
+    The factors that do not depend on nu are taken once, each the product
+    the expression would form first, so the bits do not change.
     """
     dk = np.asarray(dk, dtype=float)
     if dk.shape != (5,):
         raise ValueError("dk must be [de, di, draan, dargp, dM]")
     de, di, draan, dargp, dm = dk.tolist()
 
-    a, e, i = k_a.a, k_a.e, k_a.i
+    a, e, argp = k_a.a, k_a.e, k_a.argp
     eta = math.sqrt(1.0 - e * e)
-    theta = nu + k_a.argp
-    cos_nu, sin_nu = np.cos(nu), np.sin(nu)
-    cos_th, sin_th = np.cos(theta), np.sin(theta)
-    if not isinstance(nu, np.ndarray):
-        cos_nu, sin_nu, cos_th, sin_th = (float(cos_nu), float(sin_nu),
-                                          float(cos_th), float(sin_th))
-    q = 1.0 + e * cos_nu
-    r = a * eta**2 / q
+    a_e, a_eta2, eta2, eta3 = a * e, a * eta**2, eta**2, eta**3
+    cos_i, sin_i = math.cos(k_a.i), math.sin(k_a.i)
 
-    x = (a * e * sin_nu / eta) * dm - a * cos_nu * de
-    y = (r / eta**3) * (q * q) * dm + r * dargp \
-        + (r * sin_nu / eta**2) * (2.0 + e * cos_nu) * de \
-        + r * math.cos(i) * draan
-    z = r * (sin_th * di - cos_th * math.sin(i) * draan)
+    def position(nu):
+        theta = nu + argp
+        cos_nu, sin_nu = np.cos(nu), np.sin(nu)
+        cos_th, sin_th = np.cos(theta), np.sin(theta)
+        if not isinstance(nu, np.ndarray):
+            cos_nu, sin_nu, cos_th, sin_th = (float(cos_nu), float(sin_nu),
+                                              float(cos_th), float(sin_th))
+        q = 1.0 + e * cos_nu
+        r = a_eta2 / q
+        x = (a_e * sin_nu / eta) * dm - a * cos_nu * de
+        y = (r / eta3) * (q * q) * dm + r * dargp \
+            + (r * sin_nu / eta2) * (2.0 + e * cos_nu) * de \
+            + r * cos_i * draan
+        z = r * (sin_th * di - cos_th * sin_i * draan)
+        return x, y, z
 
-    return batch.vector(x, y, z)
+    return position
+
+
+def linear_proximal_position(k_a: OrbitalElements, dk: np.ndarray, nu: float) -> np.ndarray:
+    """Hill-frame position of a neighbouring orbit (``proximal_relation``):
+    a 3-vector for a float ``nu``, or one row per anomaly for an array."""
+    return batch.vector(*proximal_relation(k_a, dk)(nu))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from laserfleet.formation import (
     _plume_axis_angle,
     gravity_gradient,
     shaped_control_accel,
+    sweep_grid,
 )
 from laserfleet.orbits import (
     flight_path_angle,
@@ -127,16 +128,21 @@ def test_one_sample_norm_is_numpys(rng):
 
 def test_proximal_position_sample_is_its_row(ast, rng):
     """The sweep refines on one float anomaly and compares it with the grid,
-    so a sample must equal its row exactly, not to a tolerance."""
+    so a sample must equal its row exactly, not to a tolerance: by repr, for
+    the sign of zero, on the sweep grid and off it."""
     lo = np.array([-0.01, -0.1, -0.9, -1.5, -0.1]) * 1e-7
     hi = np.array([0.0, 0.1, 0.9, 1.5, 0.5]) * 1e-7
-    nu = rng.uniform(-1.0, 7.3, 2000)
-    for _ in range(10):
-        dk = lo + rng.random(5) * (hi - lo)
+    nu = np.concatenate([sweep_grid(720), rng.uniform(-1.0, 7.3, 2000),
+                         [-0.0, math.pi, TWO_PI, -TWO_PI, 1e-300, 100.0]])
+    # no deltas and an out-of-plane tilt alone give signed zeros
+    dks = [np.zeros(5), np.array([0.0, 1e-8, 0.0, 0.0, 0.0])]
+    dks += [lo + rng.random(5) * (hi - lo) for _ in range(10)]
+    for dk in dks:
         rows = orbits.linear_proximal_position(ast.elements0, dk, nu)
         one = _rows(lambda v: orbits.linear_proximal_position(ast.elements0, dk, v),
                     nu.tolist())
-        assert np.array_equal(rows, one)
+        assert [repr(v) for v in rows.ravel().tolist()] == \
+            [repr(v) for v in one.ravel().tolist()]
 
 
 def test_plume_axis_angle_sample_is_its_row(rng):
@@ -146,8 +152,8 @@ def test_plume_axis_angle_sample_is_its_row(rng):
     pos[:4] = [[0.0, 0.0, 0.0], [0.0, 0.0, 5.0], [-0.0, -0.0, 5.0], [0.0, -0.0, 0.0]]
     gamma[:4] = 0.0
     cos_g, sin_g = np.cos(gamma), np.sin(gamma)
-    rows = _plume_axis_angle(pos, cos_g, sin_g)
-    one = _rows(_plume_axis_angle, pos, cos_g.tolist(), sin_g.tolist())
+    rows = _plume_axis_angle(*pos.T, cos_g, sin_g)
+    one = _rows(_plume_axis_angle, *pos.T.tolist(), cos_g.tolist(), sin_g.tolist())
     assert [repr(v) for v in rows.tolist()] == [repr(v) for v in one.tolist()]
     assert rows[:4].tolist() == [0.0, math.pi / 2, -math.pi / 2, 0.0]
 

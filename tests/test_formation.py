@@ -3,12 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from laserfleet.constants import DAY, MU_SUN, TWO_PI, YEAR
 from laserfleet.formation import (
     ProximityState,
     ShapedControlContext,
     ShapedOrbit,
+    _minimize_bounded,
     gravity_coefficients,
     gravity_gradient,
     harmonic_potential,
@@ -408,6 +412,41 @@ def test_sweep_extremum_refines():
     nu_max, val = sweep_extremum(f, n_sweep=90, refine=True, maximize=True)
     assert abs(val - 1.0) < 1e-9
     assert abs(math.remainder(nu_max - (math.pi / 2 - 0.123), TWO_PI)) < 1e-4
+
+
+@st.composite
+def bounded_problems(draw):
+    """(objective, lo, hi): a quadratic, |x - c|, a sine or a constant on a
+    random interval, a zero-width one, or one with the minimum on an end."""
+    span = st.floats(-1e3, 1e3)
+    kind = draw(st.sampled_from(["quadratic", "abs", "sine", "constant"]))
+    shape = draw(st.sampled_from(["random", "zero-width", "min-at-lo", "min-at-hi"]))
+    k, c, lo = draw(st.floats(0.01, 100.0)), draw(span), draw(span)
+    hi = lo if shape == "zero-width" else lo + draw(st.floats(1e-9, 100.0))
+    if shape == "min-at-lo" and kind in ("quadratic", "abs"):
+        c = lo - draw(st.floats(0.0, 10.0))
+    elif shape == "min-at-hi" and kind in ("quadratic", "abs"):
+        c = hi + draw(st.floats(0.0, 10.0))
+    elif shape != "random" and kind == "sine" and hi > lo:
+        # one monotone half-period of the sine across [lo, hi]
+        k = math.pi / (hi - lo)
+        c = (-math.pi / 2 if shape == "min-at-lo" else math.pi / 2) - k * lo
+    f = {"quadratic": lambda x: k * (x - c) * (x - c),
+         "abs": lambda x: abs(x - c),
+         "sine": lambda x: math.sin(k * x + c),
+         "constant": lambda x: c}[kind]
+    return f, lo, hi
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=1500, deadline=None)
+@given(problem=bounded_problems(), xatol=st.sampled_from([1e-10, 1.0]))
+def test_bounded_search_is_scipys_to_the_bit(problem, xatol):
+    """The float port returns scipy's bounded-Brent x and fun, by repr."""
+    f, lo, hi = problem
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    x, fun = _minimize_bounded(f, lo, hi, xatol)
+    assert (repr(x), repr(fun)) == (repr(float(res.x)), repr(float(res.fun)))
 
 
 def test_hill_to_tangential_rotation():
