@@ -467,10 +467,11 @@ def natural_orbit_objectives(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
     x, y, z = position(sweep_grid(n_sweep))
     cos_g, sin_g = _sweep_flight_path(k_a.e, n_sweep)
 
-    # the grid takes columns; the refinements take one float sample at a time
+    # the grid takes columns; the refinements take one float sample at a
+    # time. A distance sums the squares in np.linalg.norm's order.
     def dist(nu):
         x, y, z = position(nu)
-        return math.sqrt(x * x + y * y + z * z)  # np.linalg.norm's order
+        return math.sqrt(x * x + y * y + z * z)
 
     def abs_y(nu):
         return abs(position(nu)[1])
@@ -480,7 +481,7 @@ def natural_orbit_objectives(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
         return _plume_axis_angle(*position(nu), float(np.cos(g)), float(np.sin(g)))
 
     _, j1 = sweep_extremum(dist, n_sweep, refine, maximize=True,
-                           values=np.linalg.norm(batch.vector(x, y, z), axis=-1))
+                           values=np.sqrt(x * x + y * y + z * z))
     _, min_angle = sweep_extremum(plume_angle, n_sweep, refine, maximize=False,
                                   values=_plume_axis_angle(x, y, z, cos_g, sin_g))
     _, min_abs_y = sweep_extremum(abs_y, n_sweep, refine, maximize=False,
@@ -522,9 +523,9 @@ def _plume_axis_angle(x, y, z, cos_g, sin_g):
 def natural_family_label(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
                          n_sweep: int = 720) -> str:
     """'+z' or '-z' from the sign of z where |y| crosses the stand-off."""
-    pos = linear_proximal_position(k_a, np.asarray(dk, dtype=float), sweep_grid(n_sweep))
-    idx = int(np.argmin(np.abs(np.abs(pos[:, 1]) - y_lim)))
-    return "+z" if pos[idx, 2] >= 0.0 else "-z"
+    _, y, z = proximal_relation(k_a, dk)(sweep_grid(n_sweep))
+    idx = int(np.argmin(np.abs(np.abs(y) - y_lim)))
+    return "+z" if z[idx] >= 0.0 else "-z"
 
 
 # ---------------------------------------------------------------------------
