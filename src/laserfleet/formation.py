@@ -329,9 +329,10 @@ def sweep_extremum(f, n_sweep: int = 720, refine: bool = True,
                    ) -> tuple[float, float]:
     """Extremum of a scalar function of nu over one revolution.
 
-    Dense sweep followed by Brent's bounded search (golden-section and
-    parabolic steps, ``_minimize_bounded``) within one grid step of the
-    incumbent grid point. ``f`` must accept a scalar or an array; a caller
+    Dense sweep followed by Brent's bounded search, with golden-section
+    and parabolic steps, within one grid step of the incumbent grid point
+    (``_minimize_bounded``, which keeps the arithmetic of scipy's
+    ``_minimize_scalar_bounded``). ``f`` must accept a scalar or an array; a caller
     that has ``f`` on ``sweep_grid(n_sweep)`` already passes those
     ``values``, and ``f`` then sees floats only.
     """
