@@ -93,13 +93,6 @@ def norm(v: np.ndarray):
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
-def dot(a: np.ndarray, b: np.ndarray):
-    """Dot product of two 3-vectors (a float), or row by row."""
-    if a.ndim == 1 and b.ndim == 1:
-        return float(a @ b)
-    return np.einsum("ij,ij->i", *np.broadcast_arrays(a, b))
-
-
 def vector(x, y, z) -> np.ndarray:
     """A 3-vector from three floats, or an (N, 3) batch from per-sample columns."""
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) or isinstance(z, np.ndarray):

@@ -41,18 +41,15 @@ import numpy as np
 from . import batch
 from .constants import (
     ABSORPTION_COEFFICIENT,
-    ADIABATIC_INDEX,
     AU,
     GRAVITATIONAL_CONSTANT,
-    JET_CONSTANT,
-    LAYER_DENSITY,
     MAX_EXPANSION_ANGLE,
     MU_SUN,
     SCATTERING_FACTOR,
     SOLAR_FLUX_1AU,
     TWO_PI,
 )
-from .formation import NaturalOrbit, ShapedOrbit
+from .formation import NaturalOrbit, ShapedOrbit, shaped_position
 from .orbits import (
     BodyEphemeris,
     OrbitalElements,
@@ -64,6 +61,14 @@ from .orbits import (
     rk4_step,
     solve_kepler,
     solve_kepler_array,
+)
+from .plume import (
+    axis_angle,
+    clears_body,
+    condensation_growth,
+    degradation_factor,
+    jet_density,
+    spot_point,
 )
 from .sublimation import (
     AsteroidModel,
@@ -239,11 +244,10 @@ class _Constants(NamedTuple):
     w_spin: float
     a_ell: float
     b_ell: float
-    ab_ell: float       # a_ell * b_ell
     a2_ell: float       # a_ell * a_ell
     b2_ell: float       # b_ell * b_ell
+    v_bar: float        # exhaust speed
     v_area: float       # exhaust speed times spot area
-    two_v: float        # 2 * exhaust speed
     d_spot: float
     # the undeflected orbit at the start, for the natural formation
     a0: float
@@ -305,9 +309,9 @@ def _prepare(sc: DeflectionScenario, mdot_table: MdotTable | None) -> _Run:
         p_coeff=spot_power_coefficient(design, ast.albedo), n_sc=design.n_spacecraft,
         lam_v=sc.scattering_factor * v_bar,
         tug_coeff=GRAVITATIONAL_CONSTANT * sc.m_sc * design.n_spacecraft,
-        w_spin=ast.spin_rate, a_ell=a_ell, b_ell=b_ell, ab_ell=a_ell * b_ell,
-        a2_ell=a_ell * a_ell, b2_ell=b_ell * b_ell, v_area=v_bar * design.spot_area,
-        two_v=2.0 * v_bar, d_spot=design.spot_diameter,
+        w_spin=ast.spin_rate, a_ell=a_ell, b_ell=b_ell, a2_ell=a_ell * a_ell,
+        b2_ell=b_ell * b_ell, v_bar=v_bar, v_area=v_bar * design.spot_area,
+        d_spot=design.spot_diameter,
         a0=a0, ae0=a0 * e0, e0=e0, eta0=eta0, eta0_2=eta0**2, eta0_3=eta0**3,
         cos_i0=math.cos(k0.i), sin_i0=math.sin(k0.i), argp0=k0.argp)
     return _Run(sc=sc, k0=k0, table=mdot_table, t_end=t_end, n_steps=n_steps, dt=dt,
@@ -320,11 +324,8 @@ def _position(formation, k: _Constants, m):
     radius and the true anomaly. The natural orbit is the first-order
     relation of ``linear_proximal_position`` on the osculating r, not k0's."""
     if isinstance(formation, ShapedOrbit):
-        x1, x2, x3, y1, y2, y3, z1, z2 = formation.coeffs.tolist()
-
-        def shaped(c, s, r, nu):
-            return (x1 * c + x2 * s + x3, y1 * c + y2 * s + y3, z1 * c + z2 * s)
-        return shaped
+        coeffs = formation.coeffs.tolist()
+        return lambda c, s, r, nu: shaped_position(coeffs, c, s)
 
     de, di, draan, dargp, dm_d = formation.dk.tolist()
     a0, ae0, e0, eta0, eta0_2, eta0_3 = k.a0, k.ae0, k.e0, k.eta0, k.eta0_2, k.eta0_3
@@ -352,20 +353,13 @@ def _rates(k: _Constants, position, flow, kepler, m):
     ``_position``'s relation, or its batch over formation runs.
     """
     p_coeff, n_sc, lam_v, tug_coeff, w_spin = k.p_coeff, k.n_sc, k.lam_v, k.tug_coeff, k.w_spin
-    a_ell, b_ell, ab_ell, a2_ell, b2_ell = k.a_ell, k.b_ell, k.ab_ell, k.a2_ell, k.b2_ell
-    v_area, two_v, d_spot = k.v_area, k.two_v, k.d_spot
-    exp, sin, cos, sqrt, hypot, atan2, acos = m.exp, m.sin, m.cos, m.sqrt, m.hypot, m.atan2, m.acos
-    where, any_, clip = m.where, m.any, m.clip
+    a_ell, b_ell, a2_ell, b2_ell = k.a_ell, k.b_ell, k.a2_ell, k.b2_ell
+    v_bar, v_area, d_spot = k.v_bar, k.v_area, k.d_spot
+    exp, sin, cos, sqrt, hypot, atan2 = m.exp, m.sin, m.cos, m.sqrt, m.hypot, m.atan2
+    where, any_ = m.where, m.any
     mu = MU_SUN
     absorb = -2.0 * ABSORPTION_COEFFICIENT
-    two_max = 2.0 * MAX_EXPANSION_ANGLE
-    angular_exp = 2.0 / (ADIABATIC_INDEX - 1.0)
 
-    # The spot, plume and contamination relations stay in this body instead
-    # of calling plume.spot_to_spacecraft and plume_density: those take
-    # 3-vectors or (N, 3) rows with their own checks, this body floats or
-    # (N,) columns, and one spot_to_spacecraft sample (21-22 us) costs more
-    # than two whole float rates calls (about 9 us each)
     def rates(t, y):
         a, e, inc, raan, argp, m_unwrapped, m_a, h_cnd = y
         # Anomaly and geometry of the osculating orbit
@@ -402,30 +396,19 @@ def _rates(k: _Constants, position, flow, kepler, m):
         dh = 0.0
         exposed = mdot > 0.0
         if any_(exposed):
-            theta_va = atan2(es, one_ec)
-            w_t = w_spin * t
-            angle = -w_t - theta_va
-            cos_a, sin_a = cos(angle), sin(angle)
-            r_ell = ab_ell / sqrt((b_ell * cos_a) ** 2 + (a_ell * sin_a) ** 2)
-            sin_wt, cos_wt = sin(w_t), cos(w_t)
-            sx = r_ell * (sin_wt * cos_a - cos_wt * sin_a)
-            sy = r_ell * (cos_wt * cos_a + sin_wt * sin_a)
+            sx, sy = spot_point(m, w_spin, a_ell, b_ell, t, atan2(es, one_ec))
             ox, oy = fx - sx, fy - sy
             on = sqrt(ox * ox + oy * oy + fz * fz)
             exposed = exposed & (on > 0.0) & (ox > 0.0)  # optics exposed only from +x
             if any_(exposed):
-                # body occlusion: scaled <spot, sc> must exceed 1 to clear it
-                exposed = exposed & ((sx * fx / a2_ell + sy * fy / b2_ell) > 1.0 + 1e-9)
+                exposed = exposed & clears_body(sx, sy, fx, fy, a2_ell, b2_ell)
                 if any_(exposed):
                     on = where(exposed, on, 1.0)
-                    phi = acos(clip(oy / on, -1.0, 1.0))
+                    phi = axis_angle(m, oy, on)
                     exposed = exposed & (phi < MAX_EXPANSION_ANGLE)
                     if any_(exposed):
-                        big_theta = math.pi * where(exposed, phi, 0.0) / two_max
-                        rho = JET_CONSTANT * mdot / v_area \
-                            * (d_spot / (2.0 * on + d_spot)) ** 2 \
-                            * cos(big_theta) ** angular_exp
-                        dh = where(exposed, two_v * rho * (ox / on) / LAYER_DENSITY, 0.0)
+                        rho = jet_density(m, mdot, v_area, d_spot, on, where(exposed, phi, 0.0))
+                        dh = where(exposed, condensation_growth(rho, v_bar, ox, on), 0.0)
 
         u_mag = sqrt(u_r * u_r + u_s * u_s + u_w * u_w)
         return (da, de_r, di_r, draan_r, dargp_r, dm_r, -mdot, dh), (mdot, u_mag)
@@ -442,7 +425,7 @@ def _outcome(run: _Run, state, times, thrust, h, mass, mdot) -> DeflectionOutcom
     k_dev = OrbitalElements(a=a_f, e=e_f, i=i_f, raan=raan_f, argp=argp_f,
                             anomaly=m_unwrapped_f % TWO_PI, anomaly_kind="mean",
                             epoch=run.t_end)
-    tau = [math.exp(-2.0 * ABSORPTION_COEFFICIENT * v) for v in h]
+    tau = [degradation_factor(v) for v in h]
     return DeflectionOutcome(
         times=np.asarray(times), thrust=np.asarray(thrust), contamination=np.asarray(h),
         asteroid_mass=np.asarray(mass), tau=np.array(tau), mdot=np.asarray(mdot),

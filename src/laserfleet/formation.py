@@ -38,6 +38,7 @@ from .orbits import (
     rk4_step,
 )
 from .plume import (
+    inside_body,
     line_of_sight_occluded,
     plume_density,
     plume_force,
@@ -438,19 +439,6 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> tuple[float, 
     return xf, fx
 
 
-def hill_to_tangential(pos: np.ndarray, gamma: float) -> np.ndarray:
-    """Rotate Hill coordinates so the second axis aligns with the velocity.
-
-    gamma is the flight-path angle; the velocity unit vector in the Hill
-    frame is (sin g, cos g, 0).
-    """
-    sin_g, cos_g = math.sin(gamma), math.cos(gamma)
-    x, y = pos[..., 0], pos[..., 1]
-    x_t = x * cos_g - y * sin_g
-    y_t = x * sin_g + y * cos_g
-    return np.stack(np.broadcast_arrays(x_t, y_t, pos[..., 2]), axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Natural-orbit design objectives
 # ---------------------------------------------------------------------------
@@ -533,6 +521,13 @@ def natural_family_label(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
 # Shaped orbits
 # ---------------------------------------------------------------------------
 
+def shaped_position(coeffs, c, s):
+    """Hill position (x, y, z) on a shaped orbit of coefficients ``coeffs``
+    from the cos and sin of the true anomaly: floats or columns."""
+    x1, x2, x3, y1, y2, y3, z1, z2 = coeffs
+    return x1 * c + x2 * s + x3, y1 * c + y2 * s + y3, z1 * c + z2 * s
+
+
 def shaped_orbit_eval(s: ShapedOrbit, nu, nu_dot: float = 0.0,
                       nu_ddot: float = 0.0):
     """Position, velocity and acceleration of the shaped trajectory.
@@ -545,9 +540,7 @@ def shaped_orbit_eval(s: ShapedOrbit, nu, nu_dot: float = 0.0,
     nu = np.asarray(nu, dtype=float)
     c, sn = np.cos(nu), np.sin(nu)
 
-    pos = np.stack(np.broadcast_arrays(x1 * c + x2 * sn + x3,
-                                       y1 * c + y2 * sn + y3,
-                                       z1 * c + z2 * sn), axis=-1)
+    pos = np.stack(np.broadcast_arrays(*shaped_position(s.coeffs, c, sn)), axis=-1)
     dpos = np.stack(np.broadcast_arrays(-x1 * sn + x2 * c,
                                         -y1 * sn + y2 * c,
                                         -z1 * sn + z2 * c), axis=-1)
@@ -574,10 +567,7 @@ class ShapedControlContext:
     design: object               # SpacecraftDesign
     m_sc: float
     isp: float = 2000.0          # s, electric-propulsion class
-    include_srp: bool = True
-    include_plume: bool = True
     mdot: float = 0.0            # kg/s, total expelled flow for the plume force
-    include_couplings: bool = True  # frame + solar + asteroid gravity terms
 
 
 def _asteroid_polar(k_a: OrbitalElements, nu, mu: float):
@@ -597,6 +587,34 @@ def _asteroid_polar(k_a: OrbitalElements, nu, mu: float):
     return r, r_dot, nu_dot, nu_ddot, r_ddot
 
 
+def surface_forces(pos: np.ndarray, r_sc, ast: AsteroidModel, design, t, theta_va,
+                   mdot: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f_srp, f_plume): radiation pressure and plume impingement (N) on a
+    spacecraft at ``pos``, ``r_sc`` from the Sun, beaming to the spot at time
+    ``t`` under velocity elevation ``theta_va``, with total flow ``mdot``.
+
+    One sample or a batch of rows with one time each. Positions inside the
+    body get no plume; a caller that must not fly there checks for it.
+    """
+    spot = spot_position(ast, t, theta_va)
+    beta, n_steer = steering_geometry(pos, spot)
+    f_srp = srp_force(design, r_sc, beta, n_steer)
+    if not mdot > 0.0:
+        return f_srp, np.zeros(np.shape(pos))
+    seen = np.logical_not(inside_body(pos, ast.semi_axes)
+                          | line_of_sight_occluded(spot, pos, ast.semi_axes))
+    v_bar = exhaust_velocity(ast)
+
+    def on_optics(pos, t, theta_va):
+        geom = spot_to_spacecraft(pos, ast, t, theta_va)
+        rho = plume_density(geom, mdot, v_bar, design.spot_area, design.spot_diameter)
+        psi = view_factor_angle(geom.spot_to_sc)
+        return plume_force(rho, v_bar, design.collector_area, psi,
+                           geom.spot_to_sc / batch.col(geom.distance))
+
+    return f_srp, batch.apply_where(seen, on_optics, pos, t, theta_va, fill=batch.ZERO3)
+
+
 def shaped_control_accel(s: ShapedOrbit, t, ctx: ShapedControlContext) -> np.ndarray:
     """Control acceleration required to hold the shape at scenario time t.
 
@@ -612,34 +630,11 @@ def shaped_control_accel(s: ShapedOrbit, t, ctx: ShapedControlContext) -> np.nda
     r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot = _asteroid_polar(k_a, nu, mu)
 
     pos, vel, acc_required = shaped_orbit_eval(s, nu, nu_dot, nu_ddot)
-    if not ctx.include_couplings:
-        return acc_required
-
     xyz = batch.components(pos)
     r_sc, mu_s_rsc3, mu_a_dr3, g = _gravity_terms(pos, xyz, r_a, ast, t, mu)
-    f_s = np.zeros(pos.shape)
-    theta_va = flight_path_angle(k_a.e, nu)
-    spot = spot_position(ast, t, theta_va)
-    if ctx.include_srp:
-        beta, n_steer = steering_geometry(pos, spot)
-        f_s = f_s + srp_force(ctx.design, r_sc, beta, n_steer)
-    if ctx.include_plume and ctx.mdot > 0.0:
-        # interior trajectories are garbage candidates; the 1/dr^3 gravity
-        # term prices them out without a special case here
-        outside = np.sum((pos / np.array(ast.semi_axes)) ** 2, axis=-1) > 1.0
-        seen = outside & np.logical_not(line_of_sight_occluded(spot, pos, ast.semi_axes))
-        v_bar = exhaust_velocity(ast)
-        design = ctx.design
-
-        def on_optics(pos, t, theta_va):
-            geom = spot_to_spacecraft(pos, ast, t, theta_va)
-            rho = plume_density(geom, ctx.mdot, v_bar, design.spot_area, design.spot_diameter)
-            psi = view_factor_angle(geom.spot_to_sc)
-            return plume_force(rho, v_bar, design.collector_area, psi,
-                               geom.spot_to_sc / batch.col(geom.distance))
-
-        f_s = f_s + batch.apply_where(seen, on_optics, pos, t, theta_va, fill=batch.ZERO3)
-
+    f_srp, f_plume = surface_forces(pos, r_sc, ast, ctx.design, t,
+                                    flight_path_angle(k_a.e, nu), ctx.mdot)
+    f_s = f_srp + f_plume
     vx, vy, _ = batch.components(vel)
     ax, ay, az = hill_accel(xyz, (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
                             mu_s_rsc3, mu_a_dr3, g, batch.components(f_s), ctx.m_sc)
@@ -676,10 +671,11 @@ def shaped_objectives(s: ShapedOrbit, ctx: ShapedControlContext,
     c1, c2 = shaped_feasibility(s)
     history = shaped_orbit_control(s, ctx, duration, n_samples)
 
-    def dist(nu):
-        pos, _, _ = shaped_orbit_eval(s, nu)
-        out = np.linalg.norm(pos, axis=-1)
-        return out if np.ndim(nu) else float(out)
+    coeffs = s.coeffs.tolist()
+
+    def dist(nu):  # a float or the grid; the squares sum in np.linalg.norm's order
+        x, y, z = shaped_position(coeffs, np.cos(nu), np.sin(nu))
+        return np.sqrt(x * x + y * y + z * z)
 
     _, j2 = sweep_extremum(dist, n_sweep=720, refine=True, maximize=True)
     return {"J1": history.mass_fraction, "J2": j2, "J3": history.max_accel,
@@ -720,10 +716,17 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
     The reference point steps along the nominal orbit at the asteroid's
     true-anomaly rate, held fixed for ``ref_hold_steps`` integrator steps
     at a time. ``plant`` selects the full proximity dynamics or the
-    control-design model (under which the Lyapunov descent is exact).
+    control-design model (under which the Lyapunov descent is exact), which
+    runs without surface forces when ``design`` is None.
     """
     if plant not in ("full", "model"):
         raise ValueError("plant must be 'full' or 'model'")
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step!r}")
+    if not (isinstance(ref_hold_steps, (int, np.integer)) and ref_hold_steps >= 1):
+        raise ValueError(f"ref_hold_steps must be a positive integer, got {ref_hold_steps!r}")
+    if design is None and plant == "full":
+        raise ValueError("design is required by the full plant")
     dk = np.asarray(dk, dtype=float)
     k_a = ast.elements0
     mu = MU_SUN
@@ -734,7 +737,6 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
     vel0 = _nominal_velocity(k_a, dk, nu, nu_dot)
 
     y = np.concatenate([pos0, vel0, [r_a, r_a_dot, nu, nu_dot]])
-    v_bar = exhaust_velocity(ast)
     u_dev = np.zeros(3)
 
     n_steps = int(math.ceil(duration / step))
@@ -746,23 +748,13 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
     hold_ok = True
 
     def forces(pos, r_a_now, t_now, nu_now):
-        if plant == "model" and design is None:
+        if inside_body(pos, ast.semi_axes):
+            raise ValueError(f"dk: the spacecraft is inside the asteroid at t = {t_now!r} s")
+        if design is None:
             return np.zeros(3), np.zeros(3)
-        theta_va = flight_path_angle(k_a.e, nu_now)
         r_sc = math.sqrt((r_a_now + pos[0]) ** 2 + pos[1] ** 2 + pos[2] ** 2)
-        spot = spot_position(ast, t_now, theta_va)
-        beta, n_steer = steering_geometry(pos, spot)
-        f_srp = srp_force(design, r_sc, beta, n_steer)
-        f_plume = np.zeros(3)
-        if mdot > 0.0:
-            geom = spot_to_spacecraft(pos, ast, t_now, theta_va)
-            if not line_of_sight_occluded(geom.spot_position, pos, ast.semi_axes):
-                rho = plume_density(geom, mdot, v_bar, design.spot_area,
-                                    design.spot_diameter)
-                psi = view_factor_angle(geom.spot_to_sc)
-                f_plume = plume_force(rho, v_bar, design.collector_area, psi,
-                                      geom.spot_to_sc / geom.distance)
-        return f_srp, f_plume
+        return surface_forces(pos, r_sc, ast, design, t_now, flight_path_angle(k_a.e, nu_now),
+                              mdot)
 
     ref = pos0.copy()
     t = 0.0

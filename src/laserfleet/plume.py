@@ -9,9 +9,10 @@ the beamed power exponentially.
 Two spacecraft-level forces live here as well: radiation pressure on the
 optics and direct momentum flux from plume impingement.
 
-The geometry and force relations take one sample (floats and 3-vectors)
-or a batch over a leading sample axis (see ``batch``); their branches are
-masks over the samples.
+The spot, plume and contamination relations are written once on
+components, which the deflection integrator calls directly. The geometry
+and force functions take one sample (floats and 3-vectors) or a batch over
+a leading sample axis (see ``batch``); their branches are masks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .constants import (
     SOLAR_FLUX_1AU,
     SPEED_OF_LIGHT,
 )
-from .sublimation import AsteroidModel, ellipse_radius
+from .sublimation import AsteroidModel
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,8 @@ class SpotGeometry:
 
     spot_to_sc: np.ndarray   # m, from the spot to the spacecraft
     spot_position: np.ndarray
-    r_ell: float             # m, equatorial radius under the spot direction
-    theta_va: float          # rad, velocity elevation over the y-axis
+    distance: float          # m, length of spot_to_sc
     phi: float               # rad, angle of spot_to_sc off the y-axis
-    big_theta: float         # rad, pi * phi / (2 phi_max)
-
-    @property
-    def distance(self):
-        return batch.norm(self.spot_to_sc)
 
 
 # Direction of the incoming sunlight (Sun at -x), and the steering normal
@@ -61,66 +56,110 @@ _FLAT_NORMAL = np.array([0.0, 1.0, 0.0])
 _SUN_RAY.flags.writeable = _FLAT_NORMAL.flags.writeable = False
 
 
-def _acos(c):
-    """arccos of a cosine that rounding may have pushed past +-1."""
-    m = batch.xp(c)
-    return m.acos(m.clip(c, -1.0, 1.0))
+# ---------------------------------------------------------------------------
+# Relations on components: floats or (N,) columns with their ``batch``
+# namespace ``m``, shared by the deflection's ``rates`` and the 3-vector
+# functions after them. The spot-to-spacecraft distance comes from the
+# caller, which forms it in its own order (DECISIONS.md).
+# ---------------------------------------------------------------------------
+
+def spot_point(m, w_spin, a_ell, b_ell, t, theta_va):
+    """Hill-frame (x, y) of the illuminated spot on the spinning ellipsoid of
+    equatorial semi-axes a_ell, b_ell; the spot is on the equator (z = 0)."""
+    w_t = w_spin * t
+    angle = -w_t - theta_va
+    cos_a, sin_a = m.cos(angle), m.sin(angle)
+    r_ell = a_ell * b_ell / m.sqrt((b_ell * cos_a) ** 2 + (a_ell * sin_a) ** 2)
+    sin_wt, cos_wt = m.sin(w_t), m.cos(w_t)
+    return (r_ell * (sin_wt * cos_a - cos_wt * sin_a),
+            r_ell * (cos_wt * cos_a + sin_wt * sin_a))
+
+
+def clears_body(sx, sy, x, y, a2_ell, b2_ell):
+    """Whether the line from the spot (sx, sy, 0) to the spacecraft (x, y, z)
+    passes outside the body; a2_ell, b2_ell are the squared semi-axes.
+
+    In axis-scaled coordinates the body is the unit sphere and the spot
+    sits on it; by convexity the segment stays outside exactly when it
+    leaves the surface outward, i.e. when <spot, sc> > 1 in scaled space.
+    """
+    return sx * x / a2_ell + sy * y / b2_ell > 1.0 + 1e-9
+
+
+def axis_angle(m, d, dist):
+    """Angle (rad) between an axis and a line of length dist > 0 with
+    component d along it: off the plume axis (y), the cone angle; off the
+    mirror normal (x), the view-factor angle."""
+    return m.acos(m.clip(d / dist, -1.0, 1.0))
+
+
+def jet_density(m, mdot, v_area, d_spot, dist, phi):
+    """Vapour density (kg/m^3) at distance dist from the spot, at cone angle
+    phi inside the maximum expansion angle: the throat density
+    mdot / v_area (v_area = exhaust speed x spot area), spherical expansion
+    from the spot and the angular profile of a supersonic jet."""
+    return JET_CONSTANT * mdot / v_area * (d_spot / (2.0 * dist + d_spot)) ** 2 \
+        * m.cos(math.pi * phi / (2.0 * MAX_EXPANSION_ANGLE)) ** (2.0 / (ADIABATIC_INDEX - 1.0))
+
+
+def condensation_growth(rho, v_bar, dx, dist):
+    """Growth rate (m/s) of the condensed layer on the Sun-facing optics,
+    reached by vapour of density rho along a line of x-component dx > 0 and
+    length dist; the factor 2 on the thermal speed is the expansion into
+    vacuum."""
+    return 2.0 * v_bar * rho * (dx / dist) / LAYER_DENSITY
+
+
+def inside_body(pos, semi_axes):
+    """Whether a Hill position, or each row of a batch, is inside or on the body."""
+    x, y, z = batch.components(np.asarray(pos, dtype=float))
+    u, v, w = x / semi_axes[0], y / semi_axes[1], z / semi_axes[2]
+    return u * u + v * v + w * w <= 1.0
 
 
 def spot_position(ast: AsteroidModel, t, theta_va) -> np.ndarray:
     """Hill-frame position of the illuminated spot on the spinning ellipsoid."""
-    w_t = ast.spin_rate * t
-    angle = -w_t - theta_va
-    r_ell = ellipse_radius(ast, angle)
-    m = batch.xp(angle)
-    sin_wt, cos_wt = m.sin(w_t), m.cos(w_t)
-    sin_a, cos_a = m.sin(angle), m.cos(angle)
-    return batch.vector(r_ell * (sin_wt * cos_a - cos_wt * sin_a),
-                        r_ell * (cos_wt * cos_a + sin_wt * sin_a), 0.0)
+    arrays = isinstance(t, np.ndarray) or isinstance(theta_va, np.ndarray)
+    return batch.vector(*spot_point(batch.ARRAY if arrays else batch.FLOAT, ast.spin_rate,
+                                    *ast.semi_axes[:2], t, theta_va), 0.0)
 
 
 def spot_to_spacecraft(sc_pos: np.ndarray, ast: AsteroidModel, t,
                        theta_va) -> SpotGeometry:
-    """Geometry of the spot-to-spacecraft line at time t.
-
-    Rejects spacecraft positions inside the ellipsoid, for any sample.
-    """
+    """Geometry of the spot-to-spacecraft line at time t; rejects spacecraft
+    positions inside the ellipsoid, for any sample."""
     sc_pos = np.asarray(sc_pos, dtype=float)
-    axes = np.array(ast.semi_axes)
-    if np.any(np.sum((sc_pos / axes) ** 2, axis=-1) <= 1.0):
+    if np.any(inside_body(sc_pos, ast.semi_axes)):
         raise ValueError("spacecraft position is inside the asteroid")
 
-    w_t = ast.spin_rate * t
-    angle = -w_t - theta_va
     spot = spot_position(ast, t, theta_va)
     offset = sc_pos - spot
+    dist = batch.norm(offset)
+    phi = batch.apply_where(dist > 0.0, lambda dy, n: axis_angle(batch.xp(n), dy, n),
+                            offset.T[1], dist)
+    return SpotGeometry(spot_to_sc=offset, spot_position=spot, distance=dist, phi=phi)
 
-    norm = batch.norm(offset)
-    phi = batch.apply_where(norm > 0.0, lambda y, n: _acos(y / n), offset.T[1], norm)
-    big_theta = math.pi * phi / (2.0 * MAX_EXPANSION_ANGLE)
-    return SpotGeometry(spot_to_sc=offset, spot_position=spot,
-                        r_ell=ellipse_radius(ast, angle),
-                        theta_va=theta_va, phi=phi, big_theta=big_theta)
+
+def line_of_sight_occluded(spot: np.ndarray, sc_pos: np.ndarray,
+                           semi_axes: tuple[float, float, float]):
+    """True when the body blocks the line from a spot of ``spot_position`` to
+    the spacecraft; a batch gives one bool per sample."""
+    a_ell, b_ell, _ = semi_axes
+    sx, sy, _ = batch.components(np.asarray(spot, dtype=float))
+    x, y, _ = batch.components(np.asarray(sc_pos, dtype=float))
+    return np.logical_not(clears_body(sx, sy, x, y, a_ell * a_ell, b_ell * b_ell))
 
 
 def plume_density(geom: SpotGeometry, mdot: float, v_bar: float,
                   a_spot: float, d_spot: float):
-    """Vapour density (kg/m^3) at the spacecraft.
-
-    Throat density mdot / (v A_spot) scaled by inverse-square spherical
-    expansion from the spot and the angular profile of a supersonic jet;
-    zero outside the maximum expansion angle.
-    """
+    """Vapour density (kg/m^3) at the spacecraft, zero outside the cone."""
     if mdot < 0.0:
         raise ValueError("mass flow must be non-negative")
-
-    def inside_cone(spot_to_sc, big_theta):
-        geometric = (d_spot / (2.0 * batch.norm(spot_to_sc) + d_spot)) ** 2
-        angular = batch.xp(big_theta).cos(big_theta) ** (2.0 / (ADIABATIC_INDEX - 1.0))
-        return JET_CONSTANT * mdot / (v_bar * a_spot) * geometric * angular
-
-    return batch.apply_where(geom.phi < MAX_EXPANSION_ANGLE, inside_cone,
-                             geom.spot_to_sc, geom.big_theta)
+    v_area = v_bar * a_spot
+    return batch.apply_where(
+        geom.phi < MAX_EXPANSION_ANGLE,
+        lambda dist, phi: jet_density(batch.xp(dist), mdot, v_area, d_spot, dist, phi),
+        geom.distance, geom.phi)
 
 
 def view_factor_angle(spot_to_sc: np.ndarray):
@@ -132,22 +171,17 @@ def view_factor_angle(spot_to_sc: np.ndarray):
     """
     offset = np.asarray(spot_to_sc, dtype=float)
     norm = batch.norm(offset)
-    return batch.apply_where(norm != 0.0, lambda x, n: _acos(x / n), offset.T[0], norm)
+    return batch.apply_where(norm != 0.0, lambda dx, n: axis_angle(batch.xp(n), dx, n),
+                             offset.T[0], norm)
 
 
-def contamination_rate(rho_exp: float, v_bar: float, psi_vf: float,
-                       rho_layer: float = LAYER_DENSITY) -> float:
-    """Growth rate (m/s) of the condensed layer on the mirror.
-
-    The factor 2 on the mean thermal speed accounts for expansion into
-    vacuum; surfaces facing away from the flow accumulate nothing.
-    """
-    if rho_exp < 0.0:
+def contamination_rate(geom: SpotGeometry, rho_exp, v_bar: float):
+    """Growth rate (m/s) of the condensed layer on the mirror: nothing where
+    the flow reaches the Sun-facing optics from behind or edge-on (dx <= 0)."""
+    if np.any(np.asarray(rho_exp) < 0.0):
         raise ValueError("plume density must be non-negative")
-    cos_psi = math.cos(psi_vf)
-    if cos_psi <= 1e-12:  # grazing or averted surface
-        return 0.0
-    return 2.0 * v_bar * rho_exp * cos_psi / rho_layer
+    dx = geom.spot_to_sc.T[0]
+    return batch.apply_where(dx > 0.0, condensation_growth, rho_exp, v_bar, dx, geom.distance)
 
 
 def degradation_factor(h_cnd: float) -> float:
@@ -155,21 +189,6 @@ def degradation_factor(h_cnd: float) -> float:
     if h_cnd < 0.0:
         raise ValueError("layer thickness must be non-negative")
     return math.exp(-2.0 * ABSORPTION_COEFFICIENT * h_cnd)
-
-
-def line_of_sight_occluded(spot: np.ndarray, sc_pos: np.ndarray,
-                           semi_axes: tuple[float, float, float]):
-    """True when the asteroid body blocks the spot-to-spacecraft line.
-
-    In axis-scaled coordinates the body is the unit sphere and the spot
-    sits on it; by convexity the segment stays outside exactly when it
-    leaves the surface outward, i.e. when <spot, sc> > 1 in scaled space.
-    A batch gives one bool per sample.
-    """
-    axes = np.asarray(semi_axes, dtype=float)
-    s0 = np.asarray(spot, dtype=float) / axes
-    s1 = np.asarray(sc_pos, dtype=float) / axes
-    return batch.dot(s0, s1) <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +236,7 @@ def _steered(n: np.ndarray, n_norm):
     flip = n_steer.T[0] > 0.0
     if batch.any_true(flip):
         n_steer[flip] = -n_steer[flip]
-    return _acos(-n_steer.T[0]), n_steer
+    return axis_angle(batch.xp(n_norm), -n_steer.T[0], 1.0), n_steer  # off the -x axis
 
 
 def plume_force(rho_exp, v_bar: float, a_eq: float, psi_vf,

@@ -16,13 +16,11 @@ from laserfleet.formation import (
     gravity_coefficients,
     gravity_gradient,
     harmonic_potential,
-    hill_to_tangential,
     lyapunov_control,
     mirror_natural_orbit,
     natural_family_label,
     natural_orbit_objectives,
     proximity_derivatives,
-    shaped_control_accel,
     shaped_feasibility,
     shaped_objectives,
     shaped_orbit_control,
@@ -216,6 +214,27 @@ def test_control_rejects_bad_gains(ast):
                          1000.0, gain_k=-1.0)
 
 
+SHIPPED_DK = [-1e-9, 5e-9, 0.0, 0.0, 8e-9]
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"step": 0.0}, "step"),
+    ({"step": -400.0}, "step"),
+    ({"ref_hold_steps": 0}, "ref_hold_steps"),
+    ({"ref_hold_steps": 1.5}, "ref_hold_steps"),
+    ({"design": None}, "design"),
+    ({"plant": "exact"}, "plant"),
+    # the orbit through the centre starts inside the body, with or without flow
+    ({"dk": [0.0] * 5}, "dk"),
+    ({"dk": [0.0] * 5, "mdot": 0.3}, "dk"),
+])
+def test_tracking_rejects_bad_arguments(ast, design_20m, changes, named):
+    kwargs = {"dk": SHIPPED_DK, "ast": ast, "design": design_20m, "m_sc": 4000.0,
+              "duration": 2 * DAY, "step": 400.0} | changes
+    with pytest.raises(ValueError, match=named):
+        simulate_tracking(**kwargs)
+
+
 def test_model_plant_descent(ast):
     """dV/dt = -c_d |dv|^2 exactly under the design model: V never rises."""
     result = simulate_tracking(np.array([-1e-9, 5e-9, 0.0, 0.0, 8e-9]), ast,
@@ -338,18 +357,18 @@ def test_shaped_z_has_zero_mean():
     assert abs(float(np.mean(pos[:, 2]))) < 1e-9
 
 
-def test_shaped_force_free_static_needs_no_control(ast, design_20m):
-    ctx = ShapedControlContext(ast=ast, k_a=ast.elements0, design=design_20m,
-                               m_sc=4000.0, include_couplings=False)
+def test_shaped_force_free_static_needs_no_control():
+    # a shape fixed in the Hill frame has no acceleration of its own: what
+    # holds it is the force and frame terms alone
     s = ShapedOrbit(np.array([0.0, 0.0, -800.0, 0.0, 0.0, -400.0, 0.0, 0.0]))
-    u = shaped_control_accel(s, 1000.0, ctx)
-    assert float(np.linalg.norm(u)) < 1e-18
+    _, vel, acc = shaped_orbit_eval(s, 1.3, nu_dot=2e-7, nu_ddot=-1e-14)
+    assert float(np.linalg.norm(vel)) < 1e-18
+    assert float(np.linalg.norm(acc)) < 1e-18
 
 
 def test_shaped_delta_v_vs_fine_grid(ast, design_20m):
     m_sc = mass_budget(design_20m, ast.elements0.a * (1 - ast.elements0.e)).m_total
-    ctx = ShapedControlContext(ast=ast, k_a=ast.elements0, design=design_20m,
-                               m_sc=m_sc, include_plume=False)
+    ctx = ShapedControlContext(ast=ast, k_a=ast.elements0, design=design_20m, m_sc=m_sc)
     s = ShapedOrbit(np.array([100.0, -200.0, -900.0, 150.0, 80.0, -700.0,
                               120.0, -60.0]))
     coarse = shaped_orbit_control(s, ctx, YEAR, n_samples=512)
@@ -368,8 +387,7 @@ def test_shaped_objectives_scale_sweep(ast, design_20m):
     gravity-cancellation term).
     """
     m_sc = mass_budget(design_20m, ast.elements0.a * (1 - ast.elements0.e)).m_total
-    ctx = ShapedControlContext(ast=ast, k_a=ast.elements0, design=design_20m,
-                               m_sc=m_sc, include_plume=False)
+    ctx = ShapedControlContext(ast=ast, k_a=ast.elements0, design=design_20m, m_sc=m_sc)
     base = np.array([50.0, -80.0, -400.0, 60.0, 40.0, -300.0, 70.0, -30.0])
     j2s, j3s = [], []
     for scale in (0.5, 1.0, 1.5, 2.0):
@@ -447,11 +465,3 @@ def test_bounded_search_is_scipys_to_the_bit(problem, xatol):
     res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
     x, fun = _minimize_bounded(f, lo, hi, xatol)
     assert (repr(x), repr(fun)) == (repr(float(res.x)), repr(float(res.fun)))
-
-
-def test_hill_to_tangential_rotation():
-    pos = np.array([1.0, 0.0, 0.5])
-    out = hill_to_tangential(pos, 0.0)
-    assert np.allclose(out, pos)
-    out90 = hill_to_tangential(np.array([1.0, 0.0, 0.0]), math.pi / 2)
-    assert np.allclose(out90, [0.0, 1.0, 0.0], atol=1e-12)

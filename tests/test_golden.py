@@ -4,8 +4,9 @@ Shaped orbits: J1, J2, J3, C1 and C2 of six fixed shapes, recorded from the
 per-sample control inversion (one scalar call per time sample) that the
 time-grid version replaced. Together the shapes take every branch of the
 inversion: plume on the optics, occluded or averted optics, samples outside
-the expansion cone, samples inside the body and its bounding sphere, and
-the plume and coupling switches off.
+the expansion cone, samples inside the body and its bounding sphere, and no
+flow. A seventh, recorded with every force and frame term switched off,
+pins the shape's own acceleration from ``shaped_orbit_eval``.
 
 J2, C1 and C2 come from the shape alone and must match exactly. J1 and J3
 integrate the control over the grid; numpy's arctan2, arccos and power may
@@ -25,22 +26,25 @@ values.
 """
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from laserfleet.constants import AU, MU_SUN, YEAR
+from laserfleet.constants import AU, G0, MU_SUN, TWO_PI, YEAR
 from laserfleet.deflection import DeflectionScenario, simulate_deflection
 from laserfleet.formation import (
     NaturalOrbit,
     ShapedControlContext,
     ShapedOrbit,
+    _asteroid_polar,
     natural_orbit_objectives,
     shaped_objectives,
+    shaped_orbit_eval,
     simulate_tracking,
 )
-from laserfleet.orbits import OrbitalElements, integrate_gauss
+from laserfleet.orbits import OrbitalElements, integrate_gauss, mean_to_true
 from laserfleet.sizing import design_from_option, mass_budget
 from laserfleet.sublimation import mass_flow_rate
 from tests.conftest import SCENARIO_DIR
@@ -50,7 +54,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 PLUME_ON = [300.0, 200.0, 400.0, 200.0, 100.0, 1500.0, 100.0, 50.0]
 BEHIND = [50.0, -80.0, -900.0, 60.0, 40.0, -700.0, 70.0, -30.0]
 
-# name: (coefficients, context switches, (J1, J2, J3, C1, C2))
+# name: (coefficients, context changes, (J1, J2, J3, C1, C2))
 GOLDEN = {
     # the plume reaches the optics on 220 of 512 samples
     "plume_on": (PLUME_ON, {}, (
@@ -68,13 +72,14 @@ GOLDEN = {
     "inside_body": ([300.0, 0.0, -150.0, 0.0, 300.0, -100.0, 0.0, 150.0], {}, (
         0.04097837805462967, 489.71808487246636, 9.210321932397143e-05,
         150.0, 200.0)),
-    "no_plume": (PLUME_ON, {"include_plume": False}, (
+    "no_plume": (PLUME_ON, {"mdot": 0.0}, (
         0.0013897205468171858, 1886.599043507801, 1.146706312674622e-06,
         760.5551275463989, 1723.606797749979)),
-    "no_couplings": (BEHIND, {"include_couplings": False}, (
-        9.54353140958375e-09, 1228.2332900316542, 1.281073758321268e-11,
-        -805.660188679434, -627.8889744907202)),
 }
+
+# J1 and J3 of BEHIND from the shape's acceleration alone, with no force or
+# frame term to cancel
+KINEMATIC = (9.54353140958375e-09, 1.281073758321268e-11)
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +100,27 @@ def shaped_ctx():
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_shaped_objectives_golden(shaped_ctx, name):
-    coeffs, switches, (j1, j2, j3, c1, c2) = GOLDEN[name]
-    res = shaped_objectives(ShapedOrbit(np.array(coeffs)), replace(shaped_ctx, **switches),
+    coeffs, changes, (j1, j2, j3, c1, c2) = GOLDEN[name]
+    res = shaped_objectives(ShapedOrbit(np.array(coeffs)), replace(shaped_ctx, **changes),
                             YEAR, 512)
     assert (res["J2"], res["C1"], res["C2"]) == (j2, c1, c2)
     assert res["J1"] == pytest.approx(j1, rel=1e-11, abs=0.0)
     assert res["J3"] == pytest.approx(j3, rel=1e-11, abs=0.0)
+
+
+def test_shaped_kinematic_control_golden(shaped_ctx):
+    """The propellant fraction and peak of the shape's own acceleration over
+    the objectives' time grid, as ``shaped_orbit_control`` integrates them."""
+    k_a = shaped_ctx.k_a
+    times = np.linspace(0.0, YEAR, 512)
+    m0 = k_a.mean_anomaly() + k_a.mean_motion(MU_SUN) * (times - k_a.epoch)
+    nu = mean_to_true(m0 % TWO_PI, k_a.e)
+    _, _, nu_dot, nu_ddot, _ = _asteroid_polar(k_a, nu, MU_SUN)
+    _, _, acc = shaped_orbit_eval(ShapedOrbit(np.array(BEHIND)), nu, nu_dot, nu_ddot)
+    mags = np.linalg.norm(acc, axis=1)
+    delta_v = float(np.trapezoid(mags, times))
+    j1 = 1.0 - math.exp(-delta_v / (shaped_ctx.isp * G0))
+    assert (j1, float(np.max(mags))) == pytest.approx(KINEMATIC, rel=1e-11, abs=0.0)
 
 
 SHIPPED_DK = [-1e-09, 5e-09, 0.0, 0.0, 8e-09]

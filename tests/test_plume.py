@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from laserfleet import batch
 from laserfleet.constants import (
     AU,
     JET_CONSTANT,
@@ -19,6 +20,7 @@ from laserfleet.plume import (
     line_of_sight_occluded,
     plume_density,
     plume_force,
+    spot_point,
     spot_position,
     spot_to_spacecraft,
     srp_force,
@@ -26,7 +28,10 @@ from laserfleet.plume import (
     view_factor_angle,
 )
 from laserfleet.sizing import design_from_option
-from laserfleet.sublimation import ellipse_radius
+from laserfleet.sublimation import ellipse_radius, exhaust_velocity
+
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def spherical(ast):
@@ -78,8 +83,7 @@ def test_ellipse_radius_bounds(ast, rng):
 def _geom(offset, phi):
     offset = np.asarray(offset, dtype=float)
     return SpotGeometry(spot_to_sc=offset, spot_position=np.zeros(3),
-                        r_ell=135.0, theta_va=0.0, phi=phi,
-                        big_theta=math.pi * phi / (2 * MAX_EXPANSION_ANGLE))
+                        distance=float(np.linalg.norm(offset)), phi=phi)
 
 
 def test_density_throat_value():
@@ -127,14 +131,20 @@ def test_density_monotone_decay(ast):
 # ---------------------------------------------------------------------------
 
 def test_contamination_rate():
-    assert contamination_rate(1e-10, 520.5, math.pi / 2) == 0.0
-    rate = contamination_rate(1e-10, 520.5, 0.0, 1000.0)
+    # edge-on to the Sun-facing optics (flow along +y): nothing condenses
+    assert contamination_rate(_geom([0.0, 700.0, 0.0], 0.0), 1e-10, 520.5) == 0.0
+    head_on = _geom([700.0, 0.0, 0.0], math.pi / 2)
+    rate = contamination_rate(head_on, 1e-10, 520.5)
     assert math.isclose(rate, 2 * 520.5 * 1e-10 / 1000.0, rel_tol=1e-12)
     assert math.isclose(rate, 1.041e-10, rel_tol=1e-3)
-    assert math.isclose(contamination_rate(3e-10, 520.5, 0.0, 1000.0),
-                        3 * rate, rel_tol=1e-12)
+    assert math.isclose(contamination_rate(head_on, 3e-10, 520.5), 3 * rate, rel_tol=1e-12)
+    # at 60 degrees off the mirror normal the flux projects by cos 60
+    oblique = _geom([350.0, 350.0 * math.sqrt(3.0), 0.0], math.pi / 6)
+    assert math.isclose(contamination_rate(oblique, 1e-10, 520.5), rate / 2, rel_tol=1e-12)
     # surfaces facing away accumulate nothing
-    assert contamination_rate(1e-10, 520.5, 2.5) == 0.0
+    assert contamination_rate(_geom([-700.0, 100.0, 0.0], 1.4), 1e-10, 520.5) == 0.0
+    with pytest.raises(ValueError):
+        contamination_rate(head_on, -1e-10, 520.5)
 
 
 def test_degradation_factor():
@@ -168,7 +178,7 @@ def test_dark_side_never_accumulates(ast, rng):
         geom = spot_to_spacecraft(sc, ast, t, theta_va)
         psi = view_factor_angle(geom.spot_to_sc)
         assert psi >= math.pi / 2
-        assert contamination_rate(1e-10, 520.0, psi) == 0.0
+        assert contamination_rate(geom, 1e-10, 520.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +260,107 @@ def test_plume_state_record(ast, earth):
         assert 0.0 < tau <= 1.0
     with pytest.raises(ValueError):
         degradation_factor(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# One spot for every consumer: the deflection's contamination growth
+# ---------------------------------------------------------------------------
+
+FLOW = 2e-3  # kg/s per spacecraft, whatever the power
+
+
+@pytest.fixture(scope="module")
+def growth_cases(ast, earth):
+    """Deflection constants, and states with spacecraft positions around the body."""
+    from laserfleet.constants import YEAR
+    from laserfleet.deflection import DeflectionScenario, MdotTable, _prepare
+
+    design = design_from_option(10.0, 5000.0, n_spacecraft=5, option="60/40")
+    run = _prepare(DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=1500.0,
+                                      t_start=0.0, t_moid=YEAR),
+                   MdotTable(powers=(0.0, 1e9), flows=(FLOW, FLOW)))
+    rng = np.random.default_rng(11)
+    n = 600
+    t = rng.uniform(0.0, 4.0 * TWO_PI / ast.spin_rate, n)
+    states = np.tile(run.state0(), (n, 1))
+    states[:, 5] = rng.uniform(0.0, TWO_PI, n)  # mean anomaly: the velocity elevation
+    pos = rng.normal(size=(n, 3)) * rng.uniform(150.0, 1500.0, (n, 1))
+    keep = np.sum((pos / np.array(ast.semi_axes)) ** 2, axis=1) > 1.0
+    return design, run.consts, t[keep], states[keep], pos[keep]
+
+
+def _growth_from_plume(ast, design, n_sc, t, state, pos):
+    """dh and the spot at ``pos`` from the public plume relations: floats for
+    one sample, columns and rows for a batch."""
+    from laserfleet.orbits import (eccentric_to_true, flight_path_angle, solve_kepler,
+                                   solve_kepler_array)
+
+    e, m_anom = state[1], state[5] % TWO_PI
+    kepler = solve_kepler if isinstance(e, float) else solve_kepler_array
+    theta_va = flight_path_angle(e, eccentric_to_true(kepler(m_anom, e), e))
+    geom = spot_to_spacecraft(pos, ast, t, theta_va)
+    v_bar = exhaust_velocity(ast)
+    rho = plume_density(geom, n_sc * FLOW, v_bar, design.spot_area, design.spot_diameter)
+    seen = np.logical_not(line_of_sight_occluded(geom.spot_position, pos, ast.semi_axes))
+    return np.where(seen, contamination_rate(geom, rho, v_bar), 0.0), geom
+
+
+def _growth_from_rates(monkeypatch, consts, m, t, state, pos):
+    """dh from the deflection's rates with the spacecraft held at ``pos``,
+    and the spot point that rates computed."""
+    from laserfleet import deflection
+    from laserfleet.orbits import solve_kepler, solve_kepler_array
+
+    spots = []
+
+    def recorded(*args):
+        spots.append(spot_point(*args))
+        return spots[-1]
+
+    monkeypatch.setattr(deflection, "spot_point", recorded)
+    if m is batch.FLOAT:
+        rates = deflection._rates(consts, lambda c, s, r, nu: tuple(pos), lambda p: FLOW,
+                                  solve_kepler, m)
+    else:
+        rates = deflection._rates(consts, lambda c, s, r, nu: tuple(pos.T),
+                                  lambda p: np.full(p.shape, FLOW), solve_kepler_array, m)
+    dy, _ = rates(t, list(state))
+    return dy[7], spots
+
+
+def _check_growth(dh, want):
+    dh, want = np.atleast_1d(dh), np.atleast_1d(want)
+    zero = want == 0.0
+    assert np.all(dh[zero] == 0.0)
+    np.testing.assert_allclose(dh[~zero], want[~zero], rtol=1e-12, atol=0.0)
+
+
+def test_deflection_growth_is_the_plume_relations(ast, growth_cases, monkeypatch):
+    design, consts, t, states, pos = growth_cases
+    n_sc = consts.n_sc
+    cases = {"exposed": 0, "occluded": 0, "averted": 0, "outside cone": 0}
+
+    # one sample at a time, on floats
+    for ti, yi, pi in zip(t.tolist(), states.tolist(), pos):
+        want, geom = _growth_from_plume(ast, design, n_sc, ti, yi, pi)
+        dh, spots = _growth_from_rates(monkeypatch, consts, batch.FLOAT, ti, yi, pi.tolist())
+        _check_growth(dh, want)
+        assert np.array_equal(np.array([*spots[0], 0.0]), geom.spot_position)
+        if geom.spot_to_sc[0] <= 0.0:
+            cases["averted"] += 1
+        elif line_of_sight_occluded(geom.spot_position, pi, ast.semi_axes):
+            cases["occluded"] += 1
+        elif geom.phi >= MAX_EXPANSION_ANGLE:
+            cases["outside cone"] += 1
+        else:
+            assert want > 0.0
+            cases["exposed"] += 1
+    assert min(cases.values()) >= 10, cases
+
+    # the same states as one batch of columns
+    cols = [np.ascontiguousarray(c) for c in states.T]
+    want, geom = _growth_from_plume(ast, design, n_sc, t, cols, pos)
+    k = type(consts)._make(np.full(len(t), v) for v in consts)
+    dh, spots = _growth_from_rates(monkeypatch, k, batch.ARRAY, t, cols, pos)
+    _check_growth(dh, want)
+    assert np.array_equal(np.stack([*spots[0], np.zeros(len(t))], axis=1), geom.spot_position)
