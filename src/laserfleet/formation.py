@@ -32,7 +32,6 @@ from .constants import G0, MU_SUN, TWO_PI
 from .orbits import (
     OrbitalElements,
     flight_path_angle,
-    linear_proximal_position,
     mean_to_true,
     proximal_relation,
     rk4_step,
@@ -78,9 +77,6 @@ class NaturalOrbit:
             raise ValueError("dk must be [de, di, draan, dargp, dM]")
         object.__setattr__(self, "dk", dk)
 
-    def position(self, k_a: OrbitalElements, nu) -> np.ndarray:
-        return linear_proximal_position(k_a, self.dk, nu)
-
 
 @dataclass(frozen=True)
 class ShapedOrbit:
@@ -95,18 +91,6 @@ class ShapedOrbit:
         object.__setattr__(self, "coeffs", c)
 
 
-@dataclass
-class ProximityState:
-    """Spacecraft Hill-frame state plus the asteroid polar coordinates."""
-
-    pos: np.ndarray      # m
-    vel: np.ndarray      # m/s
-    r_a: float           # m, asteroid heliocentric radius
-    r_a_dot: float       # m/s
-    nu: float            # rad
-    nu_dot: float        # rad/s
-
-
 @dataclass(frozen=True)
 class ControlHistory:
     """Control time history and propellant accounting over a window."""
@@ -116,6 +100,16 @@ class ControlHistory:
     thrust: np.ndarray       # N, per spacecraft
     delta_v: float           # m/s
     mass_fraction: float     # propellant fraction of initial mass
+
+    @classmethod
+    def from_accel(cls, times: np.ndarray, accel: np.ndarray, m_sc: float,
+                   isp: float) -> ControlHistory:
+        """The history of an (N, 3) acceleration on a time grid: |u| integrated
+        by the trapezoid rule for the delta-v, then the rocket equation."""
+        mags = np.linalg.norm(accel, axis=1)
+        delta_v = float(np.trapezoid(mags, times))
+        return cls(times=times, accel=accel, thrust=m_sc * mags, delta_v=delta_v,
+                   mass_fraction=1.0 - math.exp(-delta_v / (isp * G0)))
 
     @property
     def max_thrust(self) -> float:
@@ -240,77 +234,60 @@ def hill_accel(xyz, v_xy, r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
     return ax, ay, az
 
 
-def proximity_derivatives(state: ProximityState, f_s: np.ndarray, u_ctrl: np.ndarray,
-                          u_dev: np.ndarray, ast: AsteroidModel, m_sc: float,
-                          t: float = 0.0, mu_sun: float = MU_SUN) -> np.ndarray:
-    """Rates of [pos, vel, r_A, r_A_dot, nu, nu_dot].
-
-    Hill-frame spacecraft motion about the thrusting asteroid: frame
-    accelerations of the eccentric orbit, solar gravity on the spacecraft,
-    asteroid central plus harmonic gravity, surface forces f_s (SRP and
-    plume) and the control acceleration. The asteroid polar coordinates
-    evolve alongside, driven by the deflection acceleration u_dev (radial,
-    transverse components).
-    """
-    # floats run the arithmetic below faster than numpy scalars, same bits
-    xyz = state.pos.tolist()
-    vx, vy, vz = state.vel.tolist()
-    r_a, r_a_dot, nu_dot = float(state.r_a), float(state.r_a_dot), float(state.nu_dot)
-
-    nu_ddot = u_dev[1] / r_a - 2.0 * r_a_dot * nu_dot / r_a
-    r_a_ddot = nu_dot**2 * r_a - mu_sun / r_a**2 + u_dev[0]
-
-    _, mu_s_rsc3, mu_a_dr3, g = _gravity_terms(state.pos, xyz, r_a, ast, t, mu_sun)
-    ax, ay, az = hill_accel(xyz, (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
-                            mu_s_rsc3, mu_a_dr3, g, np.asarray(f_s, dtype=float).tolist(), m_sc)
-
-    return np.array([vx, vy, vz, ax + u_ctrl[0], ay + u_ctrl[1], az + u_ctrl[2],
-                     r_a_dot, r_a_ddot, nu_dot, nu_ddot])
+def _polar_rates(r_a, r_a_dot, nu_dot, mu_sun: float):
+    """(r_A_ddot, nu_ddot) of the coasting asteroid: floats or arrays."""
+    return nu_dot**2 * r_a - mu_sun / r_a**2, -2.0 * r_a_dot * nu_dot / r_a
 
 
-def model_derivatives(state: ProximityState, f_s: np.ndarray, u_ctrl: np.ndarray,
-                      ast: AsteroidModel, m_sc: float) -> np.ndarray:
-    """Control-design model: asteroid point gravity plus surface forces only.
+def proximity_derivatives(s: list, f_s, u_ctrl, ast: AsteroidModel, m_sc: float,
+                          t: float = 0.0, mu_sun: float = MU_SUN) -> list:
+    """Rates of the tracking state s = [x, y, z, vx, vy, vz, r_A, r_A_dot,
+    nu, nu_dot], a float list like the rates: Hill-frame motion about the
+    coasting asteroid under frame accelerations, solar gravity, asteroid
+    central plus harmonic gravity, the surface force f_s (SRP and plume, N)
+    and the control acceleration u_ctrl, both as components."""
+    x, y, z, vx, vy, vz, r_a, r_a_dot, _, nu_dot = s
+    r_a_ddot, nu_ddot = _polar_rates(r_a, r_a_dot, nu_dot, mu_sun)
+    _, mu_s_rsc3, mu_a_dr3, g = _gravity_terms(np.array(s[0:3]), (x, y, z), r_a, ast, t, mu_sun)
+    ax, ay, az = hill_accel((x, y, z), (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
+                            mu_s_rsc3, mu_a_dr3, g, f_s, m_sc)
+    return [vx, vy, vz, ax + u_ctrl[0], ay + u_ctrl[1], az + u_ctrl[2],
+            r_a_dot, r_a_ddot, nu_dot, nu_ddot]
 
-    This is the plant the Lyapunov law exactly cancels; under it the
-    descent dV/dt = -c_d |dv|^2 holds identically.
-    """
-    dr = float(np.linalg.norm(state.pos))
-    acc = -ast.mu / dr**3 * state.pos + f_s / m_sc + u_ctrl
-    return np.concatenate([state.vel, acc,
-                           [state.r_a_dot,
-                            state.nu_dot**2 * state.r_a - MU_SUN / state.r_a**2,
-                            state.nu_dot,
-                            -2.0 * state.r_a_dot * state.nu_dot / state.r_a]])
+
+def design_model_accel(pos: np.ndarray, f_srp: np.ndarray, f_plume: np.ndarray,
+                       ast: AsteroidModel, m_sc: float) -> list:
+    """Acceleration of the control-design model at the Hill position ``pos``,
+    as floats: asteroid point gravity plus the surface forces f_srp and
+    f_plume (N) on mass m_sc. This is what the Lyapunov law cancels."""
+    dr = math.sqrt(pos.dot(pos))  # the sum np.linalg.norm takes, so the same bits
+    c = -ast.mu / dr**3
+    return [c * p + fs / m_sc + fp / m_sc
+            for p, fs, fp in zip(pos.tolist(), f_srp.tolist(), f_plume.tolist())]
+
+
+def model_derivatives(s: list, a_model: list, u_ctrl) -> list:
+    """Rates of the tracking state ``s`` under the control-design model of
+    acceleration ``a_model``: the plant the Lyapunov law exactly cancels,
+    under which the descent dV/dt = -c_d |v|^2 holds identically."""
+    _, _, _, vx, vy, vz, r_a, r_a_dot, _, nu_dot = s
+    r_a_ddot, nu_ddot = _polar_rates(r_a, r_a_dot, nu_dot, MU_SUN)
+    return [vx, vy, vz, a_model[0] + u_ctrl[0], a_model[1] + u_ctrl[1],
+            a_model[2] + u_ctrl[2], r_a_dot, r_a_ddot, nu_dot, nu_ddot]
 
 
 # ---------------------------------------------------------------------------
 # Lyapunov station-keeping
 # ---------------------------------------------------------------------------
 
-def lyapunov_control(state: ProximityState, ref: np.ndarray,
-                     f_srp: np.ndarray, f_plume: np.ndarray,
-                     ast: AsteroidModel, m_sc: float,
-                     gain_k: float = DEFAULT_GAIN_K,
-                     gain_cd: float = DEFAULT_GAIN_CD) -> np.ndarray:
-    """Feedback acceleration toward a reference point on the nominal orbit.
-
-    Cancels the modeled asteroid gravity and surface forces, then applies
-    elastic and dissipative feedback. Under the design model this makes
-    the tracking energy decay at rate c_d |dv|^2.
-    """
-    if gain_k <= 0.0 or gain_cd <= 0.0:
-        raise ValueError("gains must be positive")
-    dr = float(np.linalg.norm(state.pos))
-    model = -ast.mu / dr**3 * state.pos + f_srp / m_sc + f_plume / m_sc
-    return -model - gain_k * (state.pos - ref) - gain_cd * state.vel
-
-
-def lyapunov_value(state: ProximityState, ref: np.ndarray,
-                   gain_k: float = DEFAULT_GAIN_K) -> float:
-    """Tracking energy: kinetic plus elastic terms."""
-    err = state.pos - ref
-    return 0.5 * float(state.vel @ state.vel) + 0.5 * gain_k * float(err @ err)
+def lyapunov_control(s: list, ref, a_model: list, gain_k: float = DEFAULT_GAIN_K,
+                     gain_cd: float = DEFAULT_GAIN_CD) -> list:
+    """Feedback acceleration toward the reference point ``ref``: cancels the
+    design model's acceleration ``a_model`` at the tracking state ``s``, then
+    applies elastic and dissipative feedback with positive gains. Under the
+    model, V = |v|^2 / 2 + gain_k |pos - ref|^2 / 2 falls at rate c_d |v|^2."""
+    return [-a - gain_k * (p - r) - gain_cd * v
+            for a, p, r, v in zip(a_model, s[0:3], ref, s[3:6])]
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +559,7 @@ def _asteroid_polar(k_a: OrbitalElements, nu, mu: float):
     h = math.sqrt(mu * p)
     nu_dot = h / r**2
     r_dot = math.sqrt(mu / p) * e * m.sin(nu)
-    nu_ddot = -2.0 * r_dot * nu_dot / r
-    r_ddot = nu_dot**2 * r - mu / r**2
+    r_ddot, nu_ddot = _polar_rates(r, r_dot, nu_dot, mu)
     return r, r_dot, nu_dot, nu_ddot, r_ddot
 
 
@@ -652,12 +628,8 @@ def shaped_orbit_control(s: ShapedOrbit, ctx: ShapedControlContext,
     fraction through the rocket equation.
     """
     times = np.linspace(t0, t0 + duration, n_samples)
-    accel = shaped_control_accel(s, times, ctx)
-    mags = np.linalg.norm(accel, axis=1)
-    delta_v = float(np.trapezoid(mags, times))
-    mf = 1.0 - math.exp(-delta_v / (ctx.isp * G0))
-    return ControlHistory(times=times, accel=accel, thrust=ctx.m_sc * mags,
-                          delta_v=delta_v, mass_fraction=mf)
+    return ControlHistory.from_accel(times, shaped_control_accel(s, times, ctx),
+                                     ctx.m_sc, ctx.isp)
 
 
 def shaped_objectives(s: ShapedOrbit, ctx: ShapedControlContext,
@@ -698,13 +670,6 @@ class TrackingResult:
     control: ControlHistory
 
 
-def _nominal_velocity(k_a: OrbitalElements, dk: np.ndarray, nu: float,
-                      nu_dot: float, d_nu: float = 1e-6) -> np.ndarray:
-    p_plus = linear_proximal_position(k_a, dk, nu + d_nu)
-    p_minus = linear_proximal_position(k_a, dk, nu - d_nu)
-    return (p_plus - p_minus) / (2.0 * d_nu) * nu_dot
-
-
 def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
                       duration: float, step: float = 200.0,
                       gain_k: float = DEFAULT_GAIN_K, gain_cd: float = DEFAULT_GAIN_CD,
@@ -717,7 +682,8 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
     true-anomaly rate, held fixed for ``ref_hold_steps`` integrator steps
     at a time. ``plant`` selects the full proximity dynamics or the
     control-design model (under which the Lyapunov descent is exact), which
-    runs without surface forces when ``design`` is None.
+    runs without surface forces when ``design`` is None. RK4 carries the
+    state as the float list of ``proximity_derivatives``.
     """
     if plant not in ("full", "model"):
         raise ValueError("plant must be 'full' or 'model'")
@@ -725,19 +691,21 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
         raise ValueError(f"step must be positive, got {step!r}")
     if not (isinstance(ref_hold_steps, (int, np.integer)) and ref_hold_steps >= 1):
         raise ValueError(f"ref_hold_steps must be a positive integer, got {ref_hold_steps!r}")
+    for name, gain in (("gain_k", gain_k), ("gain_cd", gain_cd)):
+        if not gain > 0.0:
+            raise ValueError(f"{name} must be positive, got {gain!r}")
     if design is None and plant == "full":
         raise ValueError("design is required by the full plant")
-    dk = np.asarray(dk, dtype=float)
     k_a = ast.elements0
-    mu = MU_SUN
+    position = proximal_relation(k_a, dk)
 
     nu = mean_to_true(k_a.mean_anomaly(), k_a.e) if nu0 is None else float(nu0)
-    r_a, r_a_dot, nu_dot, _, _ = _asteroid_polar(k_a, nu, mu)
-    pos0 = linear_proximal_position(k_a, dk, nu)
-    vel0 = _nominal_velocity(k_a, dk, nu, nu_dot)
-
-    y = np.concatenate([pos0, vel0, [r_a, r_a_dot, nu, nu_dot]])
-    u_dev = np.zeros(3)
+    r_a, r_a_dot, nu_dot, _, _ = _asteroid_polar(k_a, nu, MU_SUN)
+    # the nominal velocity by a central difference of the position in nu
+    d_nu = 1e-6
+    vel0 = [(p - q) / (2.0 * d_nu) * nu_dot
+            for p, q in zip(position(nu + d_nu), position(nu - d_nu))]
+    state = [*position(nu), *vel0, r_a, r_a_dot, nu, nu_dot]
 
     n_steps = int(math.ceil(duration / step))
     times = np.zeros(n_steps + 1)
@@ -746,61 +714,51 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
     max_err = 0.0
     orbit_scale = 0.0
     hold_ok = True
+    ref = None  # the held reference point, read by rhs
 
-    def forces(pos, r_a_now, t_now, nu_now):
+    def rhs(t, s):
+        pos = np.array(s[0:3])
         if inside_body(pos, ast.semi_axes):
-            raise ValueError(f"dk: the spacecraft is inside the asteroid at t = {t_now!r} s")
+            raise ValueError(f"dk: the spacecraft is inside the asteroid at t = {t!r} s")
         if design is None:
-            return np.zeros(3), np.zeros(3)
-        r_sc = math.sqrt((r_a_now + pos[0]) ** 2 + pos[1] ** 2 + pos[2] ** 2)
-        return surface_forces(pos, r_sc, ast, design, t_now, flight_path_angle(k_a.e, nu_now),
-                              mdot)
+            f_srp = f_plume = batch.ZERO3
+        else:
+            r_sc = math.sqrt((s[6] + s[0]) ** 2 + s[1] ** 2 + s[2] ** 2)
+            f_srp, f_plume = surface_forces(pos, r_sc, ast, design, t,
+                                            flight_path_angle(k_a.e, s[8]), mdot)
+        a_model = design_model_accel(pos, f_srp, f_plume, ast, m_sc)
+        u = lyapunov_control(s, ref, a_model, gain_k, gain_cd)
+        if plant == "model":
+            return model_derivatives(s, a_model, u), u
+        return proximity_derivatives(s, (f_srp + f_plume).tolist(), u, ast, m_sc, t), u
 
-    ref = pos0.copy()
     t = 0.0
-    v_hist[0] = 0.5 * float(vel0 @ vel0)  # zero position error at start
+    v_hist[0] = 0.5 * float(np.dot(vel0, vel0))  # zero position error at start
     last_v = None
 
     for i in range(n_steps):
         if i % ref_hold_steps == 0:
-            ref = linear_proximal_position(k_a, dk, float(y[8]))
-            orbit_scale = max(orbit_scale, float(np.linalg.norm(ref)))
+            ref = position(state[8])
+            orbit_scale = max(orbit_scale, batch.norm(np.array(ref)))
             last_v = None  # descent bookkeeping restarts at a reference jump
 
-        def rhs(t_loc, y_loc):
-            y_loc = np.array(y_loc)
-            st = ProximityState(pos=y_loc[0:3], vel=y_loc[3:6], r_a=y_loc[6],
-                                r_a_dot=y_loc[7], nu=y_loc[8], nu_dot=y_loc[9])
-            f_srp, f_plume = forces(st.pos, st.r_a, t_loc, st.nu)
-            u = lyapunov_control(st, ref, f_srp, f_plume, ast, m_sc, gain_k, gain_cd)
-            if plant == "model":
-                return model_derivatives(st, f_srp + f_plume, u, ast, m_sc).tolist(), u
-            return proximity_derivatives(st, f_srp + f_plume, u, u_dev, ast, m_sc,
-                                         t_loc).tolist(), u
-
-        y, u_now = rk4_step(rhs, t, y.tolist(), step)
-        y = np.array(y)
+        state, u_now = rk4_step(rhs, t, state, step)
         t += step
 
-        state = ProximityState(pos=y[0:3], vel=y[3:6], r_a=y[6], r_a_dot=y[7],
-                               nu=y[8], nu_dot=y[9])
-        v_now = lyapunov_value(state, ref, gain_k)
+        # the tracking energy: kinetic plus elastic terms
+        pos, vel = np.array(state[0:3]), np.array(state[3:6])
+        err = pos - ref
+        v_now = 0.5 * float(vel @ vel) + 0.5 * gain_k * float(err @ err)
         if last_v is not None and v_now - last_v > 1e-12 * max(last_v, 1e-30):
             hold_ok = False
         last_v = v_now
 
-        nominal = linear_proximal_position(k_a, dk, float(y[8]))
-        max_err = max(max_err, float(np.linalg.norm(y[0:3] - nominal)))
+        max_err = max(max_err, batch.norm(pos - position(state[8])))
 
         times[i + 1] = t
         v_hist[i + 1] = v_now
         accel_hist[i + 1] = u_now
 
-    mags = np.linalg.norm(accel_hist, axis=1)
-    delta_v = float(np.trapezoid(mags, times))
-    control = ControlHistory(times=times, accel=accel_hist, thrust=m_sc * mags,
-                             delta_v=delta_v,
-                             mass_fraction=1.0 - math.exp(-delta_v / (isp * G0)))
     return TrackingResult(times=times, lyapunov=v_hist, hold_decrease_ok=hold_ok,
                           max_tracking_error=max_err, orbit_scale=orbit_scale,
-                          control=control)
+                          control=ControlHistory.from_accel(times, accel_hist, m_sc, isp))

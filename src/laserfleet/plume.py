@@ -33,7 +33,7 @@ from .constants import (
     SOLAR_FLUX_1AU,
     SPEED_OF_LIGHT,
 )
-from .sublimation import AsteroidModel
+from .sublimation import AsteroidModel, equatorial_radius
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def spot_point(m, w_spin, a_ell, b_ell, t, theta_va):
     w_t = w_spin * t
     angle = -w_t - theta_va
     cos_a, sin_a = m.cos(angle), m.sin(angle)
-    r_ell = a_ell * b_ell / m.sqrt((b_ell * cos_a) ** 2 + (a_ell * sin_a) ** 2)
+    r_ell = equatorial_radius(m, a_ell, b_ell, cos_a, sin_a)
     sin_wt, cos_wt = m.sin(w_t), m.cos(w_t)
     return (r_ell * (sin_wt * cos_a - cos_wt * sin_a),
             r_ell * (cos_wt * cos_a + sin_wt * sin_a))

