@@ -17,7 +17,6 @@ row's numbers do not depend on how the cells are chunked.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -276,6 +275,10 @@ def _in_batches(rows_of, cells: list, threads: int) -> list:
     taking one contiguous chunk of the cells as one batch."""
     if threads <= 1:
         return rows_of(cells)
+    # imported here: the pool's import loads multiprocessing, which only
+    # --threads > 1 uses
+    from concurrent.futures import ProcessPoolExecutor
+
     size, extra = divmod(len(cells), threads)
     cuts = [k * size + min(k, extra) for k in range(threads + 1)]
     chunks = [cells[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]

@@ -12,11 +12,13 @@ the whole run, and therefore the final archive, is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+# at import, so that no optimizer run loads numpy.random inside its study
+from numpy.random import default_rng
 
 
 @dataclass(frozen=True)
@@ -340,7 +342,6 @@ class OptimizeResult:
     archive: ParetoArchive
     n_evaluations: int
     generations: int
-    history: list = field(default_factory=list)
 
 
 def optimize(problem: ProblemSpec, budget: int, seed: int,
@@ -356,7 +357,7 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
     """
     if budget < population:
         raise ValueError("budget must cover at least one population")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     archive = ParetoArchive(capacity=archive_size, reference_point=reference_point)
     evals = 0
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import batch
 from .constants import TWO_PI
@@ -614,8 +613,15 @@ def find_moid(k1: OrbitalElements, k2: OrbitalElements,
 
     Coarse grid over both anomalies (default 2 degrees) followed by a local
     Nelder-Mead refinement of the geometric distance. Orbit timing plays no
-    role: the MOID is a property of the two curves.
+    role: the MOID is a property of the two curves. ``grid_deg`` must be
+    finite with 0 < ``grid_deg`` <= 360.
     """
+    if not (0.0 < grid_deg <= 360.0):
+        raise ValueError(f"grid_deg must be finite with 0 < grid_deg <= 360, got {grid_deg!r}")
+    # imported on the first call: no study calls this, and scipy at module
+    # level was most of every run's start-up (DECISIONS.md)
+    from scipy.optimize import minimize
+
     n = int(round(360.0 / grid_deg))
     nus = np.linspace(0.0, TWO_PI, n, endpoint=False)
     pts1 = _orbit_points(k1, nus)

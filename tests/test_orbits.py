@@ -328,6 +328,12 @@ def test_moid_identical_orbits(ast):
     assert res.distance < 1.0  # metres
 
 
+@pytest.mark.parametrize("grid_deg", [0.0, -2.0, 800.0, math.inf, math.nan])
+def test_moid_rejects_bad_grid(ast, earth, grid_deg):
+    with pytest.raises(ValueError, match="grid_deg"):
+        find_moid(ast.elements0, earth.elements, grid_deg=grid_deg)
+
+
 def test_moid_apophis_earth_vs_dense_grid(ast, earth):
     res = find_moid(ast.elements0, earth.elements)
 

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -333,10 +335,34 @@ def test_worker_pool_sized_from_chunks(monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(experiments_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     rows = experiments_mod._in_batches(lambda cells: [c * 10 for c in cells], [1, 2, 3], 4)
     assert rows == [10, 20, 30]
     assert started == [3]  # one worker per non-empty chunk, not one per thread
+
+
+STARTUP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import laserfleet
+import laserfleet.cli
+from laserfleet.scenario import load_scenario
+sc = load_scenario(sys.argv[2])
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing")
+               or m == "concurrent.futures.process")
+assert not heavy, heavy
+laserfleet.find_moid(sc.asteroid.elements0, sc.earth.elements)
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_startup_imports_neither_scipy_nor_the_pool():
+    """Start-up loads only what every run uses: scipy comes with the first
+    ``find_moid`` call and the process pool with ``--threads > 1``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", STARTUP, str(src), str(SCENARIO)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_threads_reproduce_sequential(tmp_path):
