@@ -33,14 +33,19 @@ from .orbits import (
     OrbitalElements,
     flight_path_angle,
     mean_to_true,
+    proximal_basis,
+    proximal_position,
     proximal_relation,
     rk4_step,
 )
-from .plume import (
+# spot_to_spacecraft has no caller here: perfbench/tracing.py wraps it as a
+# name of this module, with the other plume functions
+from .plume import (  # noqa: F401
     inside_body,
     line_of_sight_occluded,
     plume_density,
     plume_force,
+    spot_geometry,
     spot_position,
     spot_to_spacecraft,
     srp_force,
@@ -97,6 +102,7 @@ class ControlHistory:
 
     times: np.ndarray
     accel: np.ndarray        # (N, 3) m/s^2
+    accel_norm: np.ndarray   # |u| at each time, m/s^2
     thrust: np.ndarray       # N, per spacecraft
     delta_v: float           # m/s
     mass_fraction: float     # propellant fraction of initial mass
@@ -108,8 +114,8 @@ class ControlHistory:
         by the trapezoid rule for the delta-v, then the rocket equation."""
         mags = np.linalg.norm(accel, axis=1)
         delta_v = float(np.trapezoid(mags, times))
-        return cls(times=times, accel=accel, thrust=m_sc * mags, delta_v=delta_v,
-                   mass_fraction=1.0 - math.exp(-delta_v / (isp * G0)))
+        return cls(times=times, accel=accel, accel_norm=mags, thrust=m_sc * mags,
+                   delta_v=delta_v, mass_fraction=1.0 - math.exp(-delta_v / (isp * G0)))
 
     @property
     def max_thrust(self) -> float:
@@ -117,7 +123,7 @@ class ControlHistory:
 
     @property
     def max_accel(self) -> float:
-        return float(np.max(np.linalg.norm(self.accel, axis=1)))
+        return float(np.max(self.accel_norm))
 
 
 def mirror_natural_orbit(dk: np.ndarray, i_a: float) -> np.ndarray:
@@ -165,10 +171,23 @@ def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, t) -> np.ndarray:
     Rejects points inside the bounding sphere of the body, where the
     expansion is meaningless, for any sample.
     """
+    m = batch.ARRAY if pos.ndim == 2 else batch.FLOAT
+    return _harmonic_gradient(pos, ast, *body_turn(m, ast, t))
+
+
+def body_turn(m, ast: AsteroidModel, t):
+    """cos and sin of 2 w_A t, the turn of the body's quadratic field at time
+    ``t``, through the ``batch`` namespace ``m``."""
+    wt2 = 2.0 * ast.spin_rate * t
+    return m.cos(wt2), m.sin(wt2)
+
+
+def _harmonic_gradient(pos: np.ndarray, ast: AsteroidModel, c2, s2) -> np.ndarray:
+    """``gravity_gradient`` with the body's turn given as ``body_turn``'s
+    (c2, s2): floats for a 3-vector, columns for a batch."""
     x, y, z = batch.components(pos)
     r2 = x * x + y * y + z * z
-    m = batch.xp(r2)
-    r = m.sqrt(r2)
+    r = batch.xp(r2).sqrt(r2)
     if batch.any_true(r <= max(ast.semi_axes)):
         raise ValueError("gravity gradient requested inside the asteroid")
 
@@ -178,8 +197,6 @@ def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, t) -> np.ndarray:
     r7 = r5 * r2
 
     # rho^2 cos(2 lambda) is the quadratic form Q rotating with the body
-    wt2 = 2.0 * ast.spin_rate * t
-    c2, s2 = m.cos(wt2), m.sin(wt2)
     q = (x * x - y * y) * c2 - 2.0 * x * y * s2
     q_x = 2.0 * x * c2 - 2.0 * y * s2
     q_y = -2.0 * y * c2 - 2.0 * x * s2
@@ -194,21 +211,26 @@ def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, t) -> np.ndarray:
 # Full proximity dynamics
 # ---------------------------------------------------------------------------
 
-def _gravity_terms(pos: np.ndarray, xyz, r_a, ast: AsteroidModel, t, mu_sun: float):
-    """r_sc, mu_sun / r_sc^3, mu_A / dr^3 and the harmonic gravity at ``pos``.
+def sun_distance(r_a, x, y, z):
+    """The spacecraft's distance from the Sun, r_A from it at Hill position
+    (x, y, z): floats or columns."""
+    return batch.xp(x).sqrt((r_a + x) ** 2 + y * y + z * z)
 
-    ``xyz`` are the components of ``pos``, and the harmonic gravity comes
-    back as components too. The central term is dropped at dr = 0 and the
-    harmonic one inside the bounding sphere of the body.
+
+def _gravity_terms(pos: np.ndarray, xyz, r_sc, ast: AsteroidModel, turn, mu_sun: float):
+    """mu_sun / r_sc^3, mu_A / dr^3 and the harmonic gravity at ``pos``.
+
+    ``xyz`` are the components of ``pos``, ``r_sc`` its ``sun_distance`` and
+    ``turn`` the ``body_turn`` at its time; the harmonic gravity comes back
+    as components. The central term is dropped at dr = 0 and the harmonic
+    one inside the bounding sphere of the body.
     """
     x, y, z = xyz
-    m = batch.xp(x)
-    r_sc = m.sqrt((r_a + x) ** 2 + y * y + z * z)
-    dr = m.sqrt(x * x + y * y + z * z)
+    dr = batch.xp(x).sqrt(x * x + y * y + z * z)
     mu_a_dr3 = batch.apply_where(dr > 0.0, operator.truediv, ast.mu, dr**3)
-    gg = batch.apply_where(dr > max(ast.semi_axes), gravity_gradient, pos, ast, t,
+    gg = batch.apply_where(dr > max(ast.semi_axes), _harmonic_gradient, pos, ast, *turn,
                            fill=batch.ZERO3)
-    return r_sc, mu_sun / r_sc**3, mu_a_dr3, batch.components(gg)
+    return mu_sun / r_sc**3, mu_a_dr3, batch.components(gg)
 
 
 def hill_accel(xyz, v_xy, r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
@@ -240,15 +262,20 @@ def _polar_rates(r_a, r_a_dot, nu_dot, mu_sun: float):
 
 
 def proximity_derivatives(s: list, f_s, u_ctrl, ast: AsteroidModel, m_sc: float,
-                          t: float = 0.0, mu_sun: float = MU_SUN) -> list:
+                          t: float = 0.0, mu_sun: float = MU_SUN,
+                          r_sc: float | None = None) -> list:
     """Rates of the tracking state s = [x, y, z, vx, vy, vz, r_A, r_A_dot,
     nu, nu_dot], a float list like the rates: Hill-frame motion about the
     coasting asteroid under frame accelerations, solar gravity, asteroid
     central plus harmonic gravity, the surface force f_s (SRP and plume, N)
-    and the control acceleration u_ctrl, both as components."""
+    and the control acceleration u_ctrl, both as components. ``r_sc`` is
+    the state's ``sun_distance``, formed here unless the caller has it."""
     x, y, z, vx, vy, vz, r_a, r_a_dot, _, nu_dot = s
     r_a_ddot, nu_ddot = _polar_rates(r_a, r_a_dot, nu_dot, mu_sun)
-    _, mu_s_rsc3, mu_a_dr3, g = _gravity_terms(np.array(s[0:3]), (x, y, z), r_a, ast, t, mu_sun)
+    if r_sc is None:
+        r_sc = sun_distance(r_a, x, y, z)
+    mu_s_rsc3, mu_a_dr3, g = _gravity_terms(np.array(s[0:3]), (x, y, z), r_sc, ast,
+                                            body_turn(batch.FLOAT, ast, t), mu_sun)
     ax, ay, az = hill_accel((x, y, z), (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
                             mu_s_rsc3, mu_a_dr3, g, f_s, m_sc)
     return [vx, vy, vz, ax + u_ctrl[0], ay + u_ctrl[1], az + u_ctrl[2],
@@ -430,7 +457,7 @@ def natural_orbit_objectives(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
     stand-off (feasible when positive).
     """
     position = proximal_relation(k_a, dk)
-    x, y, z = position(sweep_grid(n_sweep))
+    x, y, z = _sweep_position(k_a, dk, n_sweep)
     cos_g, sin_g = _sweep_flight_path(k_a.e, n_sweep)
 
     # the grid takes columns; the refinements take one float sample at a
@@ -456,13 +483,39 @@ def natural_orbit_objectives(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
     return {"J1": j1, "J2": -min_angle, "C": min_abs_y - y_lim}
 
 
+def _sweep_position(k_a: OrbitalElements, dk, n_sweep: int):
+    """The columns (x, y, z) of ``proximal_relation(k_a, dk)`` on
+    ``sweep_grid(n_sweep)``, from the grid's cached factors."""
+    return proximal_position(_sweep_basis(k_a, n_sweep), np.asarray(dk, dtype=float).tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def _sweep_basis(k_a: OrbitalElements, n_sweep: int) -> tuple:
+    """``proximal_basis(k_a)`` on ``sweep_grid(n_sweep)``: the factors no
+    natural orbit around ``k_a`` changes."""
+    return _read_only(proximal_basis(k_a)(sweep_grid(n_sweep)))
+
+
 @functools.lru_cache(maxsize=8)
 def _sweep_flight_path(e: float, n_sweep: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of the flight-path angle on ``sweep_grid(n_sweep)``."""
     gammas = np.array([flight_path_angle(e, nu) for nu in sweep_grid(n_sweep).tolist()])
-    cos_g, sin_g = np.cos(gammas), np.sin(gammas)
-    cos_g.flags.writeable = sin_g.flags.writeable = False
-    return cos_g, sin_g
+    return _read_only((np.cos(gammas), np.sin(gammas)))
+
+
+@functools.lru_cache(maxsize=8)
+def _sweep_trig(n_sweep: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of ``sweep_grid(n_sweep)``."""
+    nus = sweep_grid(n_sweep)
+    return _read_only((np.cos(nus), np.sin(nus)))
+
+
+def _read_only(arrays):
+    """``arrays``, a tuple of arrays, each made read-only: a cached value is
+    shared by every later call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _plume_axis_angle(x, y, z, cos_g, sin_g):
@@ -489,7 +542,7 @@ def _plume_axis_angle(x, y, z, cos_g, sin_g):
 def natural_family_label(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
                          n_sweep: int = 720) -> str:
     """'+z' or '-z' from the sign of z where |y| crosses the stand-off."""
-    _, y, z = proximal_relation(k_a, dk)(sweep_grid(n_sweep))
+    _, y, z = _sweep_position(k_a, dk, n_sweep)
     idx = int(np.argmin(np.abs(np.abs(y) - y_lim)))
     return "+z" if z[idx] >= 0.0 else "-z"
 
@@ -513,11 +566,14 @@ def shaped_orbit_eval(s: ShapedOrbit, nu, nu_dot: float = 0.0,
     scalar or array nu; the rates are floats shared by every sample, or
     arrays with one rate per sample.
     """
-    x1, x2, x3, y1, y2, y3, z1, z2 = s.coeffs
     nu = np.asarray(nu, dtype=float)
-    c, sn = np.cos(nu), np.sin(nu)
+    return _shaped_kinematics(s.coeffs, np.cos(nu), np.sin(nu), nu_dot, nu_ddot)
 
-    pos = np.stack(np.broadcast_arrays(*shaped_position(s.coeffs, c, sn)), axis=-1)
+
+def _shaped_kinematics(coeffs, c, sn, nu_dot, nu_ddot):
+    """``shaped_orbit_eval`` from the cos ``c`` and sin ``sn`` of nu."""
+    x1, x2, x3, y1, y2, y3, z1, z2 = coeffs
+    pos = np.stack(np.broadcast_arrays(*shaped_position(coeffs, c, sn)), axis=-1)
     dpos = np.stack(np.broadcast_arrays(-x1 * sn + x2 * c,
                                         -y1 * sn + y2 * c,
                                         -z1 * sn + z2 * c), axis=-1)
@@ -563,16 +619,40 @@ def _asteroid_polar(k_a: OrbitalElements, nu, mu: float):
     return r, r_dot, nu_dot, nu_ddot, r_ddot
 
 
-def surface_forces(pos: np.ndarray, r_sc, ast: AsteroidModel, design, t, theta_va,
+@dataclass(frozen=True)
+class ShapedGrid:
+    """What the shaped-control inversion reads of the asteroid at scenario
+    times ``times``: the half of the inversion that no shape changes.
+    Floats for one time, columns for a grid."""
+
+    times: object
+    cos_nu: object       # cos and sin of the asteroid's true anomaly
+    sin_nu: object
+    polar: tuple         # r_A, r_A_dot, nu_dot, nu_ddot, r_A_ddot (_asteroid_polar)
+    spot: np.ndarray     # spot_position under the velocity elevation
+    turn: tuple          # body_turn
+
+
+def shaped_grid(ast: AsteroidModel, k_a: OrbitalElements, t) -> ShapedGrid:
+    """The ``ShapedGrid`` of asteroid ``ast`` on orbit ``k_a`` at scenario
+    time ``t``, a float or a 1-D array of times."""
+    m0 = k_a.mean_anomaly() + k_a.mean_motion(MU_SUN) * (t - k_a.epoch)
+    nu = mean_to_true(m0 % TWO_PI, k_a.e)
+    return ShapedGrid(times=t, cos_nu=np.cos(nu), sin_nu=np.sin(nu),
+                      polar=_asteroid_polar(k_a, nu, MU_SUN),
+                      spot=spot_position(ast, t, flight_path_angle(k_a.e, nu)),
+                      turn=body_turn(batch.xp(t), ast, t))
+
+
+def surface_forces(pos: np.ndarray, r_sc, ast: AsteroidModel, design, spot: np.ndarray,
                    mdot: float) -> tuple[np.ndarray, np.ndarray]:
     """(f_srp, f_plume): radiation pressure and plume impingement (N) on a
-    spacecraft at ``pos``, ``r_sc`` from the Sun, beaming to the spot at time
-    ``t`` under velocity elevation ``theta_va``, with total flow ``mdot``.
+    spacecraft at ``pos``, ``r_sc`` from the Sun, beaming to the spot at
+    ``spot`` (``spot_position``), with total flow ``mdot``.
 
-    One sample or a batch of rows with one time each. Positions inside the
+    One sample or a batch of rows with one spot each. Positions inside the
     body get no plume; a caller that must not fly there checks for it.
     """
-    spot = spot_position(ast, t, theta_va)
     beta, n_steer = steering_geometry(pos, spot)
     f_srp = srp_force(design, r_sc, beta, n_steer)
     if not mdot > 0.0:
@@ -581,35 +661,35 @@ def surface_forces(pos: np.ndarray, r_sc, ast: AsteroidModel, design, t, theta_v
                           | line_of_sight_occluded(spot, pos, ast.semi_axes))
     v_bar = exhaust_velocity(ast)
 
-    def on_optics(pos, t, theta_va):
-        geom = spot_to_spacecraft(pos, ast, t, theta_va)
+    def on_optics(pos, spot):
+        geom = spot_geometry(pos, spot)
         rho = plume_density(geom, mdot, v_bar, design.spot_area, design.spot_diameter)
         psi = view_factor_angle(geom.spot_to_sc)
         return plume_force(rho, v_bar, design.collector_area, psi,
                            geom.spot_to_sc / batch.col(geom.distance))
 
-    return f_srp, batch.apply_where(seen, on_optics, pos, t, theta_va, fill=batch.ZERO3)
+    return f_srp, batch.apply_where(seen, on_optics, pos, spot, fill=batch.ZERO3)
 
 
 def shaped_control_accel(s: ShapedOrbit, t, ctx: ShapedControlContext) -> np.ndarray:
     """Control acceleration required to hold the shape at scenario time t.
 
     ``t`` is a float, giving a (3,) acceleration, or a 1-D array of times,
-    giving an (N, 3) array with one row per time. An array runs every
-    relation once over the whole grid; their branches (steering, occlusion,
-    expansion cone, interior gravity) are masks over the samples.
+    giving an (N, 3) array with one row per time; or the ``shaped_grid`` of
+    either, built already. An array runs every relation once over the whole
+    grid; their branches (steering, occlusion, expansion cone, interior
+    gravity) are masks over the samples.
     """
-    ast, k_a = ctx.ast, ctx.k_a
-    mu = MU_SUN
-    m0 = k_a.mean_anomaly() + k_a.mean_motion(mu) * (t - k_a.epoch)
-    nu = mean_to_true(m0 % TWO_PI, k_a.e)
-    r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot = _asteroid_polar(k_a, nu, mu)
+    ast = ctx.ast
+    grid = t if isinstance(t, ShapedGrid) else shaped_grid(ast, ctx.k_a, t)
+    r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot = grid.polar
 
-    pos, vel, acc_required = shaped_orbit_eval(s, nu, nu_dot, nu_ddot)
+    pos, vel, acc_required = _shaped_kinematics(s.coeffs, grid.cos_nu, grid.sin_nu,
+                                                nu_dot, nu_ddot)
     xyz = batch.components(pos)
-    r_sc, mu_s_rsc3, mu_a_dr3, g = _gravity_terms(pos, xyz, r_a, ast, t, mu)
-    f_srp, f_plume = surface_forces(pos, r_sc, ast, ctx.design, t,
-                                    flight_path_angle(k_a.e, nu), ctx.mdot)
+    r_sc = sun_distance(r_a, *xyz)
+    mu_s_rsc3, mu_a_dr3, g = _gravity_terms(pos, xyz, r_sc, ast, grid.turn, MU_SUN)
+    f_srp, f_plume = surface_forces(pos, r_sc, ast, ctx.design, grid.spot, ctx.mdot)
     f_s = f_srp + f_plume
     vx, vy, _ = batch.components(vel)
     ax, ay, az = hill_accel(xyz, (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
@@ -627,9 +707,19 @@ def shaped_orbit_control(s: ShapedOrbit, ctx: ShapedControlContext,
     trapezoid rule for the delta-v, and converts to a propellant mass
     fraction through the rocket equation.
     """
-    times = np.linspace(t0, t0 + duration, n_samples)
-    return ControlHistory.from_accel(times, shaped_control_accel(s, times, ctx),
+    grid = _control_grid(ctx.ast, ctx.k_a, duration, n_samples, t0)
+    return ControlHistory.from_accel(grid.times, shaped_control_accel(s, grid, ctx),
                                      ctx.m_sc, ctx.isp)
+
+
+@functools.lru_cache(maxsize=8)
+def _control_grid(ast: AsteroidModel, k_a: OrbitalElements, duration: float,
+                  n_samples: int, t0: float) -> ShapedGrid:
+    """The ``shaped_grid`` of ``shaped_orbit_control``'s time grid, built
+    once per asteroid, orbit and grid, since no shape changes it."""
+    grid = shaped_grid(ast, k_a, np.linspace(t0, t0 + duration, n_samples))
+    _read_only((grid.times, grid.cos_nu, grid.sin_nu, *grid.polar, grid.spot, *grid.turn))
+    return grid
 
 
 def shaped_objectives(s: ShapedOrbit, ctx: ShapedControlContext,
@@ -645,11 +735,12 @@ def shaped_objectives(s: ShapedOrbit, ctx: ShapedControlContext,
 
     coeffs = s.coeffs.tolist()
 
-    def dist(nu):  # a float or the grid; the squares sum in np.linalg.norm's order
-        x, y, z = shaped_position(coeffs, np.cos(nu), np.sin(nu))
+    def dist(c, sn):  # floats or the grid; the squares sum in np.linalg.norm's order
+        x, y, z = shaped_position(coeffs, c, sn)
         return np.sqrt(x * x + y * y + z * z)
 
-    _, j2 = sweep_extremum(dist, n_sweep=720, refine=True, maximize=True)
+    _, j2 = sweep_extremum(lambda nu: dist(np.cos(nu), np.sin(nu)), n_sweep=720,
+                           refine=True, maximize=True, values=dist(*_sweep_trig(720)))
     return {"J1": history.mass_fraction, "J2": j2, "J3": history.max_accel,
             "C1": c1, "C2": c2, "history": history}
 
@@ -720,17 +811,18 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
         pos = np.array(s[0:3])
         if inside_body(pos, ast.semi_axes):
             raise ValueError(f"dk: the spacecraft is inside the asteroid at t = {t!r} s")
+        r_sc = sun_distance(s[6], s[0], s[1], s[2])
         if design is None:
             f_srp = f_plume = batch.ZERO3
         else:
-            r_sc = math.sqrt((s[6] + s[0]) ** 2 + s[1] ** 2 + s[2] ** 2)
-            f_srp, f_plume = surface_forces(pos, r_sc, ast, design, t,
-                                            flight_path_angle(k_a.e, s[8]), mdot)
+            spot = spot_position(ast, t, flight_path_angle(k_a.e, s[8]))
+            f_srp, f_plume = surface_forces(pos, r_sc, ast, design, spot, mdot)
         a_model = design_model_accel(pos, f_srp, f_plume, ast, m_sc)
         u = lyapunov_control(s, ref, a_model, gain_k, gain_cd)
         if plant == "model":
             return model_derivatives(s, a_model, u), u
-        return proximity_derivatives(s, (f_srp + f_plume).tolist(), u, ast, m_sc, t), u
+        return proximity_derivatives(s, (f_srp + f_plume).tolist(), u, ast, m_sc, t,
+                                     r_sc=r_sc), u
 
     t = 0.0
     v_hist[0] = 0.5 * float(np.dot(vel0, vel0))  # zero position error at start

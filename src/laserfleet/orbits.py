@@ -548,22 +548,35 @@ def proximal_relation(k_a: OrbitalElements, dk: np.ndarray):
     takes a float nu, giving floats (x, y, z), or an array, giving three
     columns with one row per anomaly.
 
-    One sample runs on floats but keeps numpy's sin and cos, and squares by
-    a product as numpy does, so it gives the bits of its row in a batch.
-    The factors that do not depend on nu are taken once, each the product
-    the expression would form first, so the bits do not change.
+    The relation runs in two stages: ``proximal_basis(k_a)`` forms the
+    factors that depend on nu alone, and ``proximal_position`` multiplies
+    them by the deltas. A caller that places many orbits on one grid of
+    anomalies forms the factors once and runs the second stage per orbit.
     """
     dk = np.asarray(dk, dtype=float)
     if dk.shape != (5,):
         raise ValueError("dk must be [de, di, draan, dargp, dM]")
-    de, di, draan, dargp, dm = dk.tolist()
+    deltas = dk.tolist()
+    basis = proximal_basis(k_a)
+    return lambda nu: proximal_position(basis(nu), deltas)
 
+
+def proximal_basis(k_a: OrbitalElements):
+    """The factors of ``proximal_relation`` that depend on nu alone, as a
+    function of a float nu or an array of them.
+
+    One sample runs on floats but keeps numpy's sin and cos, and squares by
+    a product as numpy does, so it gives the bits of its row in a batch.
+    The factors that do not depend on nu are taken once. Each factor is the
+    product that the relation's expression forms first, in its order, so
+    splitting the relation moves no bit.
+    """
     a, e, argp = k_a.a, k_a.e, k_a.argp
     eta = math.sqrt(1.0 - e * e)
     a_e, a_eta2, eta2, eta3 = a * e, a * eta**2, eta**2, eta**3
     cos_i, sin_i = math.cos(k_a.i), math.sin(k_a.i)
 
-    def position(nu):
+    def basis(nu):
         theta = nu + argp
         cos_nu, sin_nu = np.cos(nu), np.sin(nu)
         cos_th, sin_th = np.cos(theta), np.sin(theta)
@@ -572,14 +585,22 @@ def proximal_relation(k_a: OrbitalElements, dk: np.ndarray):
                                               float(cos_th), float(sin_th))
         q = 1.0 + e * cos_nu
         r = a_eta2 / q
-        x = (a_e * sin_nu / eta) * dm - a * cos_nu * de
-        y = (r / eta3) * (q * q) * dm + r * dargp \
-            + (r * sin_nu / eta2) * (2.0 + e * cos_nu) * de \
-            + r * cos_i * draan
-        z = r * (sin_th * di - cos_th * sin_i * draan)
-        return x, y, z
+        return (a_e * sin_nu / eta, a * cos_nu,
+                (r / eta3) * (q * q), r, (r * sin_nu / eta2) * (2.0 + e * cos_nu), r * cos_i,
+                sin_th, cos_th * sin_i)
 
-    return position
+    return basis
+
+
+def proximal_position(factors, deltas):
+    """Hill-frame (x, y, z) from the factors of ``proximal_basis`` and the
+    deltas [de, di, draan, dargp, dM]: floats, or columns for a grid."""
+    x_dm, x_de, y_dm, r, y_de, y_draan, z_di, z_draan = factors
+    de, di, draan, dargp, dm = deltas
+    x = x_dm * dm - x_de * de
+    y = y_dm * dm + r * dargp + y_de * de + y_draan * draan
+    z = r * (z_di * di - z_draan * draan)
+    return x, y, z
 
 
 def linear_proximal_position(k_a: OrbitalElements, dk: np.ndarray, nu: float) -> np.ndarray:

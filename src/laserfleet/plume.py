@@ -131,8 +131,12 @@ def spot_to_spacecraft(sc_pos: np.ndarray, ast: AsteroidModel, t,
     sc_pos = np.asarray(sc_pos, dtype=float)
     if np.any(inside_body(sc_pos, ast.semi_axes)):
         raise ValueError("spacecraft position is inside the asteroid")
+    return spot_geometry(sc_pos, spot_position(ast, t, theta_va))
 
-    spot = spot_position(ast, t, theta_va)
+
+def spot_geometry(sc_pos: np.ndarray, spot: np.ndarray) -> SpotGeometry:
+    """Geometry of the line from a spot of ``spot_position`` to a spacecraft
+    outside the body: one sample, or a batch with one spot per row."""
     offset = sc_pos - spot
     dist = batch.norm(offset)
     phi = batch.apply_where(dist > 0.0, lambda dy, n: axis_angle(batch.xp(n), dy, n),

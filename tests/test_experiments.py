@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from laserfleet import formation
 from laserfleet.constants import AU, MU_SUN, YEAR
 from laserfleet.deflection import DeflectionScenario, simulate_deflection
 from laserfleet.experiments import (
@@ -86,7 +87,11 @@ def test_shaped_design_rows_are_the_scored_numbers(nominal, tmp_path):
     assert len(cells) == len(table.rows) * len(table.columns)
     assert all(isinstance(float(c), float) for c in cells)
 
-    # a fresh scoring of each row's shape gives the same bits
+    # a fresh scoring of each row's shape gives the same bits, with the
+    # asteroid side of the control grid and the distance sweep's trig built
+    # again, not taken from the study
+    formation._control_grid.cache_clear()
+    formation._sweep_trig.cache_clear()
     ast = nominal.asteroid
     design = design_from_option(20.0, nominal.design.concentration_ratio,
                                 n_spacecraft=10, option="66/45")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from laserfleet import formation
 from laserfleet.constants import DAY, MU_SUN, TWO_PI, YEAR
 from laserfleet.formation import (
     ShapedControlContext,
@@ -379,6 +380,43 @@ def test_shaped_objectives_scale_sweep(ast, design_20m):
     grav_far = ast.mu / np.array(j2s) ** 2
     assert np.all(np.array(j3s) >= 0.9 * grav_far)
     assert np.all(np.array(j3s) <= 10.0 * grav_far)
+
+
+def test_cached_grids_are_keyed_on_what_they_read(ast, design_20m):
+    """The cached asteroid side of a shaped control grid, and the cached
+    natural-orbit factors, give for every key what a cold cache gives.
+
+    Each variant changes one thing its grid reads: the spin rate, the
+    semi-axes, the orbit, the grid's start, length and sample count; for
+    the natural factors the orbit and the sweep size. Scored one after the
+    other in one process, a key that left the thing out would hand the
+    variant the grid of the case before it.
+    """
+    m_sc = mass_budget(design_20m, ast.elements0.a * (1 - ast.elements0.e)).m_total
+    ctx = ShapedControlContext(ast=ast, k_a=ast.elements0, design=design_20m, m_sc=m_sc,
+                               mdot=0.3)
+    k_b = replace(ast.elements0, a=1.1 * ast.elements0.a, e=0.25, anomaly=2.0)
+    asteroids = [ast, replace(ast, spin_rate=2.0 * ast.spin_rate),
+                 replace(ast, semi_axes=(200.0, 120.0, 95.0))]
+    cases = [(replace(ctx, ast=a), YEAR, 256, 0.0) for a in asteroids]
+    cases += [(replace(ctx, k_a=k_b), YEAR, 256, 0.0), (ctx, YEAR, 256, 0.3 * YEAR),
+              (ctx, YEAR, 320, 0.0), (ctx, 0.5 * YEAR, 256, 0.0)]
+    s = ShapedOrbit(np.array([300.0, 200.0, 400.0, 200.0, 100.0, 1500.0, 100.0, 50.0]))
+
+    warm = [shaped_orbit_control(s, *case).accel for case in cases]
+    for case, accel in zip(cases, warm):
+        formation._control_grid.cache_clear()
+        assert np.array_equal(shaped_orbit_control(s, *case).accel, accel)
+    # every variant moves the control, so a grid shared by mistake shows
+    assert not any(np.array_equal(warm[0], a) for a in warm[1:])
+
+    dk = np.array([-1e-9, 5e-9, 2e-9, -3e-9, 8e-9])
+    natural = [(k, n) for k in (ast.elements0, k_b) for n in (720, 500)]
+    warm = [natural_orbit_objectives(dk, k, 500.0, n, refine=False) for k, n in natural]
+    for (k, n), objectives in zip(natural, warm):
+        formation._sweep_basis.cache_clear()
+        assert natural_orbit_objectives(dk, k, 500.0, n, refine=False) == objectives
+    assert len({tuple(o.values()) for o in warm}) == len(warm)
 
 
 def test_shaped_orbit_bounds_violations():
