@@ -585,6 +585,7 @@ def proximal_basis(k_a: OrbitalElements):
                                               float(cos_th), float(sin_th))
         q = 1.0 + e * cos_nu
         r = a_eta2 / q
+        # x's two factors, y's four, z's two: the order proximal_position reads
         return (a_e * sin_nu / eta, a * cos_nu,
                 (r / eta3) * (q * q), r, (r * sin_nu / eta2) * (2.0 + e * cos_nu), r * cos_i,
                 sin_th, cos_th * sin_i)
