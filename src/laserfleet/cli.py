@@ -249,7 +249,6 @@ def _check_optimizer():
 
 def _check_null_deflection():
     from .deflection import DeflectionScenario, simulate_deflection
-    from .formation import ShapedOrbit
     from .orbits import BodyEphemeris, OrbitalElements
     from .sizing import design_from_option
     from .sublimation import apophis_model
@@ -261,9 +260,8 @@ def _check_null_deflection():
         mu_central=MU_SUN)
     # concentration ratio 1 never reaches the sublimation threshold
     design = design_from_option(10.0, 1.0)
-    dscn = DeflectionScenario(
-        ast=ast, design=design, earth=earth, m_sc=0.0, t_start=0.0, t_moid=YEAR,
-        formation=ShapedOrbit(np.array([0., 0., -1000., 0., 0., -1000., 0., 0.])))
+    dscn = DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=0.0,
+                              t_start=0.0, t_moid=YEAR)
     out = simulate_deflection(dscn)
     assert abs(out.delta_mean_anomaly) < 1e-12, "null thrust left an anomaly change"
     assert out.miss_distance < 1.0, f"null thrust missed by {out.miss_distance} m"

@@ -67,6 +67,13 @@ def _optimizer_settings(scenario: Scenario, **defaults) -> dict:
             "archive_size": cfg["archive"]}
 
 
+def _study_formation(scenario: Scenario, mode: str):
+    formation = scenario.natural if mode == "natural" else scenario.shaped
+    if formation is None:
+        raise ScenarioError(f"formation.{mode}: a study in {mode} mode needs this block")
+    return formation
+
+
 def resolve_encounter_epoch(scenario: Scenario) -> float:
     """Virtual impact epoch: configured, optionally refined to the nearest
     asteroid-Earth close approach (well-conditioned b-plane geometry)."""
@@ -157,13 +164,13 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
     """
     seed = scenario.seed if seed is None else seed
     exp = scenario.experiments["shaped_design"]
-    aperture, n_sc, option = exp["aperture_m"], exp["n_spacecraft"], exp["efficiency_option"]
+    aperture, c_r = exp["aperture_m"], exp["concentration_ratio"]
+    n_sc, option = exp["n_spacecraft"], exp["efficiency_option"]
     duration = exp["duration_yr"] * YEAR
     cfg = _optimizer_settings(scenario, population=32, budget=5000, archive=96)
 
     ast = scenario.asteroid
-    design = design_from_option(aperture, scenario.design.concentration_ratio,
-                                n_spacecraft=n_sc, option=option)
+    design = design_from_option(aperture, c_r, n_spacecraft=n_sc, option=option)
     r_peri = ast.elements0.a * (1.0 - ast.elements0.e)
     m_sc = mass_budget(design, r_peri).m_total
     mdot_ref = mass_flow_rate(design, ast, r_peri, 1.0, n_sc)
@@ -187,7 +194,8 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
                  ("J1_propellant_fraction", ""), ("J2_max_distance", "m"),
                  ("J3_max_accel", "m/s^2"), ("max_thrust", "N"),
                  ("C1_max_x", "m"), ("C2_max_y", "m")],
-        metadata=scenario.metadata() | {"aperture_m": aperture, "n_spacecraft": n_sc,
+        metadata=scenario.metadata() | {"aperture_m": aperture, "concentration_ratio": c_r,
+                                        "n_spacecraft": n_sc,
                                         "duration_yr": duration / YEAR,
                                         "spacecraft_mass_kg": m_sc,
                                         "efficiency_option": option,
@@ -205,13 +213,6 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
 # ---------------------------------------------------------------------------
 # Fleet design
 # ---------------------------------------------------------------------------
-
-def _fleet_formation(scenario: Scenario, mode: str):
-    formation = scenario.natural if mode == "natural" else scenario.shaped
-    if formation is None:
-        raise ScenarioError(f"formation.{mode}: a study in {mode} mode needs this block")
-    return formation
-
 
 def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable:
     seed = scenario.seed if seed is None else seed
@@ -236,7 +237,7 @@ def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable
                                         "moid_epoch_s": t_moid})
 
     for mi, mode in enumerate(exp["modes"]):
-        formation = _fleet_formation(scenario, mode)
+        formation = _study_formation(scenario, mode)
         for oi, option in enumerate(exp["efficiency_options"]):
             def evaluate(x, option=option, formation=formation):
                 d_m, n_sc, c_r = float(x[0]), int(round(x[1])), float(x[2])
@@ -314,7 +315,7 @@ def run_deflection_map(scenario: Scenario, seed: int | None = None,
 
     cells = []
     for mode in exp["modes"]:
-        formation = _fleet_formation(scenario, mode)
+        formation = _study_formation(scenario, mode)
         for aperture in exp["apertures_m"]:
             for n_sc in exp["n_spacecraft"]:
                 design = design_from_option(aperture, c_r, n_spacecraft=n_sc, option=option)
@@ -426,8 +427,7 @@ def run_eccentricity_sweep(scenario: Scenario, seed: int | None = None,
 
     design = design_from_option(aperture, c_r, n_spacecraft=n_sc, option=option)
     template = scenario.asteroid
-    formation = scenario.shaped if scenario.shaped is not None else ShapedOrbit(
-        np.array([0.0, 0.0, -1000.0, 0.0, 0.0, -1000.0, 0.0, 0.0]))
+    formation = _study_formation(scenario, "shaped")
     m_sc = mass_budget(design, float(r_p_grid[0])).m_total
 
     cells = []

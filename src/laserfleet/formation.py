@@ -765,8 +765,7 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
                       duration: float, step: float = 200.0,
                       gain_k: float = DEFAULT_GAIN_K, gain_cd: float = DEFAULT_GAIN_CD,
                       plant: str = "full", ref_hold_steps: int = 1,
-                      mdot: float = 0.0, isp: float = 2000.0,
-                      nu0: float | None = None) -> TrackingResult:
+                      mdot: float = 0.0, isp: float = 2000.0) -> TrackingResult:
     """Fly the Lyapunov-controlled spacecraft along a natural orbit.
 
     The reference point steps along the nominal orbit at the asteroid's
@@ -790,7 +789,7 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
     k_a = ast.elements0
     position = proximal_relation(k_a, dk)
 
-    nu = mean_to_true(k_a.mean_anomaly(), k_a.e) if nu0 is None else float(nu0)
+    nu = mean_to_true(k_a.mean_anomaly(), k_a.e)
     r_a, r_a_dot, nu_dot, _, _ = _asteroid_polar(k_a, nu, MU_SUN)
     # the nominal velocity by a central difference of the position in nu
     d_nu = 1e-6

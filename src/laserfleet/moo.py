@@ -20,6 +20,8 @@ import numpy as np
 # at import, so that no optimizer run loads numpy.random inside its study
 from numpy.random import default_rng
 
+N_POLISH = 2  # pattern-search polishes from archive members, per generation
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -346,7 +348,7 @@ class OptimizeResult:
 
 def optimize(problem: ProblemSpec, budget: int, seed: int,
              population: int = 64, archive_size: int = 128,
-             n_polish: int = 2, on_generation=None,
+             on_generation=None,
              reference_point: tuple[float, float] | None = None) -> OptimizeResult:
     """Run the archive-based evolutionary search.
 
@@ -405,9 +407,9 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
                 archive.add(m)
 
         # Memetic polish: short pattern search from random archive members
-        if archive.members and n_polish > 0:
+        if archive.members:
             step = 0.5 ** (2 + gen % 10)
-            for _ in range(n_polish):
+            for _ in range(N_POLISH):
                 if evals >= budget:
                     break
                 base = archive.members[int(rng.integers(0, len(archive.members)))]

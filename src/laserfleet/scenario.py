@@ -14,23 +14,16 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
 from .constants import AU, DAY, MU_SUN, YEAR
-from .formation import (
-    DEFAULT_GAIN_CD,
-    DEFAULT_GAIN_K,
-    SHAPED_BOUNDS_LOWER,
-    SHAPED_BOUNDS_UPPER,
-    NaturalOrbit,
-    ShapedOrbit,
-)
+from .formation import SHAPED_BOUNDS_LOWER, SHAPED_BOUNDS_UPPER, NaturalOrbit, ShapedOrbit
 from .orbits import BodyEphemeris, OrbitalElements
-from .sizing import EFFICIENCY_OPTIONS, SpacecraftDesign, design_from_option
+from .sizing import EFFICIENCY_OPTIONS
 from .sublimation import AsteroidModel
 
 SCHEMA = "laserfleet-scenario/1"
@@ -210,15 +203,15 @@ def _asteroid(v: Mapping) -> AsteroidModel:
         emissivity=v["emissivity"])
 
 
-def _earth(v: Mapping) -> tuple[BodyEphemeris, bool]:
-    """(ephemeris, circular?) of a keplerian or circular Earth."""
+def _earth(v: Mapping) -> BodyEphemeris:
+    """The ephemeris of a keplerian or circular Earth."""
     circular = v["kind"] == "circular"
     need = "radius" if circular else "elements"
     if v.keys() != {"kind", need}:
         raise ValueError(f"kind {v['kind']} takes {need} and no other key")
     elements = OrbitalElements(a=v["radius"], e=0.0, i=0.0, raan=0.0, argp=0.0,
                                anomaly=0.0) if circular else v["elements"]
-    return BodyEphemeris(elements=elements, mu_central=MU_SUN), circular
+    return BodyEphemeris(elements=elements, mu_central=MU_SUN)
 
 
 def _shaped(v: Mapping) -> ShapedOrbit:
@@ -227,12 +220,6 @@ def _shaped(v: Mapping) -> ShapedOrbit:
             np.any(coeffs > SHAPED_BOUNDS_UPPER + 1e-9):
         raise ValueError("coefficients outside the design box")
     return ShapedOrbit(coeffs=coeffs)
-
-
-def _formation(v: Mapping) -> Mapping:
-    if v["mode"] not in v:
-        raise ValueError(f"mode {v['mode']} but no {v['mode']} block")
-    return v
 
 
 # --- the schema ------------------------------------------------------------
@@ -277,16 +264,6 @@ _SCENARIO = block({
         "elements": block(_ELEMENTS, default=None, build=_elements),
         "radius": quantity("length", POSITIVE, default=None),
     }, build=_earth),
-    "design": block({
-        "aperture_diameter": quantity("length", POSITIVE),
-        "concentration_ratio": number(POSITIVE),
-        "n_spacecraft": count(default=1),
-        "efficiency_option": choice(EFFICIENCY_OPTIONS, default="66/45"),
-        "array_flux_limit": number(POSITIVE, default=SpacecraftDesign.array_flux_limit),
-    }, build=lambda v: replace(
-        design_from_option(v["aperture_diameter"], v["concentration_ratio"],
-                           n_spacecraft=v["n_spacecraft"], option=v["efficiency_option"]),
-        array_flux_limit=v["array_flux_limit"])),
     # the fleet-design search box: (min, max) of each variable
     "design_space": block({
         "aperture_diameter": block(
@@ -298,7 +275,6 @@ _SCENARIO = block({
                                       build=_ordered),
     }, default={}),
     "formation": block({
-        "mode": choice(MODES),
         "y_limits": listof(quantity("length", POSITIVE), default=[
             {"value": 500.0, "unit": "m"}, {"value": 1000.0, "unit": "m"}]),
         "natural": block({
@@ -308,15 +284,13 @@ _SCENARIO = block({
             [v["de"], v["di"], v["draan"], v["dargp"], v["dm"]]))),
         "shaped": block({k: quantity("length") for k in _SHAPED_KEYS},
                         default=None, build=_shaped),
-    }, build=_formation),
+    }),
     "timing": block({
         "moid_epoch": quantity("time", default={"value": 12.0, "unit": "yr"}),
         "refine_encounter": flag(default=True),
     }, default={}),
     "control": block({
         "isp": quantity("time", POSITIVE, default={"value": 2000.0, "unit": "s"}),
-        "gain_position": number(POSITIVE, default=DEFAULT_GAIN_K),
-        "gain_velocity": number(POSITIVE, default=DEFAULT_GAIN_CD),
     }, default={}),
     "model": block({
         "scattering_factor": number("[0, 1]", default=2.0 / math.pi),
@@ -328,6 +302,7 @@ _SCENARIO = block({
         "formation_design": block({}, default={}),
         "shaped_design": block({
             "aperture_m": number(POSITIVE, default=20.0),
+            "concentration_ratio": number(POSITIVE, default=5000.0),
             "n_spacecraft": count(default=10),
             "duration_yr": number(POSITIVE, default=1.0),
             "control_samples": count(low=2, default=512),
@@ -366,16 +341,11 @@ class Scenario:
     seed: int
     asteroid: AsteroidModel
     earth: BodyEphemeris
-    earth_circular: bool
-    design: SpacecraftDesign
     design_space: Mapping           # variable -> (min, max), aperture in m
     natural: NaturalOrbit | None
     shaped: ShapedOrbit | None
-    mode: str                       # "natural" | "shaped"
     y_limits: tuple[float, ...]     # m, stand-off distances for formation design
     isp: float                      # s
-    gain_position: float
-    gain_velocity: float
     scattering_factor: float
     moid_epoch: float               # s, virtual encounter epoch
     refine_encounter: bool
@@ -392,7 +362,6 @@ class Scenario:
             "sublimation_enthalpy_J_per_kg": self.asteroid.sublimation_enthalpy,
             "isp_s": self.isp,
             "emissivity": self.asteroid.emissivity,
-            "array_flux_limit_suns": self.design.array_flux_limit,
             "scattering_factor": self.scattering_factor,
         }
 
@@ -409,14 +378,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def parse_scenario(doc: dict, sha256: str = "") -> Scenario:
     v = _SCENARIO[0](doc, "")
-    earth, circular = v["earth"]
-    formation, timing, control = v["formation"], v["timing"], v["control"]
+    formation, timing = v["formation"], v["timing"]
     return Scenario(
-        name=v["name"], seed=v["seed"], asteroid=v["asteroid"], earth=earth,
-        earth_circular=circular, design=v["design"], design_space=v["design_space"],
-        natural=formation.get("natural"), shaped=formation.get("shaped"),
-        mode=formation["mode"], y_limits=formation["y_limits"], isp=control["isp"],
-        gain_position=control["gain_position"], gain_velocity=control["gain_velocity"],
-        scattering_factor=v["model"]["scattering_factor"],
+        name=v["name"], seed=v["seed"], asteroid=v["asteroid"], earth=v["earth"],
+        design_space=v["design_space"], natural=formation.get("natural"),
+        shaped=formation.get("shaped"), y_limits=formation["y_limits"],
+        isp=v["control"]["isp"], scattering_factor=v["model"]["scattering_factor"],
         moid_epoch=timing["moid_epoch"], refine_encounter=timing["refine_encounter"],
         optimizer=v["optimizer"], experiments=v["experiments"], sha256=sha256)

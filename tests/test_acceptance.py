@@ -221,8 +221,7 @@ def test_criterion_4_lyapunov(nominal):
 
     started = time.time()
     full = simulate_tracking(dk, ast, design, m_sc, duration=YEAR, step=400.0,
-                             gain_k=nominal.gain_position,
-                             gain_cd=nominal.gain_velocity, plant="full")
+                             plant="full")
     elapsed_full = time.time() - started
     assert full.max_tracking_error < 0.01 * full.orbit_scale, \
         f"tracking error {full.max_tracking_error:.2f} m of {full.orbit_scale:.0f} m"
@@ -233,9 +232,7 @@ def test_criterion_4_lyapunov(nominal):
     # residuals exceed c_d|dv| at these gains (see DECISIONS.md). Assert it
     # step-by-step where the guarantee applies.
     model = simulate_tracking(dk, ast, design, m_sc, duration=YEAR, step=400.0,
-                              gain_k=nominal.gain_position,
-                              gain_cd=nominal.gain_velocity, plant="model",
-                              ref_hold_steps=8)
+                              plant="model", ref_hold_steps=8)
     assert model.hold_decrease_ok, "V increased within a reference hold"
 
 

@@ -93,8 +93,8 @@ def test_shaped_design_rows_are_the_scored_numbers(nominal, tmp_path):
     formation._control_grid.cache_clear()
     formation._sweep_trig.cache_clear()
     ast = nominal.asteroid
-    design = design_from_option(20.0, nominal.design.concentration_ratio,
-                                n_spacecraft=10, option="66/45")
+    c_r = nominal.experiments["shaped_design"]["concentration_ratio"]
+    design = design_from_option(20.0, c_r, n_spacecraft=10, option="66/45")
     r_peri = ast.elements0.a * (1.0 - ast.elements0.e)
     m_sc = table.metadata["spacecraft_mass_kg"]
     ctx = ShapedControlContext(ast=ast, k_a=ast.elements0, design=design, m_sc=m_sc,

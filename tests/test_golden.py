@@ -87,8 +87,8 @@ def shaped_ctx():
 
     scenario = load_scenario(SCENARIO_DIR / "apophis_nominal.json")
     ast = scenario.asteroid
-    design = design_from_option(20.0, scenario.design.concentration_ratio,
-                                n_spacecraft=10, option="66/45")
+    c_r = scenario.experiments["shaped_design"]["concentration_ratio"]
+    design = design_from_option(20.0, c_r, n_spacecraft=10, option="66/45")
     r_peri = ast.elements0.a * (1.0 - ast.elements0.e)
     return ShapedControlContext(ast=ast, k_a=ast.elements0, design=design,
                                 m_sc=mass_budget(design, r_peri).m_total,

@@ -1,5 +1,7 @@
+import ast
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -19,7 +21,7 @@ import laserfleet.experiments as experiments_mod
 from laserfleet.cli import build_parser, main
 from laserfleet.constants import AU
 from laserfleet.results import ResultTable
-from laserfleet.scenario import ScenarioError, load_scenario, parse_scenario
+from laserfleet.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "apophis_nominal.json"
 SWEEP = Path(__file__).resolve().parents[1] / "scenarios" / "eccentricity_sweep.json"
@@ -39,14 +41,12 @@ def test_load_nominal_scenario():
     assert sc.name == "apophis-nominal"
     assert math.isclose(sc.asteroid.elements0.a, 0.9224 * AU, rel_tol=1e-12)
     assert math.isclose(sc.asteroid.sublimation_enthalpy, 1.97e6, rel_tol=1e-12)
-    assert sc.mode == "natural" and sc.natural is not None and sc.shaped is not None
-    assert sc.design.n_spacecraft == 5
+    assert sc.natural is not None and sc.shaped is not None
     assert len(sc.sha256) == 64
     # metadata names every open model parameter
     meta = sc.metadata()
     for key in ("sublimation_enthalpy_J_per_kg", "isp_s", "emissivity",
-                "array_flux_limit_suns", "scattering_factor", "seed",
-                "scenario_sha256"):
+                "scattering_factor", "seed", "scenario_sha256"):
         assert key in meta
 
 
@@ -75,14 +75,6 @@ def test_missing_enthalpy_is_an_error():
     doc = nominal_doc()
     del doc["asteroid"]["sublimation_enthalpy"]
     with pytest.raises(ScenarioError):
-        parse_scenario(doc)
-
-
-def test_formation_mode_must_have_block():
-    doc = nominal_doc()
-    doc["formation"]["mode"] = "shaped"
-    del doc["formation"]["shaped"]
-    with pytest.raises(ScenarioError, match="shaped"):
         parse_scenario(doc)
 
 
@@ -215,7 +207,7 @@ def _drop(field):
     (_put("timing.refine_encounterr", True), "timing.refine_encounterr"),
     (_put("experiments.deflection_map.aperturez_m", [5.0]),
      "experiments.deflection_map.aperturez_m"),
-    (_put("control.gain_position", -1.0), "control.gain_position"),
+    (_put("control.isp", {"value": -1.0, "unit": "s"}), "control.isp"),
     (_put("model.scattering_factor", -0.5), "model.scattering_factor"),
     (_drop("asteroid.elements.mean_anomaly"), "asteroid.elements"),
     (_put("asteroid.semi_axes", {"value": [95.0, 135.0, 191.0], "unit": "m"}), "asteroid"),
@@ -223,7 +215,7 @@ def _drop(field):
 ], ids=["array", "aperture_min", "concentration", "n_spacecraft_order", "refine_flag",
         "no_elements", "natural_number", "y_limits_number", "semi_axes_text",
         "apertures_text", "warning_text", "refine_misspelt", "apertures_misspelt",
-        "negative_gain", "negative_scattering", "no_anomaly", "axes_order",
+        "negative_isp", "negative_scattering", "no_anomaly", "axes_order",
         "archive_of_one"])
 def test_cli_malformed_scenario_names_field(edit, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -242,14 +234,53 @@ def test_cli_budget_below_population_names_field(tmp_path, capsys):
     assert "scenario error: optimizer.budget" in capsys.readouterr().err
 
 
-def test_cli_study_mode_needs_its_formation_block(tmp_path, capsys):
+@pytest.mark.parametrize("study", ["fleet-design", "eccentricity-sweep"])
+def test_cli_study_mode_needs_its_formation_block(study, tmp_path, capsys):
     doc = nominal_doc()
     del doc["formation"]["shaped"]
     doc["experiments"]["fleet_design"]["modes"] = ["shaped"]
+    doc["experiments"]["eccentricity_sweep"] = {"n_perihelion": 1, "n_aphelion": 1}
     path = tmp_path / "no_shaped.json"
     path.write_text(json.dumps(doc))
-    assert main(["--scenario", str(path), "--out", str(tmp_path), "fleet-design"]) == 1
+    assert main(["--scenario", str(path), "--out", str(tmp_path), study]) == 1
     assert "scenario error: formation.shaped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_put("design", {"aperture_diameter": {"value": 10.0, "unit": "m"},
+                     "concentration_ratio": 5000}), "design"),
+    (_put("formation.mode", "natural"), "formation.mode"),
+    (_put("control.gain_position", 1e-6), "control.gain_position"),
+    (_put("control.gain_velocity", 1e-5), "control.gain_velocity"),
+], ids=["design", "formation_mode", "gain_position", "gain_velocity"])
+def test_removed_key_is_named(edit, field, tmp_path, monkeypatch, capsys):
+    """A key no study read left the schema; a document that still holds it
+    is an error naming the key, from the parser and from the CLI."""
+    doc = edit(nominal_doc())
+    with pytest.raises(ScenarioError, match=f"^{field}: unknown key"):
+        parse_scenario(doc)
+    path = tmp_path / "stale.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli_mod, "run_deflection_map",
+                        lambda *a, **k: ResultTable(name="stub", columns=[("x", "")]))
+    assert main(["--scenario", str(path), "--out", str(tmp_path), "deflection-map"]) == 1
+    assert f"scenario error: {field}: unknown key" in capsys.readouterr().err
+
+
+def _reads(source: str, name: str) -> set:
+    """The attributes that ``source`` reads off the variable ``name``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == name}
+
+
+def test_every_scenario_field_is_read():
+    """A field no study, the CLI or the table metadata reads is a value
+    nothing varies; it belongs out of the schema."""
+    read = (_reads(inspect.getsource(experiments_mod), "scenario")
+            | _reads(inspect.getsource(cli_mod), "scenario")
+            | _reads(inspect.getsource(Scenario), "self"))
+    assert [f.name for f in dataclasses.fields(Scenario) if f.name not in read] == []
 
 
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -288,7 +319,7 @@ def test_cli_deflection_map_end_to_end(tmp_path, capsys):
     assert len(csv1.splitlines()) == 1 + 2 * 2 * 2
     meta = json.loads((out1 / "deflection_map.meta.json").read_text())
     for key in ("sublimation_enthalpy_J_per_kg", "isp_s", "emissivity",
-                "array_flux_limit_suns", "scenario_sha256", "seed"):
+                "scenario_sha256", "seed"):
         assert key in meta
 
 
@@ -419,8 +450,8 @@ def test_cli_formation_design_small(tmp_path):
 
 def test_sweep_scenario_loads():
     sc = load_scenario(SWEEP)
-    assert sc.earth_circular
-    assert sc.mode == "shaped"
+    assert sc.earth.elements.e == 0.0 and sc.earth.elements.a == AU
+    assert sc.natural is None and sc.shaped is not None
 
 
 # ---------------------------------------------------------------------------
