@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .orbits import (  # noqa: F401
     BodyEphemeris,
-    FrameBasis,
     OrbitalElements,
     StateVector,
     elements_to_state,

@@ -53,11 +53,14 @@ from .formation import NaturalOrbit, ShapedOrbit, shaped_position
 from .orbits import (
     BodyEphemeris,
     OrbitalElements,
+    ProximalConstants,
     delta_m_at_moid,
     eccentric_to_true,
     gauss_rates_rtn,
     impact_parameter,
     kepler_propagate,
+    proximal_factors,
+    proximal_position,
     rk4_step,
     solve_kepler,
     solve_kepler_array,
@@ -249,22 +252,13 @@ class _Constants(NamedTuple):
     v_bar: float        # exhaust speed
     v_area: float       # exhaust speed times spot area
     d_spot: float
-    # the undeflected orbit at the start, for the natural formation
-    a0: float
-    ae0: float          # a0 * e0
-    e0: float
-    eta0: float
-    eta0_2: float       # eta0 ** 2
-    eta0_3: float       # eta0 ** 3
-    cos_i0: float
-    sin_i0: float
-    argp0: float
 
 
 @dataclass(frozen=True)
 class _Run:
     """One deflection ready to integrate: the undeflected start, the flow
-    table, the thrust window and its steps, and the constants of ``rates``."""
+    table, the thrust window and its steps, the constants of ``rates`` and
+    those of the natural formation's relation about the start."""
 
     sc: DeflectionScenario
     k0: OrbitalElements
@@ -273,6 +267,7 @@ class _Run:
     n_steps: int
     dt: float
     consts: _Constants
+    proximal: ProximalConstants
 
     def state0(self) -> list:
         k0 = self.k0
@@ -303,42 +298,34 @@ def _prepare(sc: DeflectionScenario, mdot_table: MdotTable | None) -> _Run:
 
     v_bar = exhaust_velocity(ast)
     a_ell, b_ell, _ = ast.semi_axes
-    a0, e0 = k0.a, k0.e
-    eta0 = math.sqrt(1.0 - e0 * e0)
     consts = _Constants(
         p_coeff=spot_power_coefficient(design, ast.albedo), n_sc=design.n_spacecraft,
         lam_v=sc.scattering_factor * v_bar,
         tug_coeff=GRAVITATIONAL_CONSTANT * sc.m_sc * design.n_spacecraft,
         w_spin=ast.spin_rate, a_ell=a_ell, b_ell=b_ell, a2_ell=a_ell * a_ell,
         b2_ell=b_ell * b_ell, v_bar=v_bar, v_area=v_bar * design.spot_area,
-        d_spot=design.spot_diameter,
-        a0=a0, ae0=a0 * e0, e0=e0, eta0=eta0, eta0_2=eta0**2, eta0_3=eta0**3,
-        cos_i0=math.cos(k0.i), sin_i0=math.sin(k0.i), argp0=k0.argp)
+        d_spot=design.spot_diameter)
     return _Run(sc=sc, k0=k0, table=mdot_table, t_end=t_end, n_steps=n_steps, dt=dt,
-                consts=consts)
+                consts=consts, proximal=ProximalConstants.of(k0))
 
 
-def _position(formation, k: _Constants, m):
+def _position(formation, k: ProximalConstants, m):
     """Hill-frame position of the formation's representative spacecraft, as
     a function of the cos and sin of the true anomaly, the osculating
-    radius and the true anomaly. The natural orbit is the first-order
-    relation of ``linear_proximal_position`` on the osculating r, not k0's."""
+    radius and the true anomaly: floats, or columns with the constants ``k``
+    of the undeflected start as columns too. A natural orbit is
+    ``orbits.proximal_relation`` with the osculating radius in place of
+    k0's and the trig of the ``batch`` namespace ``m``."""
     if isinstance(formation, ShapedOrbit):
         coeffs = formation.coeffs.tolist()
         return lambda c, s, r, nu: shaped_position(coeffs, c, s)
 
-    de, di, draan, dargp, dm_d = formation.dk.tolist()
-    a0, ae0, e0, eta0, eta0_2, eta0_3 = k.a0, k.ae0, k.e0, k.eta0, k.eta0_2, k.eta0_3
-    cos_i0, sin_i0, argp0 = k.cos_i0, k.sin_i0, k.argp0
-    sin, cos = m.sin, m.cos
+    deltas = formation.dk.tolist()
+    argp0, sin, cos = k.argp, m.sin, m.cos
 
     def natural(c, s, r, nu):
         theta = nu + argp0
-        x = (ae0 * s / eta0) * dm_d - a0 * c * de
-        y = (r / eta0_3) * (1.0 + e0 * c) ** 2 * dm_d + r * dargp \
-            + (r * s / eta0_2) * (2.0 + e0 * c) * de + r * cos_i0 * draan
-        z = r * (sin(theta) * di - cos(theta) * sin_i0 * draan)
-        return (x, y, z)
+        return proximal_position(proximal_factors(k, c, s, r, cos(theta), sin(theta)), deltas)
     return natural
 
 
@@ -441,9 +428,8 @@ def simulate_deflection(sc: DeflectionScenario,
     runs of the same design.
     """
     run = _prepare(sc, mdot_table)
-    k = run.consts
-    rates = _rates(k, _position(sc.formation, k, batch.FLOAT), run.table, solve_kepler,
-                   batch.FLOAT)
+    rates = _rates(run.consts, _position(sc.formation, run.proximal, batch.FLOAT), run.table,
+                   solve_kepler, batch.FLOAT)
     t0, dt, n_steps = sc.t_start, run.dt, run.n_steps
     state = run.state0()
 
@@ -473,6 +459,16 @@ def _first_seen(objects) -> tuple[list, list]:
     return [index[id(obj)] for obj in objects], distinct
 
 
+def _columns(rows):
+    """One named tuple of (N,) columns from N named tuples of floats."""
+    return type(rows[0])._make(np.array(col, dtype=float) for col in zip(*rows))
+
+
+def _rows(columns, index):
+    """The rows ``index`` of each column of a named tuple of columns."""
+    return type(columns)._make(col[index] for col in columns)
+
+
 def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]:
     """``simulate_deflection`` for many runs, integrated as one batch.
 
@@ -497,16 +493,15 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
     runs = [runs[i] for i in order]
     n = len(runs)
 
-    consts = _Constants._make(np.array(col, dtype=float)
-                              for col in zip(*(run.consts for run in runs)))
+    consts = _columns([run.consts for run in runs])
+    proximal = _columns([run.proximal for run in runs])
     form_key = np.array([form_of[i] for i in order])
     table_key = np.array([table_of[i] for i in order])
     flows = _FlowColumns(tables)
 
     def kernel(live):
-        k = _Constants._make(col[live] for col in consts)
-        parts = [(lo, hi, _position(forms[f], _Constants._make(col[lo:hi] for col in k),
-                                    batch.ARRAY))
+        k, prox = _rows(consts, live), _rows(proximal, live)
+        parts = [(lo, hi, _position(forms[f], _rows(prox, slice(lo, hi)), batch.ARRAY))
                  for lo, hi, f in batch.runs(form_key[live].tolist())]
         if len(parts) == 1:
             position = parts[0][2]

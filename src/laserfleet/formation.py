@@ -31,9 +31,10 @@ from . import batch
 from .constants import G0, MU_SUN, TWO_PI
 from .orbits import (
     OrbitalElements,
+    ProximalConstants,
     flight_path_angle,
     mean_to_true,
-    proximal_basis,
+    proximal_factors,
     proximal_position,
     proximal_relation,
     rk4_step,
@@ -149,32 +150,6 @@ def gravity_coefficients(semi_axes: tuple[float, float, float]) -> tuple[float, 
     return c20, c22
 
 
-def harmonic_potential(pos: np.ndarray, ast: AsteroidModel, t: float) -> float:
-    """Second-degree/second-order correction potential, m^2/s^2.
-
-    The longitude rotates with the body: lambda = atan2(y, x) + w_A t.
-    """
-    x, y, z = float(pos[0]), float(pos[1]), float(pos[2])
-    r2 = x * x + y * y + z * z
-    r = math.sqrt(r2)
-    c20, c22 = gravity_coefficients(ast.semi_axes)
-    cos2_gamma = (x * x + y * y) / r2
-    lam = math.atan2(y, x) + ast.spin_rate * t
-    return ast.mu / r**3 * (c20 * (1.0 - 1.5 * cos2_gamma)
-                            + 3.0 * c22 * cos2_gamma * math.cos(2.0 * lam))
-
-
-def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, t) -> np.ndarray:
-    """Gradient of the harmonic correction (the central term is separate).
-
-    ``pos`` is a 3-vector at time ``t``, or an (N, 3) batch with N times.
-    Rejects points inside the bounding sphere of the body, where the
-    expansion is meaningless, for any sample.
-    """
-    m = batch.ARRAY if pos.ndim == 2 else batch.FLOAT
-    return _harmonic_gradient(pos, ast, *body_turn(m, ast, t))
-
-
 def body_turn(m, ast: AsteroidModel, t):
     """cos and sin of 2 w_A t, the turn of the body's quadratic field at time
     ``t``, through the ``batch`` namespace ``m``."""
@@ -182,9 +157,14 @@ def body_turn(m, ast: AsteroidModel, t):
     return m.cos(wt2), m.sin(wt2)
 
 
-def _harmonic_gradient(pos: np.ndarray, ast: AsteroidModel, c2, s2) -> np.ndarray:
-    """``gravity_gradient`` with the body's turn given as ``body_turn``'s
-    (c2, s2): floats for a 3-vector, columns for a batch."""
+def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, c2, s2) -> np.ndarray:
+    """Gradient of the harmonic correction (the central term is separate),
+    with the body turned by ``body_turn``'s (c2, s2).
+
+    ``pos`` is a 3-vector with float (c2, s2), or an (N, 3) batch with one
+    turn per row. Rejects points inside the bounding sphere of the body,
+    where the expansion is meaningless, for any sample.
+    """
     x, y, z = batch.components(pos)
     r2 = x * x + y * y + z * z
     r = batch.xp(r2).sqrt(r2)
@@ -228,7 +208,7 @@ def _gravity_terms(pos: np.ndarray, xyz, r_sc, ast: AsteroidModel, turn, mu_sun:
     x, y, z = xyz
     dr = batch.xp(x).sqrt(x * x + y * y + z * z)
     mu_a_dr3 = batch.apply_where(dr > 0.0, operator.truediv, ast.mu, dr**3)
-    gg = batch.apply_where(dr > max(ast.semi_axes), _harmonic_gradient, pos, ast, *turn,
+    gg = batch.apply_where(dr > max(ast.semi_axes), gravity_gradient, pos, ast, *turn,
                            fill=batch.ZERO3)
     return mu_sun / r_sc**3, mu_a_dr3, batch.components(gg)
 
@@ -491,9 +471,13 @@ def _sweep_position(k_a: OrbitalElements, dk, n_sweep: int):
 
 @functools.lru_cache(maxsize=8)
 def _sweep_basis(k_a: OrbitalElements, n_sweep: int) -> tuple:
-    """``proximal_basis(k_a)`` on ``sweep_grid(n_sweep)``: the factors no
-    natural orbit around ``k_a`` changes."""
-    return _read_only(proximal_basis(k_a)(sweep_grid(n_sweep)))
+    """``proximal_factors`` of ``k_a`` on ``sweep_grid(n_sweep)``: the factors
+    no natural orbit around ``k_a`` changes."""
+    k = ProximalConstants.of(k_a)
+    c, s = _sweep_trig(n_sweep)
+    theta = sweep_grid(n_sweep) + k.argp
+    return _read_only(proximal_factors(k, c, s, k.a_eta2 / (1.0 + k.e * c),
+                                       np.cos(theta), np.sin(theta)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,8 +9,8 @@ Provides:
        relation in the radial/transverse/normal split, and a wrapper for an
        acceleration in the tangential/normal/out-of-plane frame), plus the
        one fixed-step RK4 step every integrator of the package takes.
-    4. Rotating frames: Hill (radial/transverse/normal) and tangential
-       (velocity/normal/angular-momentum) bases.
+    4. The flight-path angle, which splits the velocity direction into
+       the radial and transverse ones.
     5. Linearised proximal motion of a neighbouring orbit (element
        differences, periodic when the semi-major axes match).
     6. MOID search between two ellipses and the b-plane impact parameter
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,20 +114,6 @@ class StateVector:
             raise ValueError("position magnitude must be nonzero")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
-
-
-@dataclass(frozen=True)
-class FrameBasis:
-    """Right-handed orthonormal triad; rows of ``axes`` are the basis vectors."""
-
-    axes: np.ndarray
-    kind: str
-
-    def to_frame(self, v: np.ndarray) -> np.ndarray:
-        return self.axes @ np.asarray(v, dtype=float)
-
-    def from_frame(self, v: np.ndarray) -> np.ndarray:
-        return self.axes.T @ np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -347,26 +334,8 @@ def kepler_propagate(k: OrbitalElements, dt: float, mu: float) -> OrbitalElement
 
 
 # ---------------------------------------------------------------------------
-# Frames
+# Flight-path angle
 # ---------------------------------------------------------------------------
-
-def hill_frame(s: StateVector) -> FrameBasis:
-    """Rotating Hill triad: x radial, y transverse (in-plane), z along h."""
-    r_hat = s.position / np.linalg.norm(s.position)
-    h_vec = np.cross(s.position, s.velocity)
-    z_hat = h_vec / np.linalg.norm(h_vec)
-    y_hat = np.cross(z_hat, r_hat)
-    return FrameBasis(axes=np.array([r_hat, y_hat, z_hat]), kind="hill_rtn")
-
-
-def tangential_frame(s: StateVector) -> FrameBasis:
-    """Velocity-aligned triad: t along v, h along angular momentum, n = h x t."""
-    t_hat = s.velocity / np.linalg.norm(s.velocity)
-    h_vec = np.cross(s.position, s.velocity)
-    h_hat = h_vec / np.linalg.norm(h_vec)
-    n_hat = np.cross(h_hat, t_hat)
-    return FrameBasis(axes=np.array([t_hat, n_hat, h_hat]), kind="tangential_tnh")
-
 
 def flight_path_angle(e: float, nu):
     """Angle of the velocity above the transverse direction: tan g = e sin nu / (1 + e cos nu).
@@ -539,6 +508,30 @@ def delta_m_at_moid(integral: float, t0: float, ti: float, t_moid: float,
 # Linearised proximal motion
 # ---------------------------------------------------------------------------
 
+class ProximalConstants(NamedTuple):
+    """What the proximal relation takes of the reference orbit besides the
+    anomaly: floats, or (N,) columns with one orbit per row. ``of`` forms
+    each product once, as the relation's expression forms it."""
+
+    a: float
+    e: float
+    argp: float
+    a_e: float          # a * e
+    a_eta2: float       # a * eta ** 2, the semi-latus rectum
+    eta: float          # sqrt(1 - e^2)
+    eta2: float         # eta ** 2
+    eta3: float         # eta ** 3
+    cos_i: float
+    sin_i: float
+
+    @classmethod
+    def of(cls, k: OrbitalElements) -> "ProximalConstants":
+        a, e = k.a, k.e
+        eta = math.sqrt(1.0 - e * e)
+        return cls(a=a, e=e, argp=k.argp, a_e=a * e, a_eta2=a * eta**2, eta=eta,
+                   eta2=eta**2, eta3=eta**3, cos_i=math.cos(k.i), sin_i=math.sin(k.i))
+
+
 def proximal_relation(k_a: OrbitalElements, dk: np.ndarray):
     """Hill-frame position of a neighbouring orbit, first order in the deltas,
     as a function of the true anomaly.
@@ -548,53 +541,49 @@ def proximal_relation(k_a: OrbitalElements, dk: np.ndarray):
     takes a float nu, giving floats (x, y, z), or an array, giving three
     columns with one row per anomaly.
 
-    The relation runs in two stages: ``proximal_basis(k_a)`` forms the
-    factors that depend on nu alone, and ``proximal_position`` multiplies
+    The relation runs in two stages: ``proximal_factors`` forms the factors
+    that do not depend on the deltas, and ``proximal_position`` multiplies
     them by the deltas. A caller that places many orbits on one grid of
     anomalies forms the factors once and runs the second stage per orbit.
+    One float sample keeps numpy's sin and cos, so it gives the bits of its
+    row in an array.
     """
     dk = np.asarray(dk, dtype=float)
     if dk.shape != (5,):
         raise ValueError("dk must be [de, di, draan, dargp, dM]")
     deltas = dk.tolist()
-    basis = proximal_basis(k_a)
-    return lambda nu: proximal_position(basis(nu), deltas)
+    k = ProximalConstants.of(k_a)
+    a_eta2, e, argp = k.a_eta2, k.e, k.argp
 
-
-def proximal_basis(k_a: OrbitalElements):
-    """The factors of ``proximal_relation`` that depend on nu alone, as a
-    function of a float nu or an array of them.
-
-    One sample runs on floats but keeps numpy's sin and cos, and squares by
-    a product as numpy does, so it gives the bits of its row in a batch.
-    The factors that do not depend on nu are taken once. Each factor is the
-    product that the relation's expression forms first, in its order, so
-    splitting the relation moves no bit.
-    """
-    a, e, argp = k_a.a, k_a.e, k_a.argp
-    eta = math.sqrt(1.0 - e * e)
-    a_e, a_eta2, eta2, eta3 = a * e, a * eta**2, eta**2, eta**3
-    cos_i, sin_i = math.cos(k_a.i), math.sin(k_a.i)
-
-    def basis(nu):
+    def position(nu):
         theta = nu + argp
-        cos_nu, sin_nu = np.cos(nu), np.sin(nu)
-        cos_th, sin_th = np.cos(theta), np.sin(theta)
+        c, s, cos_th, sin_th = np.cos(nu), np.sin(nu), np.cos(theta), np.sin(theta)
         if not isinstance(nu, np.ndarray):
-            cos_nu, sin_nu, cos_th, sin_th = (float(cos_nu), float(sin_nu),
-                                              float(cos_th), float(sin_th))
-        q = 1.0 + e * cos_nu
-        r = a_eta2 / q
-        # x's two factors, y's four, z's two: the order proximal_position reads
-        return (a_e * sin_nu / eta, a * cos_nu,
-                (r / eta3) * (q * q), r, (r * sin_nu / eta2) * (2.0 + e * cos_nu), r * cos_i,
-                sin_th, cos_th * sin_i)
+            c, s, cos_th, sin_th = float(c), float(s), float(cos_th), float(sin_th)
+        return proximal_position(
+            proximal_factors(k, c, s, a_eta2 / (1.0 + e * c), cos_th, sin_th), deltas)
+    return position
 
-    return basis
+
+def proximal_factors(k: ProximalConstants, c, s, r, cos_th, sin_th):
+    """The factors of the proximal relation that do not depend on the deltas,
+    from the cos ``c`` and sin ``s`` of the true anomaly nu, the radius ``r``
+    and the cos and sin of nu + argp: floats or columns.
+
+    ``proximal_relation`` passes the reference orbit's own r, p / (1 + e c);
+    the deflection passes the osculating radius of the deflected orbit. Each
+    factor is the product that the relation's expression forms first, in
+    its order, and squares are products, as numpy forms them.
+    """
+    a, e, _, a_e, _, eta, eta2, eta3, cos_i, sin_i = k
+    q = 1.0 + e * c
+    # x's two factors, y's four, z's two: the order proximal_position reads
+    return (a_e * s / eta, a * c, (r / eta3) * (q * q), r, (r * s / eta2) * (2.0 + e * c),
+            r * cos_i, sin_th, cos_th * sin_i)
 
 
 def proximal_position(factors, deltas):
-    """Hill-frame (x, y, z) from the factors of ``proximal_basis`` and the
+    """Hill-frame (x, y, z) from the factors of ``proximal_factors`` and the
     deltas [de, di, draan, dargp, dM]: floats, or columns for a grid."""
     x_dm, x_de, y_dm, r, y_de, y_draan, z_di, z_draan = factors
     de, di, draan, dargp, dm = deltas

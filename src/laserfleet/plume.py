@@ -33,6 +33,7 @@ from .constants import (
     SOLAR_FLUX_1AU,
     SPEED_OF_LIGHT,
 )
+from .sizing import MIRROR_REFLECTIVITY
 from .sublimation import AsteroidModel, equatorial_radius
 
 
@@ -179,15 +180,6 @@ def view_factor_angle(spot_to_sc: np.ndarray):
                              offset.T[0], norm)
 
 
-def contamination_rate(geom: SpotGeometry, rho_exp, v_bar: float):
-    """Growth rate (m/s) of the condensed layer on the mirror: nothing where
-    the flow reaches the Sun-facing optics from behind or edge-on (dx <= 0)."""
-    if np.any(np.asarray(rho_exp) < 0.0):
-        raise ValueError("plume density must be non-negative")
-    dx = geom.spot_to_sc.T[0]
-    return batch.apply_where(dx > 0.0, condensation_growth, rho_exp, v_bar, dx, geom.distance)
-
-
 def degradation_factor(h_cnd: float) -> float:
     """Beamed-power attenuation of a condensed layer of thickness h (m)."""
     if h_cnd < 0.0:
@@ -212,7 +204,7 @@ def srp_force(design, r_sc, beta, n_steer: np.ndarray) -> np.ndarray:
     a_m1 = design.collector_area
     cos_beta = batch.xp(beta).cos(beta)
     beam = batch.col(2.0 * design.eta_sys * a_m1 * flux * cos_beta ** 2) * n_steer
-    residual = batch.col((1.0 - design.eta_mirror**2) * a_m1 * flux) * _SUN_RAY
+    residual = batch.col((1.0 - MIRROR_REFLECTIVITY**2) * a_m1 * flux) * _SUN_RAY
     return beam + residual
 
 

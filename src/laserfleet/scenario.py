@@ -284,7 +284,7 @@ _SCENARIO = block({
             [v["de"], v["di"], v["draan"], v["dargp"], v["dm"]]))),
         "shaped": block({k: quantity("length") for k in _SHAPED_KEYS},
                         default=None, build=_shaped),
-    }),
+    }, default={}),
     "timing": block({
         "moid_epoch": quantity("time", default={"value": 12.0, "unit": "yr"}),
         "refine_encounter": flag(default=True),

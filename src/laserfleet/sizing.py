@@ -14,7 +14,7 @@ margins on every subsystem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import AU, SOLAR_FLUX_1AU, STEFAN_BOLTZMANN
 
@@ -22,62 +22,52 @@ from .constants import AU, SOLAR_FLUX_1AU, STEFAN_BOLTZMANN
 # regulation line are common to both.
 EFFICIENCY_OPTIONS = {"66/45": (0.66, 0.45), "60/40": (0.60, 0.40)}
 MIRROR_REFLECTIVITY = 0.90
-LINE_EFFICIENCY = 0.85
+LINE_EFFICIENCY = 0.85          # power regulation and transmission
+# Small optics as fractions of the primary area; sub-2% mass effect.
+SECONDARY_AREA_FRACTION = 0.05
+STEERING_AREA_FRACTION = 0.05
+# Concentrated flux on the array, in local solar constants.
+ARRAY_FLUX_LIMIT = 10.0
 
-@dataclass(frozen=True)
-class ThermalProperties:
-    """Steady-state thermal parameters of the powertrain surfaces."""
+# Steady-state thermal parameters of the powertrain surfaces.
+ALPHA_ARRAY = 0.8               # solar-array absorptivity
+EPS_ARRAY = 0.8                 # solar-array emissivity
+T_ARRAY = 373.0                 # K
+T_M2 = 373.0                    # K, secondary mirror
+ALPHA_M2 = 0.01                 # secondary-mirror absorptivity
+EPS_RADIATOR = 0.9
+T_LASER = 313.0                 # K
+T_RADIATOR_ARRAY = 373.0        # K, radiator loop of the array
 
-    alpha_array: float = 0.8        # solar-array absorptivity
-    eps_array: float = 0.8          # solar-array emissivity
-    t_array: float = 373.0          # K
-    t_m2: float = 373.0             # K, secondary mirror
-    alpha_m2: float = 0.01          # secondary-mirror absorptivity
-    eps_radiator: float = 0.9
-    t_laser: float = 313.0          # K
-    t_radiator_array: float = 373.0  # K, radiator loop of the array
-
-
-@dataclass(frozen=True)
-class MassProperties:
-    """Specific masses, margins and fixed masses of the bus."""
-
-    rho_mirror: float = 0.1         # kg/m^2
-    rho_steering: float = 0.1       # kg/m^2
-    rho_laser: float = 0.005        # kg/W of laser output
-    rho_array: float = 1.0          # kg/m^2
-    rho_radiator: float = 1.4       # kg/m^2
-    m_bus: float = 500.0            # kg
-    mf_harness: float = 0.2
-    mf_propellant: float = 0.3
-    mf_tank: float = 0.1
+# Specific masses, margins and fixed masses of the bus.
+RHO_MIRROR = 0.1                # kg/m^2
+RHO_STEERING = 0.1              # kg/m^2
+RHO_LASER = 0.005               # kg/W of laser output
+RHO_ARRAY = 1.0                 # kg/m^2
+RHO_RADIATOR = 1.4              # kg/m^2
+M_BUS = 500.0                   # kg
+MF_HARNESS = 0.2
+MF_PROPELLANT = 0.3
+MF_TANK = 0.1
 
 
 @dataclass(frozen=True)
 class SpacecraftDesign:
-    """One spacecraft of the formation: optics, efficiency chain, sizing knobs."""
+    """One spacecraft of the formation: optics and the efficiency option.
+    Every other value of the sizing is a module constant."""
 
     aperture_diameter: float        # m, primary mirror
     concentration_ratio: float
     n_spacecraft: int = 1
     eta_laser: float = 0.66
     eta_array: float = 0.45
-    eta_mirror: float = MIRROR_REFLECTIVITY
-    eta_line: float = LINE_EFFICIENCY
-    thermal: ThermalProperties = field(default_factory=ThermalProperties)
-    masses: MassProperties = field(default_factory=MassProperties)
-    # Small optics as fractions of the primary area; sub-2% mass effect.
-    secondary_area_fraction: float = 0.05
-    steering_area_fraction: float = 0.05
-    # Concentrated flux on the array, in local solar constants.
-    array_flux_limit: float = 10.0
 
     def __post_init__(self):
         if self.aperture_diameter <= 0.0 or self.concentration_ratio <= 0.0:
             raise ValueError("aperture and concentration ratio must be positive")
         if self.n_spacecraft < 1:
             raise ValueError("n_spacecraft must be at least 1")
-        for name in ("eta_laser", "eta_array", "eta_mirror", "eta_line"):
+        for name in ("eta_laser", "eta_array"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
@@ -90,7 +80,7 @@ class SpacecraftDesign:
     @property
     def eta_sys(self) -> float:
         """End-to-end beam efficiency: cells * reflector * line * laser."""
-        return self.eta_array * self.eta_mirror * self.eta_line * self.eta_laser
+        return self.eta_array * MIRROR_REFLECTIVITY * LINE_EFFICIENCY * self.eta_laser
 
     @property
     def spot_area(self) -> float:
@@ -103,7 +93,7 @@ class SpacecraftDesign:
     @property
     def solar_array_area(self) -> float:
         """Array sized so the twice-reflected beam stays under the flux limit."""
-        return self.eta_mirror**2 * self.collector_area / self.array_flux_limit
+        return MIRROR_REFLECTIVITY**2 * self.collector_area / ARRAY_FLUX_LIMIT
 
 
 def design_from_option(aperture_diameter: float, concentration_ratio: float,
@@ -136,7 +126,7 @@ class MassBudget:
 
 def secondary_input_power(design: SpacecraftDesign, r_a: float) -> float:
     """Power reaching the secondary mirror after one reflection, W."""
-    return (design.eta_mirror * design.collector_area * SOLAR_FLUX_1AU
+    return (MIRROR_REFLECTIVITY * design.collector_area * SOLAR_FLUX_1AU
             * (AU / r_a) ** 2)
 
 
@@ -147,24 +137,20 @@ def radiator_areas(design: SpacecraftDesign, r_a: float) -> tuple[float, float, 
     radiator emission; an analytically negative area means the surface
     radiates enough on its own and clamps to zero.
     """
-    th = design.thermal
-    for t in (th.t_array, th.t_m2, th.t_laser, th.t_radiator_array):
-        if t <= 0.0:
-            raise ValueError("thermal balance requires positive temperatures")
-
     p_im2 = secondary_input_power(design, r_a)
     a_s = design.solar_array_area
     sigma = STEFAN_BOLTZMANN
+    eta_mirror = MIRROR_REFLECTIVITY
 
-    a_rs = ((th.alpha_array * design.eta_mirror * p_im2
-             - design.eta_array * design.eta_mirror * p_im2
-             - 2.0 * th.eps_array * sigma * a_s * th.t_array**4)
-            / (th.eps_radiator * sigma * th.t_radiator_array**4))
-    a_rl = (design.eta_array * design.eta_mirror * p_im2 * (1.0 - design.eta_laser)
-            / (th.eps_radiator * sigma * th.t_laser**4))
-    a_m2 = design.secondary_area_fraction * design.collector_area
-    a_rm2 = ((th.alpha_m2 * p_im2 - 2.0 * th.t_m2**4 * th.eps_array * sigma * a_m2)
-             / (th.eps_radiator * sigma * th.t_m2**4))
+    a_rs = ((ALPHA_ARRAY * eta_mirror * p_im2
+             - design.eta_array * eta_mirror * p_im2
+             - 2.0 * EPS_ARRAY * sigma * a_s * T_ARRAY**4)
+            / (EPS_RADIATOR * sigma * T_RADIATOR_ARRAY**4))
+    a_rl = (design.eta_array * eta_mirror * p_im2 * (1.0 - design.eta_laser)
+            / (EPS_RADIATOR * sigma * T_LASER**4))
+    a_m2 = SECONDARY_AREA_FRACTION * design.collector_area
+    a_rm2 = ((ALPHA_M2 * p_im2 - 2.0 * T_M2**4 * EPS_ARRAY * sigma * a_m2)
+             / (EPS_RADIATOR * sigma * T_M2**4))
 
     return max(a_rs, 0.0), max(a_rl, 0.0), max(a_rm2, 0.0)
 
@@ -177,7 +163,7 @@ def laser_power(design: SpacecraftDesign, r_a: float) -> float:
     """
     if r_a <= 0.0:
         raise ValueError("heliocentric distance must be positive")
-    return (0.85 * design.eta_array * design.eta_mirror**2
+    return (LINE_EFFICIENCY * design.eta_array * MIRROR_REFLECTIVITY**2
             * design.collector_area * SOLAR_FLUX_1AU * (AU / r_a) ** 2)
 
 
@@ -189,25 +175,24 @@ def mass_budget(design: SpacecraftDesign, r_a_sizing: float) -> MassBudget:
     20% system margin on the dry mass. Propellant is a fixed fraction of
     dry mass with a 10% tankage allowance.
     """
-    mp = design.masses
     a_rs, a_rl, a_rm2 = radiator_areas(design, r_a_sizing)
     p_l = laser_power(design, r_a_sizing)
 
-    m_array = 1.15 * mp.rho_array * design.solar_array_area
-    m_laser = 1.5 * mp.rho_laser * p_l * design.eta_laser
-    m_harness = mp.mf_harness * (m_array + m_laser)
-    m_radiators = 1.2 * (a_rs + a_rl + a_rm2) * mp.rho_radiator
+    m_array = 1.15 * RHO_ARRAY * design.solar_array_area
+    m_laser = 1.5 * RHO_LASER * p_l * design.eta_laser
+    m_harness = MF_HARNESS * (m_array + m_laser)
+    m_radiators = 1.2 * (a_rs + a_rl + a_rm2) * RHO_RADIATOR
     a_m1 = design.collector_area
-    m_mirrors = 1.25 * (mp.rho_steering * design.steering_area_fraction * a_m1
-                        + mp.rho_mirror * a_m1
-                        + mp.rho_mirror * design.secondary_area_fraction * a_m1)
+    m_mirrors = 1.25 * (RHO_STEERING * STEERING_AREA_FRACTION * a_m1
+                        + RHO_MIRROR * a_m1
+                        + RHO_MIRROR * SECONDARY_AREA_FRACTION * a_m1)
 
-    m_dry = 1.2 * (m_harness + m_array + m_mirrors + m_laser + m_radiators + mp.m_bus)
-    m_prop = m_dry * mp.mf_propellant
-    m_total = m_dry + m_prop * (1.0 + mp.mf_tank)
+    m_dry = 1.2 * (m_harness + m_array + m_mirrors + m_laser + m_radiators + M_BUS)
+    m_prop = m_dry * MF_PROPELLANT
+    m_total = m_dry + m_prop * (1.0 + MF_TANK)
 
     return MassBudget(m_laser=m_laser, m_array=m_array, m_mirrors=m_mirrors,
-                      m_radiators=m_radiators, m_harness=m_harness, m_bus=mp.m_bus,
+                      m_radiators=m_radiators, m_harness=m_harness, m_bus=M_BUS,
                       m_dry=m_dry, m_propellant=m_prop, m_total=m_total,
                       a_radiator_array=a_rs, a_radiator_laser=a_rl,
                       a_radiator_m2=a_rm2, p_laser=p_l)

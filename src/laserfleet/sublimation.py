@@ -2,8 +2,8 @@
 
 Energy balance on the illuminated spot (concentrated solar power in,
 black-body radiation and conduction into the body out), expelled mass flow
-over the moving spot, the resulting deflection thrust and the gravity-tug
-contribution of the hovering spacecraft.
+over the moving spot and the resulting deflection thrust. (The gravity tug
+of the hovering spacecraft is a term of the deflection's rates.)
 
 The asteroid is a tri-axial ellipsoid spinning about its minor axis; a
 surface point enters the spot, heats to the (constant) sublimation front
@@ -21,7 +21,6 @@ import numpy as np
 from .constants import (
     AU,
     BOLTZMANN,
-    GRAVITATIONAL_CONSTANT,
     SCATTERING_FACTOR,
     SOLAR_FLUX_1AU,
     STEFAN_BOLTZMANN,
@@ -271,15 +270,3 @@ def sublimation_acceleration(mdot: float, m_a: float, v_hat: np.ndarray,
     v_hat = np.asarray(v_hat, dtype=float)
     return scattering_factor * exhaust_velocity(ast) * mdot / m_a * v_hat
 
-
-def tug_acceleration(n_sc: int, m_sc: float, delta_r: np.ndarray) -> np.ndarray:
-    """Gravitational pull of the hovering spacecraft on the asteroid.
-
-    delta_r is the spacecraft position relative to the asteroid; the
-    attraction points from the asteroid toward the spacecraft.
-    """
-    delta_r = np.asarray(delta_r, dtype=float)
-    dist = float(np.linalg.norm(delta_r))
-    if dist <= 0.0:
-        raise ValueError("spacecraft-asteroid separation must be positive")
-    return n_sc * GRAVITATIONAL_CONSTANT * m_sc / dist**3 * delta_r

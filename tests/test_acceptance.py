@@ -61,7 +61,6 @@ from laserfleet.orbits import (
     linear_proximal_position,
     mean_to_true,
     state_to_elements,
-    tangential_frame,
 )
 from laserfleet.plume import degradation_factor
 from laserfleet.scenario import load_scenario
@@ -128,10 +127,9 @@ def test_criterion_1_oracle_equivalence(nominal):
     s0 = elements_to_state(k0, MU_SUN)
 
     def rhs(t, y):
-        state = StateVector(position=y[:3], velocity=y[3:])
-        frame = tangential_frame(state)
+        # the thrust is tangential: u_t along the velocity
         a = -MU_SUN * y[:3] / np.linalg.norm(y[:3]) ** 3 \
-            + frame.from_frame([u_t, 0.0, 0.0])
+            + u_t * y[3:] / np.linalg.norm(y[3:])
         return np.concatenate([y[3:], a])
 
     sol = solve_ivp(rhs, (0.0, YEAR), np.concatenate([s0.position, s0.velocity]),

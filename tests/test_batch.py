@@ -18,6 +18,7 @@ from laserfleet.formation import (
     ShapedControlContext,
     ShapedOrbit,
     _plume_axis_angle,
+    body_turn,
     gravity_gradient,
     shaped_control_accel,
     sweep_grid,
@@ -235,9 +236,10 @@ def test_plume_chain_batch(ast, design_20m, samples):
 def test_gravity_gradient_batch(ast, samples):
     pos, t, _ = samples
     far = np.linalg.norm(pos, axis=1) > max(ast.semi_axes)
-    g = gravity_gradient(pos[far], ast, t[far])
-    np.testing.assert_allclose(g, _rows(lambda p, a: gravity_gradient(p, ast, a),
-                                        pos[far], t[far]), rtol=RTOL, atol=1e-22)
+    g = gravity_gradient(pos[far], ast, *body_turn(batch.ARRAY, ast, t[far]))
+    want = _rows(lambda p, a: gravity_gradient(p, ast, *body_turn(batch.FLOAT, ast, a)),
+                 pos[far], t[far])
+    np.testing.assert_allclose(g, want, rtol=RTOL, atol=1e-22)
 
 
 def test_input_checks_hold_for_any_sample(ast, design_20m, samples):
@@ -245,7 +247,7 @@ def test_input_checks_hold_for_any_sample(ast, design_20m, samples):
     bad = pos.copy()
     bad[3] = [10.0, 10.0, 10.0]  # inside the body and its bounding sphere
     with pytest.raises(ValueError):
-        gravity_gradient(bad, ast, t)
+        gravity_gradient(bad, ast, *body_turn(batch.ARRAY, ast, t))
     with pytest.raises(ValueError):
         spot_to_spacecraft(bad, ast, t, theta_va)
 

@@ -4,17 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from laserfleet.constants import AU, YEAR
+from laserfleet import batch
+from laserfleet.constants import AU, TWO_PI, YEAR
 from laserfleet.deflection import (
     DeflectionScenario,
     MdotTable,
     _FlowColumns,
+    _position,
     peak_spot_power,
     simulate_deflection,
     simulate_deflections,
 )
 from laserfleet.formation import NaturalOrbit, ShapedOrbit
-from laserfleet.orbits import OrbitalElements
+from laserfleet.orbits import OrbitalElements, ProximalConstants
 from laserfleet.sizing import design_from_option, mass_budget
 from laserfleet.sublimation import ellipse_radius, mass_flow_from_power
 
@@ -216,6 +218,28 @@ def _bits(out):
             [repr(v) for v in (k.a, k.e, k.i, k.raan, k.argp, k.anomaly, k.epoch)],
             [[repr(v) for v in a.tolist()] for a in
              (out.times, out.thrust, out.contamination, out.asteroid_mass, out.tau, out.mdot)])
+
+
+def test_natural_position_sample_is_its_row(ast):
+    """The natural formation's position in the deflection's rates: one float
+    sample gives the bits of its row in a batch. Both run
+    ``orbits.proximal_factors`` on the osculating radius, which squares by
+    a product as numpy squares an array."""
+    rng = np.random.default_rng(20261019)
+    n = 20_000
+    k0 = ast.elements0
+    nu = rng.uniform(0.0, TWO_PI, n)
+    c, s = np.cos(nu), np.sin(nu)
+    r = rng.uniform(k0.a * (1.0 - k0.e), k0.a * (1.0 + k0.e), n)
+    formation = NaturalOrbit(dk=np.array([-1e-9, 5e-9, 3e-9, -2e-9, 8e-9]))
+    prox = ProximalConstants.of(k0)
+    one = _position(formation, prox, batch.FLOAT)
+    rows = _position(formation, ProximalConstants._make(np.full(n, v) for v in prox),
+                     batch.ARRAY)(c, s, r, nu)
+    rows = list(zip(*(col.tolist() for col in rows)))
+    differ = [i for i, args in enumerate(zip(c.tolist(), s.tolist(), r.tolist(), nu.tolist()))
+              if repr(one(*args)) != repr(rows[i])]
+    assert differ == []
 
 
 def test_deflection_batch_equals_rows(ast, earth):

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from laserfleet import formation
+from laserfleet import batch, formation
 from laserfleet.constants import DAY, MU_SUN, TWO_PI, YEAR
 from laserfleet.formation import (
     ShapedControlContext,
     ShapedOrbit,
     _minimize_bounded,
+    body_turn,
     design_model_accel,
     gravity_coefficients,
     gravity_gradient,
-    harmonic_potential,
     lyapunov_control,
     mirror_natural_orbit,
     natural_family_label,
@@ -37,11 +37,30 @@ from laserfleet.sizing import mass_budget
 # Gravity field of the spinning ellipsoid
 # ---------------------------------------------------------------------------
 
+def harmonic_potential(pos: np.ndarray, ast, t: float) -> float:
+    """Second-degree/second-order correction potential, m^2/s^2, the oracle
+    whose finite differences check ``gravity_gradient``. The longitude
+    rotates with the body: lambda = atan2(y, x) + w_A t."""
+    x, y, z = float(pos[0]), float(pos[1]), float(pos[2])
+    r2 = x * x + y * y + z * z
+    r = math.sqrt(r2)
+    c20, c22 = gravity_coefficients(ast.semi_axes)
+    cos2_gamma = (x * x + y * y) / r2
+    lam = math.atan2(y, x) + ast.spin_rate * t
+    return ast.mu / r**3 * (c20 * (1.0 - 1.5 * cos2_gamma)
+                            + 3.0 * c22 * cos2_gamma * math.cos(2.0 * lam))
+
+
+def gradient_at(pos, ast, t):
+    """``gravity_gradient`` at time ``t``, turned as the dynamics turn it."""
+    return gravity_gradient(pos, ast, *body_turn(batch.FLOAT, ast, t))
+
+
 def test_gravity_sphere_has_no_harmonics(ast):
     sphere = replace(ast, semi_axes=(120.0, 120.0, 120.0))
     c20, c22 = gravity_coefficients(sphere.semi_axes)
     assert c20 == 0.0 and c22 == 0.0
-    g = gravity_gradient(np.array([500.0, 300.0, 200.0]), sphere, 1000.0)
+    g = gradient_at(np.array([500.0, 300.0, 200.0]), sphere, 1000.0)
     assert np.all(g == 0.0)
 
 
@@ -59,7 +78,7 @@ def test_gravity_gradient_vs_finite_differences(ast, rng):
     for _ in range(10):
         pos = rng.normal(size=3)
         pos = pos / np.linalg.norm(pos) * (400.0 + 2000.0 * rng.random())
-        g = gravity_gradient(pos, ast, t)
+        g = gradient_at(pos, ast, t)
         for k in range(3):
             dp = np.zeros(3)
             dp[k] = h
@@ -70,7 +89,7 @@ def test_gravity_gradient_vs_finite_differences(ast, rng):
 
 def test_gravity_gradient_interior_rejected(ast):
     with pytest.raises(ValueError):
-        gravity_gradient(np.array([100.0, 0.0, 0.0]), ast, 0.0)
+        gradient_at(np.array([100.0, 0.0, 0.0]), ast, 0.0)
 
 
 def test_gravity_field_curl_free(ast, rng):
@@ -92,7 +111,7 @@ def test_gravity_field_curl_free(ast, rng):
         for phi in phis:
             point = center + radius * (math.cos(phi) * u + math.sin(phi) * v)
             tangent = radius * (-math.sin(phi) * u + math.cos(phi) * v)
-            g = gravity_gradient(point, ast, t)
+            g = gradient_at(point, ast, t)
             total += float(g @ tangent) * (TWO_PI / n)
             scale += float(np.linalg.norm(g)) * radius * (TWO_PI / n)
         assert abs(total) < 1e-6 * scale

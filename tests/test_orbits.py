@@ -20,7 +20,7 @@ from laserfleet.orbits import (
     linear_proximal_position,
     solve_kepler,
     state_to_elements,
-    tangential_frame,
+    true_to_mean,
 )
 
 
@@ -178,6 +178,24 @@ def test_gauss_singularity_guards():
         gauss_rates(k_flat, np.zeros(3), MU_SUN)
 
 
+def tangential_frame(s: StateVector) -> np.ndarray:
+    """Velocity-aligned triad as rows: t along v, h along angular momentum,
+    n = h x t."""
+    t_hat = s.velocity / np.linalg.norm(s.velocity)
+    h_vec = np.cross(s.position, s.velocity)
+    h_hat = h_vec / np.linalg.norm(h_vec)
+    return np.array([t_hat, np.cross(h_hat, t_hat), h_hat])
+
+
+def hill_frame(s: StateVector) -> np.ndarray:
+    """Rotating Hill triad as rows: x radial, y transverse (in-plane), z
+    along h."""
+    r_hat = s.position / np.linalg.norm(s.position)
+    h_vec = np.cross(s.position, s.velocity)
+    z_hat = h_vec / np.linalg.norm(h_vec)
+    return np.array([r_hat, np.cross(z_hat, r_hat), z_hat])
+
+
 def cartesian_oracle(k0, u_t, t_span):
     """Propagate in Cartesian coordinates with the same tangential thrust."""
     s0 = elements_to_state(k0, MU_SUN)
@@ -185,8 +203,7 @@ def cartesian_oracle(k0, u_t, t_span):
     def rhs(t, y):
         r, v = y[:3], y[3:]
         state = StateVector(position=r, velocity=v)
-        frame = tangential_frame(state)
-        a = -MU_SUN * r / np.linalg.norm(r) ** 3 + frame.from_frame([u_t, 0.0, 0.0])
+        a = -MU_SUN * r / np.linalg.norm(r) ** 3 + tangential_frame(state).T @ [u_t, 0.0, 0.0]
         return np.concatenate([v, a])
 
     sol = solve_ivp(rhs, (0.0, t_span), np.concatenate([s0.position, s0.velocity]),
@@ -284,8 +301,6 @@ def test_proximal_di_only_is_out_of_plane(ast):
 
 def hill_difference(k, dk, nu):
     """Nonlinear neighbour-orbit offset rotated into the Hill frame."""
-    from laserfleet.orbits import hill_frame, true_to_mean
-
     k_ref = OrbitalElements(a=k.a, e=k.e, i=k.i, raan=k.raan, argp=k.argp,
                             anomaly=nu, anomaly_kind="true")
     m_ref = true_to_mean(nu, k.e)
@@ -294,7 +309,7 @@ def hill_difference(k, dk, nu):
         argp=k.argp + dk[3], anomaly=(m_ref + dk[4]) % TWO_PI, anomaly_kind="mean")
     s_ref = elements_to_state(k_ref, MU_SUN)
     s_nb = elements_to_state(k_neighbor, MU_SUN)
-    return hill_frame(s_ref).to_frame(s_nb.position - s_ref.position)
+    return hill_frame(s_ref) @ (s_nb.position - s_ref.position)
 
 
 def test_proximal_first_order_convergence(ast, rng):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from laserfleet import batch
+from laserfleet import batch, plume
 from laserfleet.constants import (
     AU,
     JET_CONSTANT,
@@ -15,7 +15,7 @@ from laserfleet.constants import (
 )
 from laserfleet.plume import (
     SpotGeometry,
-    contamination_rate,
+    condensation_growth,
     degradation_factor,
     line_of_sight_occluded,
     plume_density,
@@ -27,7 +27,7 @@ from laserfleet.plume import (
     steering_geometry,
     view_factor_angle,
 )
-from laserfleet.sizing import design_from_option
+from laserfleet.sizing import MIRROR_REFLECTIVITY, design_from_option
 from laserfleet.sublimation import ellipse_radius, exhaust_velocity
 
 
@@ -127,21 +127,29 @@ def test_density_monotone_decay(ast):
 # Contamination and degradation
 # ---------------------------------------------------------------------------
 
-def test_contamination_rate():
+def test_contamination_rate(growth_cases, monkeypatch):
+    # the layer grows by condensation_growth where the flow reaches the
+    # Sun-facing optics from the spot's side (dx > 0), and by nothing
+    # elsewhere: the rule of the deflection's rates
     # edge-on to the Sun-facing optics (flow along +y): nothing condenses
-    assert contamination_rate(_geom([0.0, 700.0, 0.0], 0.0), 1e-10, 520.5) == 0.0
-    head_on = _geom([700.0, 0.0, 0.0], math.pi / 2)
-    rate = contamination_rate(head_on, 1e-10, 520.5)
+    assert condensation_growth(1e-10, 520.5, 0.0, 700.0) == 0.0
+    rate = condensation_growth(1e-10, 520.5, 700.0, 700.0)  # head on
     assert math.isclose(rate, 2 * 520.5 * 1e-10 / 1000.0, rel_tol=1e-12)
     assert math.isclose(rate, 1.041e-10, rel_tol=1e-3)
-    assert math.isclose(contamination_rate(head_on, 3e-10, 520.5), 3 * rate, rel_tol=1e-12)
+    assert math.isclose(condensation_growth(3e-10, 520.5, 700.0, 700.0), 3 * rate,
+                        rel_tol=1e-12)
     # at 60 degrees off the mirror normal the flux projects by cos 60
-    oblique = _geom([350.0, 350.0 * math.sqrt(3.0), 0.0], math.pi / 6)
-    assert math.isclose(contamination_rate(oblique, 1e-10, 520.5), rate / 2, rel_tol=1e-12)
-    # surfaces facing away accumulate nothing
-    assert contamination_rate(_geom([-700.0, 100.0, 0.0], 1.4), 1e-10, 520.5) == 0.0
-    with pytest.raises(ValueError):
-        contamination_rate(head_on, -1e-10, 520.5)
+    assert math.isclose(condensation_growth(1e-10, 520.5, 350.0, 700.0), rate / 2,
+                        rel_tol=1e-12)
+    # surfaces facing away accumulate nothing: the rates grow no layer on a
+    # spacecraft at (-700, 100, 0) m from their spot
+    _, consts, t, states, _ = growth_cases
+    t0, y0 = float(t[0]), states[0].tolist()
+    _, spots = _growth_from_rates(monkeypatch, consts, batch.FLOAT, t0, y0, [1e4, 0.0, 0.0])
+    sx, sy = spots[0]
+    dh, _ = _growth_from_rates(monkeypatch, consts, batch.FLOAT, t0, y0,
+                               [sx - 700.0, sy + 100.0, 0.0])
+    assert dh == 0.0
 
 
 def test_degradation_factor():
@@ -161,21 +169,26 @@ def test_degradation_composes_multiplicatively(rng):
                             rel_tol=1e-12)
 
 
-def test_dark_side_never_accumulates(ast, rng):
-    """Spacecraft below the plume (x < spot x) see the flow from behind."""
+def test_dark_side_never_accumulates(ast, growth_cases, monkeypatch, rng):
+    """Spacecraft below the plume (x < spot x) see the flow from behind: the
+    deflection's rates grow no layer there."""
+    _, consts, _, states, _ = growth_cases
+    state = states[0].tolist()
     for _ in range(200):
         t = float(rng.random() * TWO_PI / ast.spin_rate)
-        theta_va = float((rng.random() - 0.5) * 0.4)
-        spot = spot_position(ast, t, theta_va)
+        state[5] = float(rng.random() * TWO_PI)  # mean anomaly: the velocity elevation
+        _, spots = _growth_from_rates(monkeypatch, consts, batch.FLOAT, t, state,
+                                      [1e4, 0.0, 0.0])
+        spot = np.array([*spots[0], 0.0])
         sc = np.array([spot[0] - (10.0 + 3000.0 * rng.random()),
                        float((rng.random() - 0.5) * 4000.0),
                        float((rng.random() - 0.5) * 2000.0)])
         if float(np.sum((sc / np.array(ast.semi_axes)) ** 2)) <= 1.0:
             continue
-        geom = spot_to_spacecraft(sc, ast, t, theta_va)
-        psi = view_factor_angle(geom.spot_to_sc)
+        psi = view_factor_angle(sc - spot)
         assert psi >= math.pi / 2
-        assert contamination_rate(geom, 1e-10, 520.0) == 0.0
+        dh, _ = _growth_from_rates(monkeypatch, consts, batch.FLOAT, t, state, sc.tolist())
+        assert dh == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +205,19 @@ def test_srp_force_reference_magnitude():
     assert math.isclose(f[0], expect_x, rel_tol=1e-12)
 
 
-def test_srp_force_limits():
+def test_srp_force_limits(monkeypatch):
     design = design_from_option(20.0, 2500.0)
     f = srp_force(design, AU, math.pi / 2, np.array([0.0, 1.0, 0.0]))
     # beam term vanishes at beta = pi/2, absorption residue along +x remains
     assert abs(f[1]) < 1e-20
     assert f[0] > 0.0
 
-    perfect = replace(design, eta_mirror=1.0)
-    f2 = srp_force(perfect, AU, math.pi / 2, np.array([0.0, 1.0, 0.0]))
+    residual = (1.0 - MIRROR_REFLECTIVITY**2) * design.collector_area * SOLAR_FLUX_1AU \
+        / SPEED_OF_LIGHT
+    assert math.isclose(f[0], residual, rel_tol=1e-12)
+    # perfect reflectors leave no residue: nothing remains
+    monkeypatch.setattr(plume, "MIRROR_REFLECTIVITY", 1.0)
+    f2 = srp_force(design, AU, math.pi / 2, np.array([0.0, 1.0, 0.0]))
     assert np.allclose(f2, 0.0)
 
 
@@ -299,7 +316,9 @@ def _growth_from_plume(ast, design, n_sc, t, state, pos):
     v_bar = exhaust_velocity(ast)
     rho = plume_density(geom, n_sc * FLOW, v_bar, design.spot_area, design.spot_diameter)
     seen = np.logical_not(line_of_sight_occluded(geom.spot_position, pos, ast.semi_axes))
-    return np.where(seen, contamination_rate(geom, rho, v_bar), 0.0), geom
+    dx = geom.spot_to_sc.T[0]
+    grows = seen & (dx > 0.0)  # the flow reaches the Sun-facing optics only from +x
+    return np.where(grows, condensation_growth(rho, v_bar, dx, geom.distance), 0.0), geom
 
 
 def _growth_from_rates(monkeypatch, consts, m, t, state, pos):

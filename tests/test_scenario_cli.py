@@ -246,6 +246,26 @@ def test_cli_study_mode_needs_its_formation_block(study, tmp_path, capsys):
     assert "scenario error: formation.shaped" in capsys.readouterr().err
 
 
+def test_formation_block_is_optional(tmp_path, monkeypatch, capsys):
+    """Without the formation block the stand-offs take their default and no
+    orbit is set; a study that flies one names the block it needs and exits
+    1, never 2."""
+    doc = nominal_doc()
+    del doc["formation"]
+    sc = parse_scenario(doc)
+    assert sc.y_limits == (500.0, 1000.0)
+    assert sc.natural is None and sc.shaped is None
+    path = tmp_path / "no_formation.json"
+    path.write_text(json.dumps(doc))
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("the map integrated cells without a formation orbit")
+
+    monkeypatch.setattr(experiments_mod, "_in_batches", integrate)
+    assert main(["--scenario", str(path), "--out", str(tmp_path), "deflection-map"]) == 1
+    assert "scenario error: formation.natural" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit, field", [
     (_put("design", {"aperture_diameter": {"value": 10.0, "unit": "m"},
                      "concentration_ratio": 5000}), "design"),

