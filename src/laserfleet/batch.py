@@ -1,23 +1,24 @@
 """Arithmetic that takes one sample or a batch of samples.
 
-The physical relations in ``orbits``, ``plume`` and ``formation`` are
-written once and accept either one sample (floats and 3-vectors) or a
-batch (arrays with a leading sample axis: shape (N,) and (N, 3)).
+The physical relations in ``orbits``, ``plume``, ``formation`` and
+``deflection`` are written once on components: floats for one sample, or
+(N,) columns for a batch, with the namespace of functions that each kind
+takes. ``FLOAT`` holds ``math``'s functions, so one sample runs as fast as
+scalar code; ``ARRAY`` holds numpy's ufuncs. ``xp(x)`` picks the one that
+fits ``x``. numpy's arctan2, arccos, exp, hypot and power can differ from
+libm by one ulp, so a batch row can differ from the same sample taken on
+floats in the last bits.
 
-One sample goes through ``math`` and plain floats, so it runs as fast as
-scalar code and gives the same bits as before. A batch goes through the
-numpy ufuncs; ``xp(x)`` picks the one set of functions or the other.
-numpy's arctan2, arccos and power can differ from libm by one ulp, and a
-row norm sums its squares in another order than a dot product, so a batch
-can differ from the same samples taken one at a time in the last bits.
+A branch of a relation is a selection: ``where`` picks between two values
+that are both computed, so each must be finite on every sample, and a
+masked denominator is replaced, not divided by. A branch that few samples
+take is guarded with ``any``, so the rest pay one test. ``runs`` splits a
+sorted batch into the contiguous rows that share a key, such as a flow
+table.
 
-A branch of a relation becomes a mask: ``apply_where`` evaluates the
-branch only on the samples that take it, so no sample produces a NaN or
-a warning that is then thrown away. A relation that calls in its
-innermost loop can instead guard a branch with ``any`` and select with
-``where`` from values that are finite on every sample; one sample then
-pays a plain ``if`` and one small call. ``runs`` splits a sorted batch
-into the contiguous rows that share a key, such as a flow table.
+Two helpers take arrays: ``vector`` stacks three components into a
+3-vector or an (N, 3) batch, and ``norm`` is the length of one 3-vector,
+in numpy's own sum.
 """
 
 from __future__ import annotations
@@ -53,12 +54,6 @@ ARRAY = _namespace("ARRAY", sin=np.sin, cos=np.cos, sqrt=np.sqrt, acos=np.arccos
                    where=np.where, any=np.count_nonzero)
 
 
-# One sample's zero vector, the fill of masked vector results; read-only,
-# since one sample gets the object itself
-ZERO3 = np.zeros(3)
-ZERO3.flags.writeable = False
-
-
 def xp(x):
     """``ARRAY`` when ``x`` is an array, ``FLOAT`` otherwise."""
     return ARRAY if isinstance(x, np.ndarray) else FLOAT
@@ -71,26 +66,9 @@ def runs(keys) -> list:
     return [(lo, hi, keys[lo]) for lo, hi in zip([0] + cuts, cuts + [len(keys)])]
 
 
-def any_true(cond) -> bool:
-    """Whether a condition holds for one sample, or for any sample of a batch."""
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
-def col(x):
-    """A per-sample value shaped to scale a per-sample 3-vector."""
-    return x[..., None] if isinstance(x, np.ndarray) else x
-
-
-def components(v: np.ndarray):
-    """x, y, z of a 3-vector as floats, or the three columns of an (N, 3) batch."""
-    return v.tolist() if v.ndim == 1 else v.T
-
-
-def norm(v: np.ndarray):
-    """Length of a 3-vector (a float), or of each row of an (N, 3) batch."""
-    if v.ndim == 1:
-        return math.sqrt(v.dot(v))  # the sum np.linalg.norm takes, so the same bits
-    return np.sqrt(np.einsum("ij,ij->i", v, v))
+def norm(v: np.ndarray) -> float:
+    """Length of a 3-vector: the sum np.linalg.norm takes, so the same bits."""
+    return math.sqrt(v.dot(v))
 
 
 def vector(x, y, z) -> np.ndarray:
@@ -98,30 +76,3 @@ def vector(x, y, z) -> np.ndarray:
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) or isinstance(z, np.ndarray):
         return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
     return np.array([x, y, z])
-
-
-def apply_where(mask, fn, *args, fill=0.0):
-    """``fn(*args)`` on the samples where ``mask`` holds, ``fill`` elsewhere.
-
-    For one sample ``mask`` is a bool. For a batch it is a boolean (N,)
-    array; ``fn`` then sees the selected rows of every array argument and
-    every other argument unchanged, so an array argument must carry the
-    sample axis. ``fill`` is one sample's value: a float or a 3-vector, or
-    a tuple of them when ``fn`` returns a tuple.
-    """
-    if not isinstance(mask, np.ndarray):
-        return fn(*args) if mask else fill
-    picked = fn(*(a[mask] if isinstance(a, np.ndarray) else a for a in args)) \
-        if mask.any() else None
-
-    def scatter(fill, part):
-        out = np.empty(mask.shape + np.shape(fill))
-        out[...] = fill
-        if part is not None:
-            out[mask] = part
-        return out
-
-    if isinstance(fill, tuple):
-        parts = picked if picked is not None else (None,) * len(fill)
-        return tuple(scatter(f, p) for f, p in zip(fill, parts))
-    return scatter(fill, picked)

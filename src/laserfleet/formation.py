@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,9 @@ from .orbits import (
     proximal_relation,
     rk4_step,
 )
-# spot_to_spacecraft has no caller here: perfbench/tracing.py wraps it as a
-# name of this module, with the other plume functions
+# surface_forces calls the plume functions as names of this module, which
+# perfbench/tracing.py wraps to time them; spot_to_spacecraft has no caller
+# here and is imported for that tracer alone
 from .plume import (  # noqa: F401
     inside_body,
     line_of_sight_occluded,
@@ -157,18 +157,17 @@ def body_turn(m, ast: AsteroidModel, t):
     return m.cos(wt2), m.sin(wt2)
 
 
-def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, c2, s2) -> np.ndarray:
-    """Gradient of the harmonic correction (the central term is separate),
-    with the body turned by ``body_turn``'s (c2, s2).
+def gravity_gradient(m, x, y, z, ast: AsteroidModel, c2, s2):
+    """Gradient (gx, gy, gz) of the harmonic correction (the central term is
+    separate) at the Hill position (x, y, z), with the body turned by
+    ``body_turn``'s (c2, s2): floats, or columns with one turn per row.
 
-    ``pos`` is a 3-vector with float (c2, s2), or an (N, 3) batch with one
-    turn per row. Rejects points inside the bounding sphere of the body,
-    where the expansion is meaningless, for any sample.
+    Rejects points inside the bounding sphere of the body, where the
+    expansion is meaningless, for any sample.
     """
-    x, y, z = batch.components(pos)
     r2 = x * x + y * y + z * z
-    r = batch.xp(r2).sqrt(r2)
-    if batch.any_true(r <= max(ast.semi_axes)):
+    r = m.sqrt(r2)
+    if m.any(r <= max(ast.semi_axes)):
         raise ValueError("gravity gradient requested inside the asteroid")
 
     c20, c22 = gravity_coefficients(ast.semi_axes)
@@ -184,7 +183,7 @@ def gravity_gradient(pos: np.ndarray, ast: AsteroidModel, c2, s2) -> np.ndarray:
     gx = c20 * (-6.0 * x / r5 + 7.5 * x * rho2 / r7) + 3.0 * c22 * (q_x / r5 - 5.0 * x * q / r7)
     gy = c20 * (-6.0 * y / r5 + 7.5 * y * rho2 / r7) + 3.0 * c22 * (q_y / r5 - 5.0 * y * q / r7)
     gz = c20 * (-3.0 * z / r5 + 7.5 * z * rho2 / r7) + 3.0 * c22 * (-5.0 * z * q / r7)
-    return batch.vector(ast.mu * gx, ast.mu * gy, ast.mu * gz)
+    return ast.mu * gx, ast.mu * gy, ast.mu * gz
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +196,24 @@ def sun_distance(r_a, x, y, z):
     return batch.xp(x).sqrt((r_a + x) ** 2 + y * y + z * z)
 
 
-def _gravity_terms(pos: np.ndarray, xyz, r_sc, ast: AsteroidModel, turn, mu_sun: float):
-    """mu_sun / r_sc^3, mu_A / dr^3 and the harmonic gravity at ``pos``.
+def _gravity_terms(m, x, y, z, r_sc, ast: AsteroidModel, turn, mu_sun: float):
+    """mu_sun / r_sc^3, mu_A / dr^3 and the harmonic gravity (components) at
+    the Hill position (x, y, z), whose ``sun_distance`` is ``r_sc`` and whose
+    time turns the body by ``body_turn``'s ``turn``.
 
-    ``xyz`` are the components of ``pos``, ``r_sc`` its ``sun_distance`` and
-    ``turn`` the ``body_turn`` at its time; the harmonic gravity comes back
-    as components. The central term is dropped at dr = 0 and the harmonic
-    one inside the bounding sphere of the body.
+    The central term is dropped at dr = 0 and the harmonic one inside the
+    bounding sphere of the body. Such samples are rare, so they are looked
+    for first; a point outside the sphere then stands in for them.
     """
-    x, y, z = xyz
-    dr = batch.xp(x).sqrt(x * x + y * y + z * z)
-    mu_a_dr3 = batch.apply_where(dr > 0.0, operator.truediv, ast.mu, dr**3)
-    gg = batch.apply_where(dr > max(ast.semi_axes), gravity_gradient, pos, ast, *turn,
-                           fill=batch.ZERO3)
-    return mu_sun / r_sc**3, mu_a_dr3, batch.components(gg)
+    dr = m.sqrt(x * x + y * y + z * z)
+    r_body = max(ast.semi_axes)
+    near = dr <= r_body
+    if not m.any(near):
+        return mu_sun / r_sc**3, ast.mu / dr**3, gravity_gradient(m, x, y, z, ast, *turn)
+    mu_a_dr3 = m.where(dr > 0.0, ast.mu / m.where(dr > 0.0, dr, 1.0) ** 3, 0.0)
+    g = gravity_gradient(m, m.where(near, 2.0 * r_body, x), m.where(near, 0.0, y),
+                         m.where(near, 0.0, z), ast, *turn)
+    return mu_sun / r_sc**3, mu_a_dr3, tuple(m.where(near, 0.0, c) for c in g)
 
 
 def hill_accel(xyz, v_xy, r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
@@ -254,7 +257,7 @@ def proximity_derivatives(s: list, f_s, u_ctrl, ast: AsteroidModel, m_sc: float,
     r_a_ddot, nu_ddot = _polar_rates(r_a, r_a_dot, nu_dot, mu_sun)
     if r_sc is None:
         r_sc = sun_distance(r_a, x, y, z)
-    mu_s_rsc3, mu_a_dr3, g = _gravity_terms(np.array(s[0:3]), (x, y, z), r_sc, ast,
+    mu_s_rsc3, mu_a_dr3, g = _gravity_terms(batch.FLOAT, x, y, z, r_sc, ast,
                                             body_turn(batch.FLOAT, ast, t), mu_sun)
     ax, ay, az = hill_accel((x, y, z), (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
                             mu_s_rsc3, mu_a_dr3, g, f_s, m_sc)
@@ -262,15 +265,15 @@ def proximity_derivatives(s: list, f_s, u_ctrl, ast: AsteroidModel, m_sc: float,
             r_a_dot, r_a_ddot, nu_dot, nu_ddot]
 
 
-def design_model_accel(pos: np.ndarray, f_srp: np.ndarray, f_plume: np.ndarray,
-                       ast: AsteroidModel, m_sc: float) -> list:
+def design_model_accel(pos: np.ndarray, f_srp, f_plume, ast: AsteroidModel,
+                       m_sc: float) -> list:
     """Acceleration of the control-design model at the Hill position ``pos``,
     as floats: asteroid point gravity plus the surface forces f_srp and
-    f_plume (N) on mass m_sc. This is what the Lyapunov law cancels."""
-    dr = math.sqrt(pos.dot(pos))  # the sum np.linalg.norm takes, so the same bits
+    f_plume (N, components) on mass m_sc. This is what the Lyapunov law
+    cancels."""
+    dr = batch.norm(pos)
     c = -ast.mu / dr**3
-    return [c * p + fs / m_sc + fp / m_sc
-            for p, fs, fp in zip(pos.tolist(), f_srp.tolist(), f_plume.tolist())]
+    return [c * p + fs / m_sc + fp / m_sc for p, fs, fp in zip(pos.tolist(), f_srp, f_plume)]
 
 
 def model_derivatives(s: list, a_model: list, u_ctrl) -> list:
@@ -451,7 +454,7 @@ def natural_orbit_objectives(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
 
     def plume_angle(nu):
         g = flight_path_angle(k_a.e, nu)
-        return _plume_axis_angle(*position(nu), float(np.cos(g)), float(np.sin(g)))
+        return _plume_axis_angle(*position(nu), math.cos(g), math.sin(g))
 
     _, j1 = sweep_extremum(dist, n_sweep, refine, maximize=True,
                            values=np.sqrt(x * x + y * y + z * z))
@@ -551,22 +554,20 @@ def shaped_orbit_eval(s: ShapedOrbit, nu, nu_dot: float = 0.0,
     arrays with one rate per sample.
     """
     nu = np.asarray(nu, dtype=float)
-    return _shaped_kinematics(s.coeffs, np.cos(nu), np.sin(nu), nu_dot, nu_ddot)
+    return tuple(batch.vector(*v) for v in _shaped_kinematics(
+        s.coeffs.tolist(), np.cos(nu), np.sin(nu), nu_dot, nu_ddot))
 
 
 def _shaped_kinematics(coeffs, c, sn, nu_dot, nu_ddot):
-    """``shaped_orbit_eval`` from the cos ``c`` and sin ``sn`` of nu."""
+    """Position, velocity and acceleration of the shaped trajectory, each as
+    components (x, y, z), from the cos ``c`` and sin ``sn`` of nu: floats or
+    columns."""
     x1, x2, x3, y1, y2, y3, z1, z2 = coeffs
-    pos = np.stack(np.broadcast_arrays(*shaped_position(coeffs, c, sn)), axis=-1)
-    dpos = np.stack(np.broadcast_arrays(-x1 * sn + x2 * c,
-                                        -y1 * sn + y2 * c,
-                                        -z1 * sn + z2 * c), axis=-1)
-    d2pos = np.stack(np.broadcast_arrays(-x1 * c - x2 * sn,
-                                         -y1 * c - y2 * sn,
-                                         -z1 * c - z2 * sn), axis=-1)
-    vel = dpos * batch.col(nu_dot)
-    acc = d2pos * batch.col(nu_dot**2) + dpos * batch.col(nu_ddot)
-    return pos, vel, acc
+    dpos = (-x1 * sn + x2 * c, -y1 * sn + y2 * c, -z1 * sn + z2 * c)
+    d2pos = (-x1 * c - x2 * sn, -y1 * c - y2 * sn, -z1 * c - z2 * sn)
+    nu_dot2 = nu_dot**2
+    return (shaped_position(coeffs, c, sn), tuple(d * nu_dot for d in dpos),
+            tuple(d2 * nu_dot2 + d * nu_ddot for d2, d in zip(d2pos, dpos)))
 
 
 def shaped_feasibility(s: ShapedOrbit) -> tuple[float, float]:
@@ -613,7 +614,7 @@ class ShapedGrid:
     cos_nu: object       # cos and sin of the asteroid's true anomaly
     sin_nu: object
     polar: tuple         # r_A, r_A_dot, nu_dot, nu_ddot, r_A_ddot (_asteroid_polar)
-    spot: np.ndarray     # spot_position under the velocity elevation
+    spot: tuple          # spot_position's (x, y) under the velocity elevation
     turn: tuple          # body_turn
 
 
@@ -622,37 +623,41 @@ def shaped_grid(ast: AsteroidModel, k_a: OrbitalElements, t) -> ShapedGrid:
     time ``t``, a float or a 1-D array of times."""
     m0 = k_a.mean_anomaly() + k_a.mean_motion(MU_SUN) * (t - k_a.epoch)
     nu = mean_to_true(m0 % TWO_PI, k_a.e)
+    m = batch.xp(t)
     return ShapedGrid(times=t, cos_nu=np.cos(nu), sin_nu=np.sin(nu),
                       polar=_asteroid_polar(k_a, nu, MU_SUN),
-                      spot=spot_position(ast, t, flight_path_angle(k_a.e, nu)),
-                      turn=body_turn(batch.xp(t), ast, t))
+                      spot=spot_position(m, ast, t, flight_path_angle(k_a.e, nu)),
+                      turn=body_turn(m, ast, t))
 
 
-def surface_forces(pos: np.ndarray, r_sc, ast: AsteroidModel, design, spot: np.ndarray,
-                   mdot: float) -> tuple[np.ndarray, np.ndarray]:
-    """(f_srp, f_plume): radiation pressure and plume impingement (N) on a
-    spacecraft at ``pos``, ``r_sc`` from the Sun, beaming to the spot at
-    ``spot`` (``spot_position``), with total flow ``mdot``.
+def surface_forces(m, x, y, z, r_sc, ast: AsteroidModel, design, sx, sy, mdot: float):
+    """(f_srp, f_plume): radiation pressure and plume impingement (N), each
+    as components, on a spacecraft at (x, y, z), ``r_sc`` from the Sun,
+    beaming to the spot at (sx, sy) (``spot_position``), with total flow
+    ``mdot``.
 
-    One sample or a batch of rows with one spot each. Positions inside the
-    body get no plume; a caller that must not fly there checks for it.
+    Floats for one sample, or columns with one spot per row, with their
+    ``batch`` namespace ``m``. Positions inside the body get no plume; a
+    caller that must not fly there checks for it. The plume relations run
+    when the flow reaches some sample; the others take a guarded distance
+    and a zero density.
     """
-    beta, n_steer = steering_geometry(pos, spot)
-    f_srp = srp_force(design, r_sc, beta, n_steer)
+    beta, nx, ny, nz = steering_geometry(m, x, y, z, sx, sy)
+    f_srp = srp_force(m, design, r_sc, beta, nx, ny, nz)
     if not mdot > 0.0:
-        return f_srp, np.zeros(np.shape(pos))
-    seen = np.logical_not(inside_body(pos, ast.semi_axes)
-                          | line_of_sight_occluded(spot, pos, ast.semi_axes))
+        return f_srp, (0.0, 0.0, 0.0)
+    seen = np.logical_not(inside_body(x, y, z, ast.semi_axes)
+                          | line_of_sight_occluded(sx, sy, x, y, ast.semi_axes))
+    if not m.any(seen):
+        return f_srp, (0.0, 0.0, 0.0)
+    geom = spot_geometry(m, x, y, z, sx, sy)
+    dx, dy, dz = geom.offset
+    dist = m.where(seen, geom.distance, 1.0)  # a hidden sample may sit on the spot
     v_bar = exhaust_velocity(ast)
-
-    def on_optics(pos, spot):
-        geom = spot_geometry(pos, spot)
-        rho = plume_density(geom, mdot, v_bar, design.spot_area, design.spot_diameter)
-        psi = view_factor_angle(geom.spot_to_sc)
-        return plume_force(rho, v_bar, design.collector_area, psi,
-                           geom.spot_to_sc / batch.col(geom.distance))
-
-    return f_srp, batch.apply_where(seen, on_optics, pos, spot, fill=batch.ZERO3)
+    rho = m.where(seen, plume_density(m, dist, geom.phi, mdot, v_bar, design.spot_area,
+                                      design.spot_diameter), 0.0)
+    return f_srp, plume_force(m, rho, v_bar, design.collector_area,
+                              view_factor_angle(m, dx, dist), dx / dist, dy / dist, dz / dist)
 
 
 def shaped_control_accel(s: ShapedOrbit, t, ctx: ShapedControlContext) -> np.ndarray:
@@ -661,24 +666,23 @@ def shaped_control_accel(s: ShapedOrbit, t, ctx: ShapedControlContext) -> np.nda
     ``t`` is a float, giving a (3,) acceleration, or a 1-D array of times,
     giving an (N, 3) array with one row per time; or the ``shaped_grid`` of
     either, built already. An array runs every relation once over the whole
-    grid; their branches (steering, occlusion, expansion cone, interior
-    gravity) are masks over the samples.
+    grid on its columns; their branches (steering, occlusion, expansion
+    cone, interior gravity) select per sample.
     """
     ast = ctx.ast
     grid = t if isinstance(t, ShapedGrid) else shaped_grid(ast, ctx.k_a, t)
+    m = batch.xp(grid.cos_nu)
     r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot = grid.polar
 
-    pos, vel, acc_required = _shaped_kinematics(s.coeffs, grid.cos_nu, grid.sin_nu,
-                                                nu_dot, nu_ddot)
-    xyz = batch.components(pos)
+    xyz, (vx, vy, _), acc_required = _shaped_kinematics(s.coeffs.tolist(), grid.cos_nu,
+                                                        grid.sin_nu, nu_dot, nu_ddot)
     r_sc = sun_distance(r_a, *xyz)
-    mu_s_rsc3, mu_a_dr3, g = _gravity_terms(pos, xyz, r_sc, ast, grid.turn, MU_SUN)
-    f_srp, f_plume = surface_forces(pos, r_sc, ast, ctx.design, grid.spot, ctx.mdot)
-    f_s = f_srp + f_plume
-    vx, vy, _ = batch.components(vel)
-    ax, ay, az = hill_accel(xyz, (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
-                            mu_s_rsc3, mu_a_dr3, g, batch.components(f_s), ctx.m_sc)
-    return acc_required - batch.vector(ax, ay, az)
+    mu_s_rsc3, mu_a_dr3, g = _gravity_terms(m, *xyz, r_sc, ast, grid.turn, MU_SUN)
+    f_srp, f_plume = surface_forces(m, *xyz, r_sc, ast, ctx.design, *grid.spot, ctx.mdot)
+    f_s = [a + b for a, b in zip(f_srp, f_plume)]
+    accel = hill_accel(xyz, (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
+                       mu_s_rsc3, mu_a_dr3, g, f_s, ctx.m_sc)
+    return batch.vector(*(a - b for a, b in zip(acc_required, accel)))
 
 
 def shaped_orbit_control(s: ShapedOrbit, ctx: ShapedControlContext,
@@ -702,7 +706,7 @@ def _control_grid(ast: AsteroidModel, k_a: OrbitalElements, duration: float,
     """The ``shaped_grid`` of ``shaped_orbit_control``'s time grid, built
     once per asteroid, orbit and grid, since no shape changes it."""
     grid = shaped_grid(ast, k_a, np.linspace(t0, t0 + duration, n_samples))
-    _read_only((grid.times, grid.cos_nu, grid.sin_nu, *grid.polar, grid.spot, *grid.turn))
+    _read_only((grid.times, grid.cos_nu, grid.sin_nu, *grid.polar, *grid.spot, *grid.turn))
     return grid
 
 
@@ -719,12 +723,13 @@ def shaped_objectives(s: ShapedOrbit, ctx: ShapedControlContext,
 
     coeffs = s.coeffs.tolist()
 
-    def dist(c, sn):  # floats or the grid; the squares sum in np.linalg.norm's order
+    def dist(m, c, sn):  # floats or the grid; the squares sum in np.linalg.norm's order
         x, y, z = shaped_position(coeffs, c, sn)
-        return np.sqrt(x * x + y * y + z * z)
+        return m.sqrt(x * x + y * y + z * z)
 
-    _, j2 = sweep_extremum(lambda nu: dist(np.cos(nu), np.sin(nu)), n_sweep=720,
-                           refine=True, maximize=True, values=dist(*_sweep_trig(720)))
+    _, j2 = sweep_extremum(lambda nu: dist(math, math.cos(nu), math.sin(nu)), n_sweep=720,
+                           refine=True, maximize=True,
+                           values=dist(np, *_sweep_trig(720)))
     return {"J1": history.mass_fraction, "J2": j2, "J3": history.max_accel,
             "C1": c1, "C2": c2, "history": history}
 
@@ -791,21 +796,22 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
     ref = None  # the held reference point, read by rhs
 
     def rhs(t, s):
-        pos = np.array(s[0:3])
-        if inside_body(pos, ast.semi_axes):
+        x, y, z = s[0:3]
+        if inside_body(x, y, z, ast.semi_axes):
             raise ValueError(f"dk: the spacecraft is inside the asteroid at t = {t!r} s")
-        r_sc = sun_distance(s[6], s[0], s[1], s[2])
+        r_sc = sun_distance(s[6], x, y, z)
         if design is None:
-            f_srp = f_plume = batch.ZERO3
+            f_srp = f_plume = (0.0, 0.0, 0.0)
         else:
-            spot = spot_position(ast, t, flight_path_angle(k_a.e, s[8]))
-            f_srp, f_plume = surface_forces(pos, r_sc, ast, design, spot, mdot)
-        a_model = design_model_accel(pos, f_srp, f_plume, ast, m_sc)
+            spot = spot_position(batch.FLOAT, ast, t, flight_path_angle(k_a.e, s[8]))
+            f_srp, f_plume = surface_forces(batch.FLOAT, x, y, z, r_sc, ast, design, *spot,
+                                            mdot)
+        a_model = design_model_accel(np.array(s[0:3]), f_srp, f_plume, ast, m_sc)
         u = lyapunov_control(s, ref, a_model, gain_k, gain_cd)
         if plant == "model":
             return model_derivatives(s, a_model, u), u
-        return proximity_derivatives(s, (f_srp + f_plume).tolist(), u, ast, m_sc, t,
-                                     r_sc=r_sc), u
+        f_s = [a + b for a, b in zip(f_srp, f_plume)]
+        return proximity_derivatives(s, f_s, u, ast, m_sc, t, r_sc=r_sc), u
 
     t = 0.0
     v_hist[0] = 0.5 * float(np.dot(vel0, vel0))  # zero position error at start

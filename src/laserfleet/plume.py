@@ -9,10 +9,12 @@ the beamed power exponentially.
 Two spacecraft-level forces live here as well: radiation pressure on the
 optics and direct momentum flux from plume impingement.
 
-The spot, plume and contamination relations are written once on
-components, which the deflection integrator calls directly. The geometry
-and force functions take one sample (floats and 3-vectors) or a batch over
-a leading sample axis (see ``batch``); their branches are masks.
+Every relation is written once on components: floats for one sample, or
+(N,) columns for a batch, with their ``batch`` namespace ``m``. The
+deflection integrator calls the spot, plume and contamination relations;
+``formation.surface_forces`` calls the geometry and force relations for
+shaped control and tracking alike. A branch is a ``where`` selection on
+values guarded to be finite on every sample.
 """
 
 from __future__ import annotations
@@ -39,29 +41,20 @@ from .sublimation import AsteroidModel, equatorial_radius
 
 @dataclass(frozen=True)
 class SpotGeometry:
-    """Spot-to-spacecraft geometry in the Hill frame at one instant.
+    """Spot-to-spacecraft geometry in the Hill frame at one instant: floats,
+    or columns for a batch."""
 
-    For a batch every field carries the leading sample axis.
-    """
-
-    spot_to_sc: np.ndarray   # m, from the spot to the spacecraft
-    spot_position: np.ndarray
-    distance: float          # m, length of spot_to_sc
-    phi: float               # rad, angle of spot_to_sc off the y-axis
-
-
-# Direction of the incoming sunlight (Sun at -x), and the steering normal
-# at flat incidence; read-only, since a result may be the object itself
-_SUN_RAY = np.array([1.0, 0.0, 0.0])
-_FLAT_NORMAL = np.array([0.0, 1.0, 0.0])
-_SUN_RAY.flags.writeable = _FLAT_NORMAL.flags.writeable = False
+    spot: tuple          # (x, y) of the spot, on the equator
+    offset: tuple        # (dx, dy, dz) from the spot to the spacecraft, m
+    distance: object     # m, length of the offset
+    phi: object          # rad, angle of the offset off the y-axis
 
 
 # ---------------------------------------------------------------------------
-# Relations on components: floats or (N,) columns with their ``batch``
-# namespace ``m``, shared by the deflection's ``rates`` and the 3-vector
-# functions after them. The spot-to-spacecraft distance comes from the
-# caller, which forms it in its own order (DECISIONS.md).
+# Spot, plume and contamination relations, shared by the deflection's
+# ``rates`` and the spacecraft's surface forces. The spot-to-spacecraft
+# distance comes from the caller, which forms it in its own order
+# (DECISIONS.md).
 # ---------------------------------------------------------------------------
 
 def spot_point(m, w_spin, a_ell, b_ell, t, theta_va):
@@ -111,73 +104,75 @@ def condensation_growth(rho, v_bar, dx, dist):
     return 2.0 * v_bar * rho * (dx / dist) / LAYER_DENSITY
 
 
-def inside_body(pos, semi_axes):
-    """Whether a Hill position, or each row of a batch, is inside or on the body."""
-    x, y, z = batch.components(np.asarray(pos, dtype=float))
+def line_length(m, dx, dy, dz):
+    """Length of the line (dx, dy, dz): floats or columns. The squares sum in
+    the order numpy's ``einsum`` sums a row of three, (x² + z²) + y²
+    (DECISIONS.md)."""
+    return m.sqrt((dx * dx + dz * dz) + dy * dy)
+
+
+def inside_body(x, y, z, semi_axes):
+    """Whether the Hill position (x, y, z) is inside or on the body: floats
+    or columns, giving a bool or one per row."""
     u, v, w = x / semi_axes[0], y / semi_axes[1], z / semi_axes[2]
     return u * u + v * v + w * w <= 1.0
 
 
-def spot_position(ast: AsteroidModel, t, theta_va) -> np.ndarray:
-    """Hill-frame position of the illuminated spot on the spinning ellipsoid."""
-    arrays = isinstance(t, np.ndarray) or isinstance(theta_va, np.ndarray)
-    return batch.vector(*spot_point(batch.ARRAY if arrays else batch.FLOAT, ast.spin_rate,
-                                    *ast.semi_axes[:2], t, theta_va), 0.0)
+def spot_position(m, ast: AsteroidModel, t, theta_va):
+    """Hill-frame (x, y) of the illuminated spot on the spinning ellipsoid;
+    the spot is on the equator (z = 0)."""
+    return spot_point(m, ast.spin_rate, *ast.semi_axes[:2], t, theta_va)
 
 
 def spot_to_spacecraft(sc_pos: np.ndarray, ast: AsteroidModel, t,
                        theta_va) -> SpotGeometry:
-    """Geometry of the spot-to-spacecraft line at time t; rejects spacecraft
-    positions inside the ellipsoid, for any sample."""
-    sc_pos = np.asarray(sc_pos, dtype=float)
-    if np.any(inside_body(sc_pos, ast.semi_axes)):
+    """``spot_geometry`` at time t of a 3-vector position, or of each row of
+    an (N, 3) batch; rejects positions inside the ellipsoid, for any sample.
+    The package calls ``spot_geometry`` itself; ``perfbench/tracing.py``
+    wraps this face."""
+    x, y, z = np.asarray(sc_pos, dtype=float).T
+    if np.any(inside_body(x, y, z, ast.semi_axes)):
         raise ValueError("spacecraft position is inside the asteroid")
-    return spot_geometry(sc_pos, spot_position(ast, t, theta_va))
+    m = batch.xp(x)
+    return spot_geometry(m, x, y, z, *spot_position(m, ast, t, theta_va))
 
 
-def spot_geometry(sc_pos: np.ndarray, spot: np.ndarray) -> SpotGeometry:
-    """Geometry of the line from a spot of ``spot_position`` to a spacecraft
-    outside the body: one sample, or a batch with one spot per row."""
-    offset = sc_pos - spot
-    dist = batch.norm(offset)
-    phi = batch.apply_where(dist > 0.0, lambda dy, n: axis_angle(batch.xp(n), dy, n),
-                            offset.T[1], dist)
-    return SpotGeometry(spot_to_sc=offset, spot_position=spot, distance=dist, phi=phi)
+def spot_geometry(m, x, y, z, sx, sy) -> SpotGeometry:
+    """Geometry of the line from the spot at (sx, sy) to the spacecraft at
+    (x, y, z): floats or columns."""
+    dx, dy = x - sx, y - sy
+    dist = line_length(m, dx, dy, z)
+    away = dist > 0.0
+    phi = m.where(away, axis_angle(m, dy, m.where(away, dist, 1.0)), 0.0)
+    return SpotGeometry(spot=(sx, sy), offset=(dx, dy, z), distance=dist, phi=phi)
 
 
-def line_of_sight_occluded(spot: np.ndarray, sc_pos: np.ndarray,
-                           semi_axes: tuple[float, float, float]):
-    """True when the body blocks the line from a spot of ``spot_position`` to
-    the spacecraft; a batch gives one bool per sample."""
+def line_of_sight_occluded(sx, sy, x, y, semi_axes: tuple[float, float, float]):
+    """True when the body blocks the line from the spot at (sx, sy) to the
+    spacecraft at (x, y): floats or columns, giving a bool or one per row."""
     a_ell, b_ell, _ = semi_axes
-    sx, sy, _ = batch.components(np.asarray(spot, dtype=float))
-    x, y, _ = batch.components(np.asarray(sc_pos, dtype=float))
     return np.logical_not(clears_body(sx, sy, x, y, a_ell * a_ell, b_ell * b_ell))
 
 
-def plume_density(geom: SpotGeometry, mdot: float, v_bar: float,
-                  a_spot: float, d_spot: float):
-    """Vapour density (kg/m^3) at the spacecraft, zero outside the cone."""
+def plume_density(m, dist, phi, mdot: float, v_bar: float, a_spot: float, d_spot: float):
+    """Vapour density (kg/m^3) at distance dist from the spot and angle phi
+    off the plume axis, zero outside the cone: floats or columns."""
     if mdot < 0.0:
         raise ValueError("mass flow must be non-negative")
-    v_area = v_bar * a_spot
-    return batch.apply_where(
-        geom.phi < MAX_EXPANSION_ANGLE,
-        lambda dist, phi: jet_density(batch.xp(dist), mdot, v_area, d_spot, dist, phi),
-        geom.distance, geom.phi)
+    in_cone = phi < MAX_EXPANSION_ANGLE
+    return m.where(in_cone, jet_density(m, mdot, v_bar * a_spot, d_spot, dist,
+                                        m.where(in_cone, phi, 0.0)), 0.0)
 
 
-def view_factor_angle(spot_to_sc: np.ndarray):
-    """Angle between the Sun-pointing mirror normal (-x) and the flow source.
+def view_factor_angle(m, dx, dist):
+    """Angle between the Sun-pointing mirror normal (-x) and the flow source,
+    for a spot-to-spacecraft line of x-component dx and length dist > 0.
 
-    The incident flow travels along spot_to_sc; its source direction seen
-    from the mirror is -spot_to_sc. cos(psi) > 0 means the optical face is
+    The incident flow travels along the line; its source direction seen
+    from the mirror is the reverse. cos(psi) > 0 means the optical face is
     exposed to the flow.
     """
-    offset = np.asarray(spot_to_sc, dtype=float)
-    norm = batch.norm(offset)
-    return batch.apply_where(norm != 0.0, lambda dx, n: axis_angle(batch.xp(n), dx, n),
-                             offset.T[0], norm)
+    return axis_angle(m, dx, dist)
 
 
 def degradation_factor(h_cnd: float) -> float:
@@ -188,65 +183,57 @@ def degradation_factor(h_cnd: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Forces on the spacecraft
+# Forces on the spacecraft: components, floats or columns
 # ---------------------------------------------------------------------------
 
-def srp_force(design, r_sc, beta, n_steer: np.ndarray) -> np.ndarray:
+def srp_force(m, design, r_sc, beta, nx, ny, nz):
     """Radiation-pressure force (N) in the Hill frame.
 
     First term: recoil of the redirected beam along the steering-mirror
-    normal, with beta the half angle between that normal and the Sun line.
-    Second term: absorption residue of the imperfect primary/secondary
-    reflections, pushed anti-Sun (+x).
+    normal (nx, ny, nz), with beta the half angle between that normal and
+    the Sun line. Second term: absorption residue of the imperfect
+    primary/secondary reflections, pushed anti-Sun (+x).
     """
-    n_steer = np.asarray(n_steer, dtype=float)
     flux = SOLAR_FLUX_1AU / SPEED_OF_LIGHT * (AU / r_sc) ** 2
     a_m1 = design.collector_area
-    cos_beta = batch.xp(beta).cos(beta)
-    beam = batch.col(2.0 * design.eta_sys * a_m1 * flux * cos_beta ** 2) * n_steer
-    residual = batch.col((1.0 - MIRROR_REFLECTIVITY**2) * a_m1 * flux) * _SUN_RAY
-    return beam + residual
+    beam = 2.0 * design.eta_sys * a_m1 * flux * m.cos(beta) ** 2
+    return beam * nx + (1.0 - MIRROR_REFLECTIVITY**2) * a_m1 * flux, beam * ny, beam * nz
 
 
-def steering_geometry(sc_pos: np.ndarray, spot: np.ndarray):
-    """Steering-mirror half angle and normal for beaming sunlight to the spot.
+def steering_geometry(m, x, y, z, sx, sy):
+    """Steering-mirror half angle and unit normal, (beta, nx, ny, nz), for
+    beaming sunlight from the spacecraft at (x, y, z) to the spot at (sx, sy).
 
     Incoming light travels +x (Sun at -x); the normal bisects the reversed
-    incoming ray and the outgoing spot direction.
+    incoming ray and the outgoing spot direction, so it never faces away
+    from the Sun (nx <= 0).
     """
-    out = np.asarray(spot, dtype=float) - np.asarray(sc_pos, dtype=float)
-    norm = batch.norm(out)
-    if batch.any_true(norm == 0.0):
+    ox, oy, oz = sx - x, sy - y, -z
+    norm = line_length(m, ox, oy, oz)
+    if m.any(norm == 0.0):
         raise ValueError("spot and spacecraft coincide")
-    n = out / batch.col(norm) - _SUN_RAY
-    n_norm = batch.norm(n)
-    # below 1e-12 the beam passes straight through: flat incidence, no
-    # recoil component
-    return batch.apply_where(n_norm >= 1e-12, _steered, n, n_norm,
-                             fill=(math.pi / 2.0, _FLAT_NORMAL))
+    bx, by, bz = ox / norm - 1.0, oy / norm, oz / norm
+    b_norm = line_length(m, bx, by, bz)
+    flat = b_norm < 1e-12
+    if m.any(flat):
+        # the beam passes straight through: flat incidence, no recoil, and
+        # the normal (0, 1, 0) at beta = pi / 2
+        bx, by, bz = m.where(flat, 0.0, bx), m.where(flat, 1.0, by), m.where(flat, 0.0, bz)
+        b_norm = m.where(flat, 1.0, b_norm)
+    nx, ny, nz = bx / b_norm, by / b_norm, bz / b_norm
+    return axis_angle(m, -nx, 1.0), nx, ny, nz  # off the -x axis
 
 
-def _steered(n: np.ndarray, n_norm):
-    """Half angle and unit normal from the unnormalised bisector n."""
-    n_steer = n / batch.col(n_norm)
-    flip = n_steer.T[0] > 0.0
-    if batch.any_true(flip):
-        n_steer[flip] = -n_steer[flip]
-    return axis_angle(batch.xp(n_norm), -n_steer.T[0], 1.0), n_steer  # off the -x axis
-
-
-def plume_force(rho_exp, v_bar: float, a_eq: float, psi_vf,
-                direction: np.ndarray) -> np.ndarray:
-    """Momentum flux (N) of condensing plume particles on the mirror.
+def plume_force(m, rho_exp, v_bar: float, a_eq: float, psi_vf, ux, uy, uz):
+    """Momentum flux (N) of condensing plume particles on the mirror, from a
+    flow along the unit direction (ux, uy, uz).
 
     All impinging particles stick; the equivalent flat intercept area is
     the primary-mirror area. Zero for surfaces facing away from the flow.
     """
-    if np.any(np.asarray(rho_exp) < 0.0):
+    if m.any(rho_exp < 0.0):
         raise ValueError("plume density must be non-negative")
-    cos_psi = batch.xp(psi_vf).cos(psi_vf)
-    direction = np.asarray(direction, dtype=float)
-    return batch.apply_where(
-        (cos_psi > 1e-12) & (rho_exp != 0.0),
-        lambda rho, c, d: batch.col(4.0 * rho * v_bar**2 * a_eq * c) * d,
-        rho_exp, cos_psi, direction, fill=batch.ZERO3)
+    cos_psi = m.cos(psi_vf)
+    on = (cos_psi > 1e-12) & (rho_exp != 0.0)
+    k = 4.0 * rho_exp * v_bar**2 * a_eq * cos_psi
+    return m.where(on, k * ux, 0.0), m.where(on, k * uy, 0.0), m.where(on, k * uz, 0.0)

@@ -30,6 +30,7 @@ from laserfleet.orbits import (
     solve_kepler_array,
 )
 from laserfleet.plume import (
+    line_length,
     line_of_sight_occluded,
     plume_density,
     plume_force,
@@ -49,6 +50,12 @@ RTOL = 1e-12
 def _rows(fn, *columns):
     """fn applied one sample at a time, stacked."""
     return np.array([fn(*args) for args in zip(*columns)])
+
+
+def _floats(fn, *columns):
+    """fn applied to the floats of one sample at a time, on ``batch.FLOAT``:
+    one column per output, to compare with fn's output on the columns."""
+    return _rows(lambda *args: fn(batch.FLOAT, *args), *(c.tolist() for c in columns)).T
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +125,8 @@ def test_one_sample_norm_is_numpys(rng):
         v = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0)
         assert batch.norm(v) == float(np.linalg.norm(v))
     rows = rng.normal(size=(50, 3))
-    np.testing.assert_allclose(batch.norm(rows), np.linalg.norm(rows, axis=1), rtol=1e-15)
+    np.testing.assert_allclose(line_length(batch.ARRAY, *rows.T), np.linalg.norm(rows, axis=1),
+                               rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -172,73 +180,80 @@ def samples(ast):
     outside = np.sum((pos / np.array(ast.semi_axes)) ** 2, axis=1) > 1.0
     pos, t, theta_va = pos[outside], t[outside], theta_va[outside]
     # straight behind the spot along -x: the flat-incidence steering branch
-    spot = spot_position(ast, t[:5], theta_va[:5])
-    pos[:5] = spot - np.array([800.0, 0.0, 0.0])
+    sx, sy = spot_position(batch.ARRAY, ast, t[:5], theta_va[:5])
+    pos[:5] = np.stack([sx - 800.0, sy, np.zeros(5)], axis=1)
     return pos, t, theta_va
 
 
 def test_spot_and_steering_batch(ast, design_20m, samples):
     pos, t, theta_va = samples
-    spot = spot_position(ast, t, theta_va)
-    np.testing.assert_array_equal(spot, _rows(lambda a, b: spot_position(ast, a, b), t, theta_va))
+    spot = spot_position(batch.ARRAY, ast, t, theta_va)
+    np.testing.assert_array_equal(spot, _floats(lambda m, a, b: spot_position(m, ast, a, b),
+                                                t, theta_va))
 
-    beta, n_steer = steering_geometry(pos, spot)
-    one = [steering_geometry(p, s) for p, s in zip(pos, spot)]
-    np.testing.assert_allclose(beta, [b for b, _ in one], rtol=RTOL, atol=1e-15)
-    np.testing.assert_allclose(n_steer, [n for _, n in one], rtol=RTOL, atol=1e-15)
+    x, y, z = pos.T
+    steering = steering_geometry(batch.ARRAY, x, y, z, *spot)
+    one = _floats(steering_geometry, x, y, z, *spot)
+    np.testing.assert_allclose(steering, one, rtol=RTOL, atol=1e-15)
+    beta, nx, ny, nz = steering
     flat = np.zeros(len(pos), dtype=bool)
     flat[:5] = True
     assert np.all(beta[flat] == math.pi / 2.0)
-    assert np.all(n_steer[flat] == [0.0, 1.0, 0.0])
+    assert np.all((nx[flat] == 0.0) & (ny[flat] == 1.0) & (nz[flat] == 0.0))
     assert np.all(beta[~flat] < math.pi / 2.0)
+    assert np.all(nx <= 0.0)  # the normal never faces away from the Sun
 
-    r_sc = 1.4e11 + pos[:, 0]
-    f = srp_force(design_20m, r_sc, beta, n_steer)
-    np.testing.assert_allclose(f, _rows(lambda r, b, n: srp_force(design_20m, r, b, n),
-                                        r_sc, beta, n_steer), rtol=RTOL, atol=1e-20)
+    r_sc = 1.4e11 + x
+    f = srp_force(batch.ARRAY, design_20m, r_sc, *steering)
+    np.testing.assert_allclose(f, _floats(lambda m, *a: srp_force(m, design_20m, *a),
+                                          r_sc, *steering), rtol=RTOL, atol=1e-20)
 
 
 def test_plume_chain_batch(ast, design_20m, samples):
     pos, t, theta_va = samples
+    x, y, z = pos.T
     geom = spot_to_spacecraft(pos, ast, t, theta_va)
     one = [spot_to_spacecraft(p, ast, a, b) for p, a, b in zip(pos, t, theta_va)]
-    np.testing.assert_array_equal(geom.spot_to_sc, [g.spot_to_sc for g in one])
+    np.testing.assert_array_equal(geom.offset, np.array([g.offset for g in one]).T)
     np.testing.assert_allclose(geom.phi, [g.phi for g in one], rtol=RTOL, atol=1e-15)
     np.testing.assert_allclose(geom.distance, [g.distance for g in one], rtol=RTOL)
 
-    occluded = line_of_sight_occluded(geom.spot_position, pos, ast.semi_axes)
+    occluded = line_of_sight_occluded(*geom.spot, x, y, ast.semi_axes)
     assert occluded.dtype == bool
-    assert list(occluded) == [line_of_sight_occluded(g.spot_position, p, ast.semi_axes)
+    assert list(occluded) == [line_of_sight_occluded(*g.spot, *p[:2], ast.semi_axes)
                               for g, p in zip(one, pos)]
     assert occluded.any() and not occluded.all()
 
     v_bar = exhaust_velocity(ast)
     args = (0.3, v_bar, design_20m.spot_area, design_20m.spot_diameter)
-    rho = plume_density(geom, *args)
-    np.testing.assert_allclose(rho, [plume_density(g, *args) for g in one], rtol=RTOL)
+    rho = plume_density(batch.ARRAY, geom.distance, geom.phi, *args)
+    np.testing.assert_allclose(rho, [plume_density(batch.FLOAT, g.distance, g.phi, *args)
+                                     for g in one], rtol=RTOL)
     outside_cone = geom.phi >= MAX_EXPANSION_ANGLE
     assert outside_cone.any() and np.all(rho[outside_cone] == 0.0)
     assert np.all(rho[~outside_cone] > 0.0)
 
-    psi = view_factor_angle(geom.spot_to_sc)
-    np.testing.assert_allclose(psi, [view_factor_angle(g.spot_to_sc) for g in one],
+    dx, dy, dz = geom.offset
+    psi = view_factor_angle(batch.ARRAY, dx, geom.distance)
+    np.testing.assert_allclose(psi, _floats(view_factor_angle, dx, geom.distance),
                                rtol=RTOL, atol=1e-15)
 
-    direction = geom.spot_to_sc / geom.distance[:, None]
-    f = plume_force(rho, v_bar, design_20m.collector_area, psi, direction)
-    want = _rows(lambda r, p, d: plume_force(r, v_bar, design_20m.collector_area, p, d),
-                 rho, psi, direction)
+    direction = [d / geom.distance for d in geom.offset]
+    f = plume_force(batch.ARRAY, rho, v_bar, design_20m.collector_area, psi, *direction)
+    want = _floats(lambda m, *a: plume_force(m, *a[:1], v_bar, design_20m.collector_area,
+                                             *a[1:]), rho, psi, *direction)
     np.testing.assert_allclose(f, want, rtol=1e-11, atol=1e-25)
     averted = np.cos(psi) <= 1e-12
-    assert averted.any() and np.all(f[averted | outside_cone] == 0.0)
+    assert averted.any() and np.all(np.array(f)[:, averted | outside_cone] == 0.0)
 
 
 def test_gravity_gradient_batch(ast, samples):
     pos, t, _ = samples
     far = np.linalg.norm(pos, axis=1) > max(ast.semi_axes)
-    g = gravity_gradient(pos[far], ast, *body_turn(batch.ARRAY, ast, t[far]))
-    want = _rows(lambda p, a: gravity_gradient(p, ast, *body_turn(batch.FLOAT, ast, a)),
-                 pos[far], t[far])
+    g = gravity_gradient(batch.ARRAY, *pos[far].T, ast, *body_turn(batch.ARRAY, ast, t[far]))
+    want = _floats(lambda m, x, y, z, a: gravity_gradient(m, x, y, z, ast,
+                                                          *body_turn(m, ast, a)),
+                   *pos[far].T, t[far])
     np.testing.assert_allclose(g, want, rtol=RTOL, atol=1e-22)
 
 
@@ -247,23 +262,23 @@ def test_input_checks_hold_for_any_sample(ast, design_20m, samples):
     bad = pos.copy()
     bad[3] = [10.0, 10.0, 10.0]  # inside the body and its bounding sphere
     with pytest.raises(ValueError):
-        gravity_gradient(bad, ast, *body_turn(batch.ARRAY, ast, t))
+        gravity_gradient(batch.ARRAY, *bad.T, ast, *body_turn(batch.ARRAY, ast, t))
     with pytest.raises(ValueError):
         spot_to_spacecraft(bad, ast, t, theta_va)
 
-    spot = spot_position(ast, t, theta_va)
-    coincident = pos.copy()
-    coincident[7] = spot[7]
+    sx, sy = spot_position(batch.ARRAY, ast, t, theta_va)
+    x, y, z = pos.T.copy()
+    x[7], y[7], z[7] = sx[7], sy[7], 0.0
     with pytest.raises(ValueError):
-        steering_geometry(coincident, spot)
+        steering_geometry(batch.ARRAY, x, y, z, sx, sy)
 
     geom = spot_to_spacecraft(pos, ast, t, theta_va)
     with pytest.raises(ValueError):
-        plume_density(geom, -1e-3, 520.0, 0.03, 0.2)
+        plume_density(batch.ARRAY, geom.distance, geom.phi, -1e-3, 520.0, 0.03, 0.2)
     rho = np.full(len(pos), 1e-12)
     rho[11] = -1e-12
     with pytest.raises(ValueError):
-        plume_force(rho, 520.0, 314.0, np.zeros(len(pos)), geom.spot_to_sc)
+        plume_force(batch.ARRAY, rho, 520.0, 314.0, np.zeros(len(pos)), *geom.offset)
 
 
 # ---------------------------------------------------------------------------

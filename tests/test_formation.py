@@ -52,8 +52,10 @@ def harmonic_potential(pos: np.ndarray, ast, t: float) -> float:
 
 
 def gradient_at(pos, ast, t):
-    """``gravity_gradient`` at time ``t``, turned as the dynamics turn it."""
-    return gravity_gradient(pos, ast, *body_turn(batch.FLOAT, ast, t))
+    """``gravity_gradient`` at time ``t``, turned as the dynamics turn it, as a
+    3-vector."""
+    x, y, z = (float(c) for c in pos)
+    return np.array(gravity_gradient(batch.FLOAT, x, y, z, ast, *body_turn(batch.FLOAT, ast, t)))
 
 
 def test_gravity_sphere_has_no_harmonics(ast):

@@ -11,7 +11,11 @@ pins the shape's own acceleration from ``shaped_orbit_eval``.
 J2, C1 and C2 come from the shape alone and must match exactly. J1 and J3
 integrate the control over the grid; numpy's arctan2, arccos and power may
 differ from libm by an ulp, and the nearly cancelling frame terms of the
-Hill-frame acceleration amplify that, so they match to 1e-11.
+Hill-frame acceleration amplify that, so they match to 1e-11 against the
+per-sample version. The same five cases pin the grid inversion itself to
+the bit: a digest of its (512, 3) control, its delta-v and its peak, as
+recorded on numpy 2.4.6 with AVX-512 dispatch before the inversion moved
+from 3-vectors to components.
 
 Natural orbits: J1, J2 and C of seventeen designs, recorded from the
 version that evaluated every refinement sample as a one-element array and
@@ -41,6 +45,7 @@ from laserfleet.formation import (
     _asteroid_polar,
     natural_orbit_objectives,
     shaped_objectives,
+    shaped_orbit_control,
     shaped_orbit_eval,
     simulate_tracking,
 )
@@ -75,6 +80,21 @@ GOLDEN = {
         760.5551275463989, 1723.606797749979)),
 }
 
+# name: (sha256 of the repr of the control on the objectives' 512-sample grid,
+# as a list of rows; delta-v; peak |u|), for the cases of GOLDEN
+INVERSION = {
+    "plume_on": ("64a37d5a53dbb83dd6335d6a2d2beab7e4f26799732682f777cedfee13a97f37",
+                 "20.09114511932106", "1.146706312674622e-06"),
+    "occluded_or_averted": ("ee6b26cdf5f6c48b14a30edcd7da2a27019de37f78f9ada2131dc2528c36ba65",
+                            "45.30339305950769", "1.7135619125631394e-06"),
+    "outside_cone": ("8c37f2107db56bce42ae3a2fa0de52176fcf26a73f9ad86fb52cc5b06051a8e3",
+                     "20.10818595451247", "6.675793252935269e-07"),
+    "inside_body": ("0e9ee858c721735edff5bc1a1b20fba46a644a3d1082664f4ad269a7d91237db",
+                    "820.6529909950964", "9.210321932397143e-05"),
+    "no_plume": ("7ab782a5282d78f276c9dc482e4d00cf066f493110022e57b26038ff263dffc3",
+                 "27.27596337720352", "1.146706312674622e-06"),
+}
+
 # J1 and J3 of BEHIND from the shape's acceleration alone, with no force or
 # frame term to cancel
 KINEMATIC = (9.54353140958375e-09, 1.281073758321268e-11)
@@ -104,6 +124,18 @@ def test_shaped_objectives_golden(shaped_ctx, name):
     assert (res["J2"], res["C1"], res["C2"]) == (j2, c1, c2)
     assert res["J1"] == pytest.approx(j1, rel=1e-11, abs=0.0)
     assert res["J3"] == pytest.approx(j3, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_shaped_inversion_golden(shaped_ctx, name):
+    """The grid inversion of each golden shape, every row to the bit."""
+    coeffs, changes, _ = GOLDEN[name]
+    history = shaped_orbit_control(ShapedOrbit(np.array(coeffs)),
+                                   replace(shaped_ctx, **changes), YEAR, 512)
+    assert history.accel.shape == (512, 3)
+    got = (hashlib.sha256(repr(history.accel.tolist()).encode()).hexdigest(),
+           repr(history.delta_v), repr(history.max_accel))
+    assert got == INVERSION[name]
 
 
 def test_shaped_kinematic_control_golden(shaped_ctx):
@@ -280,19 +312,22 @@ def test_integrate_gauss_golden(u_tnh, ast):
 
 
 # name: (plant settings, with_design, (delta_v, max_tracking_error,
-# digest of the Lyapunov values, digest of the control accelerations)); the
-# last three cases were recorded from the version whose right-hand side
-# built a state object and numpy arrays at every stage
+# digest of the Lyapunov values, digest of the control accelerations)). The
+# last case was recorded from the version whose right-hand side built a
+# state object and numpy arrays at every stage. The three with a design
+# were re-recorded when the surface forces moved to components: their
+# spot-to-spacecraft lengths now sum (x² + z²) + y² on floats, where a
+# 3-vector's dot product rounded otherwise (DECISIONS.md)
 TRACKING = {
     "full": ({"plant": "full"}, True, (
-        "1.7463090853482468", "0.07529108146803636", "cc04eaa167a8a432",
-        "ecd9aed634ca3b17")),
+        "1.7463090853482461", "0.07529108146803636", "6bac8edacc4d1168",
+        "59913da86291468b")),
     "full_mdot": ({"plant": "full", "mdot": 0.3}, True, (
-        "1.4128646432317664", "0.07529108146803636", "d5e95d8a8ee85032",
-        "7cb6757c7d6e733e")),
+        "1.4128646432317655", "0.07529108146803636", "0780751684abaea5",
+        "24ed4b4d9cd12436")),
     "model": ({"plant": "model", "ref_hold_steps": 8}, True, (
-        "1.767940514066903", "0.5988097835627455", "7ad8c397b0f79365",
-        "d3b5c69cb27e1dc6")),
+        "1.767940514066901", "0.5988097835627455", "1a7d83e7c1608160",
+        "4022bcdacba058d1")),
     "model_no_design": ({"plant": "model", "ref_hold_steps": 8}, False, (
         "1.609188832203079", "0.5988097835627455", "28b69b0fcd17106a",
         "b167a040555b9faf")),

@@ -14,9 +14,9 @@ from laserfleet.constants import (
     TWO_PI,
 )
 from laserfleet.plume import (
-    SpotGeometry,
     condensation_growth,
     degradation_factor,
+    line_length,
     line_of_sight_occluded,
     plume_density,
     plume_force,
@@ -41,11 +41,11 @@ def spherical(ast):
 
 def test_spot_on_sphere_at_origin_time(ast):
     sph = spherical(ast)
-    spot = spot_position(sph, 0.0, 0.0)
-    assert np.allclose(spot, [0.0, 135.0, 0.0], atol=1e-9)
+    spot = spot_position(batch.FLOAT, sph, 0.0, 0.0)
+    assert np.allclose(spot, [0.0, 135.0], atol=1e-9)
 
     geom = spot_to_spacecraft(np.array([0.0, 1000.0, 0.0]), sph, 0.0, 0.0)
-    assert np.allclose(geom.spot_to_sc, [0.0, 1000.0 - 135.0, 0.0], atol=1e-9)
+    assert np.allclose(geom.offset, [0.0, 1000.0 - 135.0, 0.0], atol=1e-9)
     assert geom.phi == 0.0
 
 
@@ -57,8 +57,8 @@ def test_ellipse_radius_axis_alignment(ast):
 
 def test_spot_spin_periodicity(ast):
     t_spin = TWO_PI / ast.spin_rate
-    s0 = spot_position(ast, 0.0, 0.3)
-    s1 = spot_position(ast, t_spin, 0.3)
+    s0 = spot_position(batch.FLOAT, ast, 0.0, 0.3)
+    s1 = spot_position(batch.FLOAT, ast, t_spin, 0.3)
     assert np.allclose(s0, s1, atol=1e-6)
 
 
@@ -77,49 +77,41 @@ def test_ellipse_radius_bounds(ast, rng):
 # Plume density
 # ---------------------------------------------------------------------------
 
-def _geom(offset, phi):
-    offset = np.asarray(offset, dtype=float)
-    return SpotGeometry(spot_to_sc=offset, spot_position=np.zeros(3),
-                        distance=float(np.linalg.norm(offset)), phi=phi)
+def _density(dist, phi, mdot=1e-3, v_bar=520.0, a_spot=0.0314, d_spot=0.2):
+    return plume_density(batch.FLOAT, dist, phi, mdot, v_bar, a_spot, d_spot)
 
 
 def test_density_throat_value():
     mdot, v_bar, a_spot, d_spot = 1e-3, 520.0, 0.0314, 0.2
-    rho = plume_density(_geom([0.0, 0.0, 0.0], 0.0), mdot, v_bar, a_spot, d_spot)
+    rho = _density(0.0, 0.0)
     assert math.isclose(rho, JET_CONSTANT * mdot / (v_bar * a_spot), rel_tol=1e-12)
 
 
 def test_density_geometric_factor():
-    mdot, v_bar, a_spot, d_spot = 1e-3, 520.0, 0.0314, 0.2
-    rho0 = plume_density(_geom([0, 0, 0], 0.0), mdot, v_bar, a_spot, d_spot)
-    rho = plume_density(_geom([0, d_spot / 2, 0], 0.0), mdot, v_bar, a_spot, d_spot)
+    d_spot = 0.2
+    rho0 = _density(0.0, 0.0)
+    rho = _density(d_spot / 2, 0.0)
     assert math.isclose(rho, rho0 / 4.0, rel_tol=1e-12)
 
 
 def test_density_angular_profile():
-    mdot, v_bar, a_spot, d_spot = 1e-3, 520.0, 0.0314, 0.2
-    rho0 = plume_density(_geom([0, 1.0, 0], 0.0), mdot, v_bar, a_spot, d_spot)
-    rho = plume_density(_geom([0, 1.0, 0], MAX_EXPANSION_ANGLE / 2),
-                        mdot, v_bar, a_spot, d_spot)
+    rho0 = _density(1.0, 0.0)
+    rho = _density(1.0, MAX_EXPANSION_ANGLE / 2)
     assert math.isclose(rho / rho0, math.cos(math.pi / 4) ** 5, rel_tol=1e-12)
     assert math.isclose(rho / rho0, 0.17678, rel_tol=1e-4)
 
 
 def test_density_zero_outside_cone():
-    assert plume_density(_geom([0, 1.0, 0], MAX_EXPANSION_ANGLE), 1e-3, 520.0,
-                         0.0314, 0.2) == 0.0
-    assert plume_density(_geom([0, 1.0, 0], math.pi), 1e-3, 520.0, 0.0314, 0.2) == 0.0
+    assert _density(1.0, MAX_EXPANSION_ANGLE) == 0.0
+    assert _density(1.0, math.pi) == 0.0
 
 
 def test_density_monotone_decay(ast):
-    mdot, v_bar, a_spot, d_spot = 1e-3, 520.0, 0.0314, 0.2
     dists = np.linspace(10.0, 5000.0, 40)
-    rhos = [plume_density(_geom([0, d, 0], 0.1), mdot, v_bar, a_spot, d_spot)
-            for d in dists]
+    rhos = [_density(float(d), 0.1) for d in dists]
     assert all(b < a for a, b in zip(rhos, rhos[1:]))
     phis = np.linspace(0.0, MAX_EXPANSION_ANGLE * 0.999, 40)
-    rhos_phi = [plume_density(_geom([0, 1000.0, 0], float(p)), mdot, v_bar,
-                              a_spot, d_spot) for p in phis]
+    rhos_phi = [_density(1000.0, float(p)) for p in phis]
     assert all(b < a for a, b in zip(rhos_phi, rhos_phi[1:]))
 
 
@@ -185,7 +177,8 @@ def test_dark_side_never_accumulates(ast, growth_cases, monkeypatch, rng):
                        float((rng.random() - 0.5) * 2000.0)])
         if float(np.sum((sc / np.array(ast.semi_axes)) ** 2)) <= 1.0:
             continue
-        psi = view_factor_angle(sc - spot)
+        dx, dy, dz = (sc - spot).tolist()
+        psi = view_factor_angle(batch.FLOAT, dx, line_length(batch.FLOAT, dx, dy, dz))
         assert psi >= math.pi / 2
         dh, _ = _growth_from_rates(monkeypatch, consts, batch.FLOAT, t, state, sc.tolist())
         assert dh == 0.0
@@ -197,7 +190,7 @@ def test_dark_side_never_accumulates(ast, growth_cases, monkeypatch, rng):
 
 def test_srp_force_reference_magnitude():
     design = design_from_option(20.0, 2500.0, option="66/45")
-    f = srp_force(design, AU, 0.0, np.array([-1.0, 0.0, 0.0]))
+    f = srp_force(batch.FLOAT, design, AU, 0.0, -1.0, 0.0, 0.0)
     first = 2.0 * design.eta_sys * design.collector_area * SOLAR_FLUX_1AU / SPEED_OF_LIGHT
     assert math.isclose(first, 6.50e-4, rel_tol=2e-2)
     # total = beam recoil along -x plus absorption residue along +x
@@ -207,7 +200,7 @@ def test_srp_force_reference_magnitude():
 
 def test_srp_force_limits(monkeypatch):
     design = design_from_option(20.0, 2500.0)
-    f = srp_force(design, AU, math.pi / 2, np.array([0.0, 1.0, 0.0]))
+    f = srp_force(batch.FLOAT, design, AU, math.pi / 2, 0.0, 1.0, 0.0)
     # beam term vanishes at beta = pi/2, absorption residue along +x remains
     assert abs(f[1]) < 1e-20
     assert f[0] > 0.0
@@ -217,25 +210,25 @@ def test_srp_force_limits(monkeypatch):
     assert math.isclose(f[0], residual, rel_tol=1e-12)
     # perfect reflectors leave no residue: nothing remains
     monkeypatch.setattr(plume, "MIRROR_REFLECTIVITY", 1.0)
-    f2 = srp_force(design, AU, math.pi / 2, np.array([0.0, 1.0, 0.0]))
+    f2 = srp_force(batch.FLOAT, design, AU, math.pi / 2, 0.0, 1.0, 0.0)
     assert np.allclose(f2, 0.0)
 
 
 def test_steering_geometry_retroreflection():
-    beta, n_steer = steering_geometry(np.array([0.0, 0.0, 0.0]),
-                                      np.array([-100.0, 0.0, 0.0]))
+    beta, *n_steer = steering_geometry(batch.FLOAT, 0.0, 0.0, 0.0, -100.0, 0.0)
     assert math.isclose(beta, 0.0, abs_tol=1e-12)
     assert np.allclose(n_steer, [-1.0, 0.0, 0.0])
 
 
 def test_plume_force():
-    assert np.all(plume_force(0.0, 520.5, 314.0, 0.0, np.array([0, 1, 0])) == 0.0)
-    f = plume_force(1e-10, 520.5, 314.0, 0.0, np.array([0.0, 1.0, 0.0]))
+    m = batch.FLOAT
+    assert plume_force(m, 0.0, 520.5, 314.0, 0.0, 0.0, 1.0, 0.0) == (0.0, 0.0, 0.0)
+    f = plume_force(m, 1e-10, 520.5, 314.0, 0.0, 0.0, 1.0, 0.0)
     mag = float(np.linalg.norm(f))
     assert math.isclose(mag, 4 * 1e-10 * 520.5**2 * 314.0, rel_tol=1e-12)
     assert math.isclose(mag, 3.40e-2, rel_tol=1e-2)
     assert f[1] == mag  # along the supplied direction
-    assert np.all(plume_force(1e-10, 520.5, 314.0, 2.0, np.array([0, 1, 0])) == 0.0)
+    assert plume_force(m, 1e-10, 520.5, 314.0, 2.0, 0.0, 1.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +236,11 @@ def test_plume_force():
 # ---------------------------------------------------------------------------
 
 def test_line_of_sight(ast):
-    spot = spot_position(ast, 0.0, 0.0)
-    assert not line_of_sight_occluded(spot, np.array([0.0, 1000.0, 0.0]),
-                                      ast.semi_axes)
+    spot = spot_position(batch.FLOAT, ast, 0.0, 0.0)
+    assert not line_of_sight_occluded(*spot, 0.0, 1000.0, ast.semi_axes)
     # hiding below and behind: the body blocks the view of the spot
-    assert line_of_sight_occluded(spot, np.array([-1000.0, -1000.0, 0.0]),
-                                  ast.semi_axes)
-    assert line_of_sight_occluded(spot, np.array([0.0, -1000.0, 0.0]),
-                                  ast.semi_axes)
+    assert line_of_sight_occluded(*spot, -1000.0, -1000.0, ast.semi_axes)
+    assert line_of_sight_occluded(*spot, 0.0, -1000.0, ast.semi_axes)
 
 
 def test_plume_state_record(ast, earth):
@@ -314,9 +304,11 @@ def _growth_from_plume(ast, design, n_sc, t, state, pos):
     theta_va = flight_path_angle(e, eccentric_to_true(kepler(m_anom, e), e))
     geom = spot_to_spacecraft(pos, ast, t, theta_va)
     v_bar = exhaust_velocity(ast)
-    rho = plume_density(geom, n_sc * FLOW, v_bar, design.spot_area, design.spot_diameter)
-    seen = np.logical_not(line_of_sight_occluded(geom.spot_position, pos, ast.semi_axes))
-    dx = geom.spot_to_sc.T[0]
+    rho = plume_density(batch.xp(geom.distance), geom.distance, geom.phi, n_sc * FLOW, v_bar,
+                        design.spot_area, design.spot_diameter)
+    x, y, _ = pos.T
+    seen = np.logical_not(line_of_sight_occluded(*geom.spot, x, y, ast.semi_axes))
+    dx = geom.offset[0]
     grows = seen & (dx > 0.0)  # the flow reaches the Sun-facing optics only from +x
     return np.where(grows, condensation_growth(rho, v_bar, dx, geom.distance), 0.0), geom
 
@@ -361,10 +353,10 @@ def test_deflection_growth_is_the_plume_relations(ast, growth_cases, monkeypatch
         want, geom = _growth_from_plume(ast, design, n_sc, ti, yi, pi)
         dh, spots = _growth_from_rates(monkeypatch, consts, batch.FLOAT, ti, yi, pi.tolist())
         _check_growth(dh, want)
-        assert np.array_equal(np.array([*spots[0], 0.0]), geom.spot_position)
-        if geom.spot_to_sc[0] <= 0.0:
+        assert spots[0] == geom.spot
+        if geom.offset[0] <= 0.0:
             cases["averted"] += 1
-        elif line_of_sight_occluded(geom.spot_position, pi, ast.semi_axes):
+        elif line_of_sight_occluded(*geom.spot, *pi[:2], ast.semi_axes):
             cases["occluded"] += 1
         elif geom.phi >= MAX_EXPANSION_ANGLE:
             cases["outside cone"] += 1
@@ -379,4 +371,4 @@ def test_deflection_growth_is_the_plume_relations(ast, growth_cases, monkeypatch
     k = type(consts)._make(np.full(len(t), v) for v in consts)
     dh, spots = _growth_from_rates(monkeypatch, k, batch.ARRAY, t, cols, pos)
     _check_growth(dh, want)
-    assert np.array_equal(np.stack([*spots[0], np.zeros(len(t))], axis=1), geom.spot_position)
+    assert all(np.array_equal(a, b) for a, b in zip(spots[0], geom.spot))

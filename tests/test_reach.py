@@ -14,7 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "laserfleet"
-MODULES = ("orbits", "plume", "formation", "sublimation", "sizing", "deflection")
+MODULES = ("orbits", "plume", "formation", "sublimation", "sizing", "deflection", "batch")
 
 # The paper's station-keeping: criterion 4 checks its Lyapunov descent, and
 # no study runs it. What it calls is reached through it.
