@@ -121,8 +121,7 @@ def run_formation_design(scenario: Scenario, seed: int | None = None) -> ResultT
         def evaluate(x, y_lim=y_lim, clearance=clearance):
             res = natural_orbit_objectives(x, k_a, y_lim)
             clearance[x.tobytes()] = res["C"]
-            return (np.array([res["J1"], res["J2"]]),
-                    np.array([max(0.0, -res["C"])]))
+            return (res["J1"], res["J2"]), (max(0.0, -res["C"]),)
 
         def keep_archived(gen, archive, n_evals, clearance=clearance):
             # only archive members reach the table

@@ -326,16 +326,16 @@ def sweep_extremum(f, n_sweep: int = 720, refine: bool = True,
     """
     nus = sweep_grid(n_sweep)
     vals = np.asarray(f(nus) if values is None else values, dtype=float)
-    idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
+    idx = int(vals.argmax()) if maximize else int(vals.argmin())
     nu_best, val_best = float(nus[idx]), float(vals[idx])
     if not refine:
         return nu_best, val_best
 
     h = TWO_PI / n_sweep
     sign = -1.0 if maximize else 1.0
-    nu, fun = _minimize_bounded(lambda nu: sign * float(f(nu)),
+    nu, fun = _minimize_bounded((lambda nu: -f(nu)) if maximize else f,
                                 nu_best - h, nu_best + h, xatol=1e-10)
-    refined = sign * fun  # back to the caller's sign convention
+    refined = sign * float(fun)  # back to the caller's sign convention
     if sign * refined < sign * val_best:
         return nu % TWO_PI, refined
     return nu_best, val_best

@@ -8,12 +8,19 @@ and infeasible points rank by total violation.
 
 Evaluations are pure functions of the decision vector; for a fixed seed
 the whole run, and therefore the final archive, is bit-reproducible.
+
+The work of one evaluation runs on Python floats: a decision vector is a
+list until it is scored, and a member's objectives and violations are
+tuples. numpy calls cost microseconds on vectors of one to eight
+elements, so they are kept for the matrices: the archive's (n, m)
+objectives and the population's dominance matrix. Float arithmetic gives
+the bits that numpy scalars gave, so a run is the one the array version
+made (DECISIONS.md, "Optimizer bookkeeping on floats").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,14 +34,15 @@ N_POLISH = 2  # pattern-search polishes from archive members, per generation
 class ProblemSpec:
     """Box-bounded problem with optional integer dimensions and constraints.
 
-    ``evaluate(x)`` returns (objectives, violations); violations are
-    non-negative with zero meaning satisfied.
+    ``evaluate(x)`` takes ``x`` as a float array and returns (objectives,
+    violations), two sequences of floats; violations are non-negative with
+    zero meaning satisfied.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     n_objectives: int
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    evaluate: Callable[[np.ndarray], tuple[Sequence[float], Sequence[float]]]
     integer_mask: np.ndarray | None = None
     n_constraints: int = 0
 
@@ -52,43 +60,62 @@ class ProblemSpec:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "integer_mask", mask)
+        # the bounds as floats and the integer dimensions, for the operators
+        object.__setattr__(self, "bounds", (lo.tolist(), hi.tolist()))
+        object.__setattr__(self, "integer_dims", tuple(np.flatnonzero(mask).tolist()))
 
     @property
     def n_vars(self) -> int:
         return self.lower.size
 
-    def repair(self, x: np.ndarray) -> np.ndarray:
-        x = np.clip(x, self.lower, self.upper)
-        if self.integer_mask.any():
-            x = x.copy()
-            x[self.integer_mask] = np.rint(x[self.integer_mask])
-            x = np.clip(x, self.lower, self.upper)
+    def repair(self, x: Sequence[float]) -> list[float]:
+        """``x`` clipped into the box, integer dimensions rounded half to even."""
+        lower, upper = self.bounds
+        x = _clip(x, lower, upper)
+        if self.integer_dims:
+            for k in self.integer_dims:
+                x[k] = round(x[k], 0)  # np.rint's value, the sign of a zero included
+            x = _clip(x, lower, upper)
         return x
+
+
+def _clip(x: Sequence[float], lower: list[float], upper: list[float]) -> list[float]:
+    """np.clip on floats: a value at or past a bound gives the bound."""
+    return [v if lo < v < hi else (lo if v <= lo else hi) for v, lo, hi in zip(x, lower, upper)]
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """Pareto dominance for minimization: a <= b everywhere, < somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective arity mismatch: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
+    if len(a) != len(b):
+        raise ValueError(f"objective arity mismatch: {len(a)} vs {len(b)}")
+    strict = False
+    for u, v in zip(a, b):
+        if not u <= v:
+            return False
+        strict = strict or u < v
+    return strict
 
 
-@dataclass(frozen=True)
 class ArchiveMember:
-    x: np.ndarray
-    objectives: np.ndarray
-    violations: np.ndarray
+    """A scored design: ``x``, and its objectives and violations as tuples
+    of floats.
 
-    # read on every tournament, ranking and archive update
-    @cached_property
-    def feasible(self) -> bool:
-        return bool(np.all(self.violations <= 0.0))
+    ``feasible`` and ``violation``, read on every tournament, ranking and
+    archive update, are formed once, here. ``violation`` is the sum of the
+    positive violations as np.sum forms it: from eight terms on, its
+    pairwise order is not a left-to-right sum's. A feasible member's is 0.0.
+    """
 
-    @cached_property
-    def violation(self) -> float:
-        return float(np.sum(np.maximum(self.violations, 0.0)))
+    __slots__ = ("x", "objectives", "violations", "feasible", "violation")
+
+    def __init__(self, x: np.ndarray, objectives: Sequence[float],
+                 violations: Sequence[float]):
+        self.x = x
+        self.objectives = tuple(map(float, objectives))
+        self.violations = tuple(map(float, violations))
+        self.feasible = all(v <= 0.0 for v in self.violations)
+        self.violation = 0.0 if self.feasible else \
+            float(np.sum(np.maximum(self.violations, 0.0)))
 
 
 class ParetoArchive:
@@ -140,21 +167,20 @@ class ParetoArchive:
         return True
 
     def _add_feasible(self, member: ArchiveMember) -> bool:
-        new = np.asarray(member.objectives, dtype=float)
         if not self._members:
             self.members = [member]
             return True
-        objs = self._objs
-        if objs.shape[1:] != new.shape:
-            raise ValueError(f"objective arity mismatch: {objs.shape[1:]} vs {new.shape}")
+        objs, new = self._objs, member.objectives
+        if objs.shape[1] != len(new):
+            raise ValueError(f"objective arity mismatch: {objs.shape[1]} vs {len(new)}")
         # a member at or below the candidate everywhere dominates or equals it
         if (objs <= new).all(axis=1).any():
             return False
         # none equals it, so one at or above it everywhere is dominated
-        keep = ~(new <= objs).all(axis=1)
+        keep = ~(objs >= new).all(axis=1)
         self._members = [m for m, k in zip(self._members, keep.tolist()) if k]
         self._members.append(member)
-        self._objs = np.concatenate([objs[keep], new[None, :]])
+        self._objs = np.concatenate([objs[keep], [new]])
         if len(self._members) > self.capacity:
             self._prune()
         return True
@@ -203,9 +229,8 @@ class ParetoArchive:
 
     def sorted_members(self) -> list[ArchiveMember]:
         if not self.feasible_found:
-            return sorted(self._members, key=lambda m: (m.violation,
-                                                        tuple(m.objectives)))
-        return sorted(self._members, key=lambda m: tuple(m.objectives))
+            return sorted(self._members, key=lambda m: (m.violation, m.objectives))
+        return sorted(self._members, key=lambda m: m.objectives)
 
     def validate(self):
         """Raise if any feasible member dominates another (invariant check)."""
@@ -217,6 +242,8 @@ class ParetoArchive:
 
 def dominance_matrix(objs: np.ndarray) -> np.ndarray:
     """(n, n) booleans: entry [i, j] is ``dominates(objs[i], objs[j])``."""
+    # column-major, so that the reductions run over n, not over m
+    objs = np.asfortranarray(objs)
     a, b = objs[:, None, :], objs[None, :, :]
     return (a <= b).all(axis=2) & (a < b).any(axis=2)
 
@@ -262,34 +289,34 @@ def hypervolume_2d(objs: np.ndarray, ref: tuple[float, float]) -> float:
 # ---------------------------------------------------------------------------
 
 def _sbx_crossover(p1, p2, lower, upper, rng, eta=15.0, prob=0.9):
-    c1, c2 = p1.copy(), p2.copy()
+    c1, c2 = list(p1), list(p2)
     if rng.random() > prob:
         return c1, c2
-    for k in range(p1.size):
-        if rng.random() > 0.5 or p1[k] == p2[k]:
+    for k, (a, b) in enumerate(zip(p1, p2)):
+        if rng.random() > 0.5 or a == b:
             continue
         u = rng.random()
         beta = (2.0 * u) ** (1.0 / (eta + 1.0)) if u <= 0.5 \
             else (0.5 / (1.0 - u)) ** (1.0 / (eta + 1.0))
-        c1[k] = 0.5 * ((1.0 + beta) * p1[k] + (1.0 - beta) * p2[k])
-        c2[k] = 0.5 * ((1.0 - beta) * p1[k] + (1.0 + beta) * p2[k])
-    return np.clip(c1, lower, upper), np.clip(c2, lower, upper)
+        c1[k] = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
+        c2[k] = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
+    return _clip(c1, lower, upper), _clip(c2, lower, upper)
 
 
 def _poly_mutation(x, lower, upper, rng, eta=20.0):
-    y = x.copy()
-    prob = 1.0 / x.size
-    for k in range(x.size):
+    y = list(x)
+    prob = 1.0 / len(x)
+    for k, (lo, hi) in enumerate(zip(lower, upper)):
         if rng.random() > prob:
             continue
-        span = upper[k] - lower[k]
+        span = hi - lo
         if span <= 0.0:
             continue
         u = rng.random()
         delta = (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0 if u < 0.5 \
             else 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
         y[k] = x[k] + delta * span
-    return np.clip(y, lower, upper)
+    return _clip(y, lower, upper)
 
 
 def _better(a: ArchiveMember, b: ArchiveMember) -> int:
@@ -311,32 +338,36 @@ def _better(a: ArchiveMember, b: ArchiveMember) -> int:
     return 0
 
 
-def _rank_population(members: list[ArchiveMember]) -> list[int]:
+def _rank_population(members: list[ArchiveMember], limit: int | None = None) -> list[int]:
     """Indices sorted best-first: feasible non-dominated fronts, then violation.
 
     The fronts come from the fast non-dominated sort of Deb et al. (NSGA-II,
     IEEE TEC 2002): a member joins the next front once every member that
     dominates it has been placed. A front lists its members in input order,
     then orders them by falling crowding distance, ties kept in that order.
+    With a ``limit``, the sort stops once that many members are placed and
+    returns the first ``limit`` of the full order.
     """
-    feasible = [m.feasible for m in members]
-    feas = np.array([i for i, f in enumerate(feasible) if f], dtype=int)
-    infeas = [i for i, f in enumerate(feasible) if not f]
+    limit = len(members) if limit is None else limit
+    feas = [i for i, m in enumerate(members) if m.feasible]
 
     ordered: list[int] = []
-    if feas.size:
+    if feas:
         objs = np.array([members[i].objectives for i in feas])
         dom = dominance_matrix(objs)
         n_over = dom.sum(axis=0)      # members that dominate each one and are unplaced
-        unplaced = np.ones(feas.size, dtype=bool)
-        while unplaced.any():
+        unplaced = np.ones(len(feas), dtype=bool)
+        feas = np.array(feas)
+        while len(ordered) < limit and unplaced.any():
             front = np.flatnonzero(unplaced & (n_over == 0))
             unplaced[front] = False
             n_over -= dom[front].sum(axis=0)
             crowd = crowding_distance(objs[front]) if front.size > 1 else np.array([np.inf])
             ordered.extend(feas[front[np.argsort(-crowd, kind="stable")]].tolist())
-    ordered.extend(sorted(infeas, key=lambda i: members[i].violation))
-    return ordered
+    if len(ordered) < limit:
+        ordered.extend(sorted((i for i, m in enumerate(members) if not m.feasible),
+                              key=lambda i: members[i].violation))
+    return ordered[:limit]
 
 
 @dataclass
@@ -361,21 +392,22 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
         raise ValueError("budget must cover at least one population")
     rng = default_rng(seed)
     archive = ParetoArchive(capacity=archive_size, reference_point=reference_point)
+    evaluate = problem.evaluate
+    lower, upper = problem.bounds
     evals = 0
 
-    def make_member(x: np.ndarray) -> ArchiveMember:
+    def make_member(x: list[float]) -> ArchiveMember:
         nonlocal evals
-        objs, cons = problem.evaluate(x)
+        x = np.array(x)
+        objs, cons = evaluate(x)
         evals += 1
-        return ArchiveMember(x=x.copy(),
-                             objectives=np.atleast_1d(np.asarray(objs, dtype=float)),
-                             violations=np.atleast_1d(np.asarray(cons, dtype=float)))
+        return ArchiveMember(x, objs, cons)
 
-    span = problem.upper - problem.lower
+    span = [hi - lo for lo, hi in zip(lower, upper)]
     pop = []
     for _ in range(population):
-        x = problem.repair(problem.lower + rng.random(problem.n_vars) * span)
-        m = make_member(x)
+        draw = rng.random(problem.n_vars).tolist()
+        m = make_member(problem.repair([lo + u * w for lo, u, w in zip(lower, draw, span)]))
         pop.append(m)
         archive.add(m)
 
@@ -384,7 +416,8 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
         on_generation(gen, archive, evals)
 
     def tournament() -> ArchiveMember:
-        i, j = rng.integers(0, len(pop), size=2)
+        # two draws give the stream one draw of size 2 gives (DECISIONS.md)
+        i, j = rng.integers(0, len(pop)), rng.integers(0, len(pop))
         cmp = _better(pop[i], pop[j])
         if cmp < 0:
             return pop[i]
@@ -397,12 +430,11 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
         children = []
         while len(children) < population and evals < budget:
             p1, p2 = tournament(), tournament()
-            c1, c2 = _sbx_crossover(p1.x, p2.x, problem.lower, problem.upper, rng)
+            c1, c2 = _sbx_crossover(p1.x.tolist(), p2.x.tolist(), lower, upper, rng)
             for c in (c1, c2):
                 if evals >= budget or len(children) >= population:
                     break
-                c = problem.repair(_poly_mutation(c, problem.lower, problem.upper, rng))
-                m = make_member(c)
+                m = make_member(problem.repair(_poly_mutation(c, lower, upper, rng)))
                 children.append(m)
                 archive.add(m)
 
@@ -420,13 +452,14 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
                     for direction in (+1.0, -1.0):
                         if evals >= budget:
                             break
-                        trial = incumbent.x.copy()
+                        x = incumbent.x.tolist()
+                        trial = list(x)
                         delta = step * span[k]
-                        if problem.integer_mask[k]:
+                        if k in problem.integer_dims:
                             delta = max(1.0, round(delta))
                         trial[k] += direction * delta
                         trial = problem.repair(trial)
-                        if np.array_equal(trial, incumbent.x):
+                        if trial == x:
                             continue
                         m = make_member(trial)
                         archive.add(m)
@@ -435,8 +468,7 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
                             incumbent = m
 
         merged = pop + children
-        order = _rank_population(merged)
-        pop = [merged[i] for i in order[:population]]
+        pop = [merged[i] for i in _rank_population(merged, population)]
 
         if on_generation is not None:
             on_generation(gen, archive, evals)

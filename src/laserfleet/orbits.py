@@ -558,7 +558,7 @@ def proximal_relation(k_a: OrbitalElements, dk: np.ndarray):
 
     def position(nu):
         theta = nu + argp
-        m = batch.xp(nu)
+        m = math if isinstance(nu, float) else batch.xp(nu)
         c, s, cos_th, sin_th = m.cos(nu), m.sin(nu), m.cos(theta), m.sin(theta)
         return proximal_position(
             proximal_factors(k, c, s, a_eta2 / (1.0 + e * c), cos_th, sin_th), deltas)

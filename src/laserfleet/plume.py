@@ -229,11 +229,13 @@ def plume_force(m, rho_exp, v_bar: float, a_eq: float, psi_vf, ux, uy, uz):
     flow along the unit direction (ux, uy, uz).
 
     All impinging particles stick; the equivalent flat intercept area is
-    the primary-mirror area. Zero for surfaces facing away from the flow.
+    the primary-mirror area, seen at the view-factor angle ``psi_vf``. Zero
+    unless the flow runs towards +x (ux > 0): the Sun-facing optics are
+    exposed only from there, the rule the contamination takes.
     """
     if m.any(rho_exp < 0.0):
         raise ValueError("plume density must be non-negative")
     cos_psi = m.cos(psi_vf)
-    on = (cos_psi > 1e-12) & (rho_exp != 0.0)
+    on = (ux > 0.0) & (rho_exp != 0.0)
     k = 4.0 * rho_exp * v_bar**2 * a_eq * cos_psi
     return m.where(on, k * ux, 0.0), m.where(on, k * uy, 0.0), m.where(on, k * uz, 0.0)

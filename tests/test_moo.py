@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -260,6 +261,16 @@ def test_fast_sort_matches_pairwise_fronts():
         assert _rank_population(members) == _pairwise_rank(members)
 
 
+def test_ranking_limit_gives_the_prefix_of_the_full_order():
+    rng = np.random.default_rng(20261021)
+    for trial in range(150):
+        members = _random_members(rng, int(rng.integers(1, 70)), 1 + trial % 3)
+        full = _rank_population(members)
+        assert sorted(full) == list(range(len(members)))
+        for limit in range(len(members) + 2):
+            assert _rank_population(members, limit) == full[:limit]
+
+
 def test_array_archive_matches_pairwise_decisions():
     rng = np.random.default_rng(20261019)
     for trial in range(120):
@@ -293,3 +304,75 @@ def test_validate_matches_pairwise_check():
         else:
             arc.validate()
     assert 0 < raised < 200
+
+
+# ---------------------------------------------------------------------------
+# Goldens: whole runs, to the bit
+# ---------------------------------------------------------------------------
+
+def _front_problem():
+    """Two objectives on a convex front; pruned against a reference point."""
+    def evaluate(x):
+        g = 1.0 + 4.5 * (x[1] + x[2])
+        return np.array([x[0], g * (1.0 - math.sqrt(x[0] / g))]), np.zeros(0)
+
+    return ProblemSpec(lower=np.zeros(3), upper=np.ones(3), n_objectives=2,
+                       evaluate=evaluate)
+
+
+def _sphere_problem():
+    """Three objectives on an octant of a sphere; pruned by crowding."""
+    def evaluate(x):
+        r = 1.0 + ((x[2] - 0.5) ** 2 + (x[3] - 0.5) ** 2)
+        a, b = 0.5 * math.pi * x[0], 0.5 * math.pi * x[1]
+        return np.array([r * math.cos(a) * math.cos(b), r * math.cos(a) * math.sin(b),
+                         r * math.sin(a)]), np.zeros(0)
+
+    return ProblemSpec(lower=np.zeros(4), upper=np.ones(4), n_objectives=3,
+                       evaluate=evaluate)
+
+
+def _constrained_problem():
+    """Two constraints that no point of the first population meets, and an
+    integer dimension, so feasibility-first ranking and rounding both run."""
+    def evaluate(x):
+        return (np.array([x[0] ** 2 + x[1], (x[0] - 3.0) ** 2 + x[2] ** 2]),
+                np.array([max(0.0, 13.5 - x[0] - x[1]), max(0.0, abs(x[2] - 1.5) - 0.3)]))
+
+    return ProblemSpec(lower=np.array([0.0, 0.0, -2.0]), upper=np.array([5.0, 10.0, 2.0]),
+                       integer_mask=np.array([False, True, False]), n_objectives=2,
+                       n_constraints=2, evaluate=evaluate)
+
+
+# name: (problem, optimize keywords, feasible after the first population,
+#        (sha256 of the repr of every member's x and objectives in archive
+#         order, archive size, evaluations, generations))
+RUN_GOLDEN = {
+    "front": (_front_problem, dict(budget=700, seed=11, population=24, archive_size=12,
+                                   reference_point=(1.1, 6.0)), True,
+              ("b9b780d39e2a1311", 12, 700, 21)),
+    "sphere": (_sphere_problem, dict(budget=600, seed=12, population=20, archive_size=12),
+               True, ("1a377f5e6e5c9be4", 12, 600, 17)),
+    "constrained": (_constrained_problem, dict(budget=500, seed=13, population=16,
+                                               archive_size=10), False,
+                    ("de5370f1f981673b", 4, 500, 19)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_GOLDEN))
+def test_run_matches_golden(name):
+    """Recorded while the bookkeeping still ran on numpy arrays of one to
+    five elements; the float bookkeeping must give the same run."""
+    problem, kwargs, feasible_at_start, expected = RUN_GOLDEN[name]
+    at_start = []
+
+    def on_generation(gen, archive, evals):
+        if gen == 0:
+            at_start.append(archive.feasible_found)
+
+    result = optimize(problem(), on_generation=on_generation, **kwargs)
+    text = repr([([float(v) for v in m.x], [float(v) for v in m.objectives])
+                 for m in result.archive.members])
+    assert at_start == [feasible_at_start] and result.archive.feasible_found
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16], len(result.archive),
+            result.n_evaluations, result.generations) == expected

@@ -222,13 +222,19 @@ def test_steering_geometry_retroreflection():
 
 def test_plume_force():
     m = batch.FLOAT
-    assert plume_force(m, 0.0, 520.5, 314.0, 0.0, 0.0, 1.0, 0.0) == (0.0, 0.0, 0.0)
-    f = plume_force(m, 1e-10, 520.5, 314.0, 0.0, 0.0, 1.0, 0.0)
+    assert plume_force(m, 0.0, 520.5, 314.0, 0.0, 1.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+    f = plume_force(m, 1e-10, 520.5, 314.0, 0.0, 1.0, 0.0, 0.0)
     mag = float(np.linalg.norm(f))
     assert math.isclose(mag, 4 * 1e-10 * 520.5**2 * 314.0, rel_tol=1e-12)
     assert math.isclose(mag, 3.40e-2, rel_tol=1e-2)
-    assert f[1] == mag  # along the supplied direction
-    assert plume_force(m, 1e-10, 520.5, 314.0, 2.0, 0.0, 1.0, 0.0) == (0.0, 0.0, 0.0)
+    assert f[0] == mag  # along the supplied direction
+    # seen at an angle, the intercept shrinks by its cosine
+    f = plume_force(m, 1e-10, 520.5, 314.0, 1.0, 0.6, 0.8, 0.0)
+    k = 4 * 1e-10 * 520.5**2 * 314.0 * math.cos(1.0)
+    assert f == (k * 0.6, k * 0.8, 0.0)
+    # the optics see no flow that runs towards -x or along the mirror plane
+    for ux, uy in ((-0.6, 0.8), (0.0, 1.0), (-0.0, -1.0)):
+        assert plume_force(m, 1e-10, 520.5, 314.0, 1.0, ux, uy, 0.0) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
