@@ -16,9 +16,8 @@ take is guarded with ``any``, so the rest pay one test. ``runs`` splits a
 sorted batch into the contiguous rows that share a key, such as a flow
 table.
 
-Two helpers take arrays: ``vector`` stacks three components into a
-3-vector or an (N, 3) batch, and ``norm`` is the length of one 3-vector,
-in numpy's own sum.
+One helper takes arrays: ``vector`` stacks three components into a
+3-vector or an (N, 3) batch.
 """
 
 from __future__ import annotations
@@ -64,11 +63,6 @@ def runs(keys) -> list:
     keys = list(keys)
     cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
     return [(lo, hi, keys[lo]) for lo, hi in zip([0] + cuts, cuts + [len(keys)])]
-
-
-def norm(v: np.ndarray) -> float:
-    """Length of a 3-vector: the sum np.linalg.norm takes, so the same bits."""
-    return math.sqrt(v.dot(v))
 
 
 def vector(x, y, z) -> np.ndarray:

@@ -43,6 +43,7 @@ from .orbits import (
 # here and is imported for that tracer alone
 from .plume import (  # noqa: F401
     inside_body,
+    line_length,
     line_of_sight_occluded,
     plume_density,
     plume_force,
@@ -66,8 +67,10 @@ SHAPED_BOUNDS_LOWER = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -2.0, -1.0, -1.0])
 SHAPED_BOUNDS_UPPER = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]) * 1e3
 
 # Station-keeping feedback gains: elastic 1e-6 1/s^2, dissipative 1e-5 1/s.
-DEFAULT_GAIN_K = 1e-6
-DEFAULT_GAIN_CD = 1e-5
+GAIN_K = 1e-6
+GAIN_CD = 1e-5
+# Specific impulse of the station-keeping thrusters, s: electric-propulsion class.
+ISP = 2000.0
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,8 @@ def sun_distance(r_a, x, y, z):
     return batch.xp(x).sqrt((r_a + x) ** 2 + y * y + z * z)
 
 
-def _gravity_terms(m, x, y, z, r_sc, ast: AsteroidModel, turn, mu_sun: float):
-    """mu_sun / r_sc^3, mu_A / dr^3 and the harmonic gravity (components) at
+def _gravity_terms(m, x, y, z, r_sc, ast: AsteroidModel, turn):
+    """MU_SUN / r_sc^3, mu_A / dr^3 and the harmonic gravity (components) at
     the Hill position (x, y, z), whose ``sun_distance`` is ``r_sc`` and whose
     time turns the body by ``body_turn``'s ``turn``.
 
@@ -209,11 +212,11 @@ def _gravity_terms(m, x, y, z, r_sc, ast: AsteroidModel, turn, mu_sun: float):
     r_body = max(ast.semi_axes)
     near = dr <= r_body
     if not m.any(near):
-        return mu_sun / r_sc**3, ast.mu / dr**3, gravity_gradient(m, x, y, z, ast, *turn)
+        return MU_SUN / r_sc**3, ast.mu / dr**3, gravity_gradient(m, x, y, z, ast, *turn)
     mu_a_dr3 = m.where(dr > 0.0, ast.mu / m.where(dr > 0.0, dr, 1.0) ** 3, 0.0)
     g = gravity_gradient(m, m.where(near, 2.0 * r_body, x), m.where(near, 0.0, y),
                          m.where(near, 0.0, z), ast, *turn)
-    return mu_sun / r_sc**3, mu_a_dr3, tuple(m.where(near, 0.0, c) for c in g)
+    return MU_SUN / r_sc**3, mu_a_dr3, tuple(m.where(near, 0.0, c) for c in g)
 
 
 def hill_accel(xyz, v_xy, r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
@@ -239,41 +242,36 @@ def hill_accel(xyz, v_xy, r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
     return ax, ay, az
 
 
-def _polar_rates(r_a, r_a_dot, nu_dot, mu_sun: float):
+def _polar_rates(r_a, r_a_dot, nu_dot):
     """(r_A_ddot, nu_ddot) of the coasting asteroid: floats or arrays."""
-    return nu_dot**2 * r_a - mu_sun / r_a**2, -2.0 * r_a_dot * nu_dot / r_a
+    return nu_dot**2 * r_a - MU_SUN / r_a**2, -2.0 * r_a_dot * nu_dot / r_a
 
 
 def proximity_derivatives(s: list, f_s, u_ctrl, ast: AsteroidModel, m_sc: float,
-                          t: float = 0.0, mu_sun: float = MU_SUN,
-                          r_sc: float | None = None) -> list:
+                          t: float, r_sc: float) -> list:
     """Rates of the tracking state s = [x, y, z, vx, vy, vz, r_A, r_A_dot,
-    nu, nu_dot], a float list like the rates: Hill-frame motion about the
-    coasting asteroid under frame accelerations, solar gravity, asteroid
-    central plus harmonic gravity, the surface force f_s (SRP and plume, N)
-    and the control acceleration u_ctrl, both as components. ``r_sc`` is
-    the state's ``sun_distance``, formed here unless the caller has it."""
+    nu, nu_dot], a float list like the rates, at time ``t``: Hill-frame
+    motion about the coasting asteroid under frame accelerations, solar
+    gravity, asteroid central plus harmonic gravity, the surface force f_s
+    (SRP and plume, N) and the control acceleration u_ctrl, both as
+    components. ``r_sc`` is the state's ``sun_distance``."""
     x, y, z, vx, vy, vz, r_a, r_a_dot, _, nu_dot = s
-    r_a_ddot, nu_ddot = _polar_rates(r_a, r_a_dot, nu_dot, mu_sun)
-    if r_sc is None:
-        r_sc = sun_distance(r_a, x, y, z)
+    r_a_ddot, nu_ddot = _polar_rates(r_a, r_a_dot, nu_dot)
     mu_s_rsc3, mu_a_dr3, g = _gravity_terms(batch.FLOAT, x, y, z, r_sc, ast,
-                                            body_turn(batch.FLOAT, ast, t), mu_sun)
+                                            body_turn(batch.FLOAT, ast, t))
     ax, ay, az = hill_accel((x, y, z), (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
                             mu_s_rsc3, mu_a_dr3, g, f_s, m_sc)
     return [vx, vy, vz, ax + u_ctrl[0], ay + u_ctrl[1], az + u_ctrl[2],
             r_a_dot, r_a_ddot, nu_dot, nu_ddot]
 
 
-def design_model_accel(pos: np.ndarray, f_srp, f_plume, ast: AsteroidModel,
-                       m_sc: float) -> list:
-    """Acceleration of the control-design model at the Hill position ``pos``,
-    as floats: asteroid point gravity plus the surface forces f_srp and
-    f_plume (N, components) on mass m_sc. This is what the Lyapunov law
-    cancels."""
-    dr = batch.norm(pos)
-    c = -ast.mu / dr**3
-    return [c * p + fs / m_sc + fp / m_sc for p, fs, fp in zip(pos.tolist(), f_srp, f_plume)]
+def design_model_accel(x, y, z, f_srp, f_plume, ast: AsteroidModel, m_sc: float) -> list:
+    """Acceleration of the control-design model at the Hill position
+    (x, y, z), as floats: asteroid point gravity plus the surface forces
+    f_srp and f_plume (N, components) on mass m_sc. This is what the
+    Lyapunov law cancels."""
+    c = -ast.mu / line_length(batch.FLOAT, x, y, z) ** 3
+    return [c * p + fs / m_sc + fp / m_sc for p, fs, fp in zip((x, y, z), f_srp, f_plume)]
 
 
 def model_derivatives(s: list, a_model: list, u_ctrl) -> list:
@@ -281,7 +279,7 @@ def model_derivatives(s: list, a_model: list, u_ctrl) -> list:
     acceleration ``a_model``: the plant the Lyapunov law exactly cancels,
     under which the descent dV/dt = -c_d |v|^2 holds identically."""
     _, _, _, vx, vy, vz, r_a, r_a_dot, _, nu_dot = s
-    r_a_ddot, nu_ddot = _polar_rates(r_a, r_a_dot, nu_dot, MU_SUN)
+    r_a_ddot, nu_ddot = _polar_rates(r_a, r_a_dot, nu_dot)
     return [vx, vy, vz, a_model[0] + u_ctrl[0], a_model[1] + u_ctrl[1],
             a_model[2] + u_ctrl[2], r_a_dot, r_a_ddot, nu_dot, nu_ddot]
 
@@ -290,13 +288,13 @@ def model_derivatives(s: list, a_model: list, u_ctrl) -> list:
 # Lyapunov station-keeping
 # ---------------------------------------------------------------------------
 
-def lyapunov_control(s: list, ref, a_model: list, gain_k: float = DEFAULT_GAIN_K,
-                     gain_cd: float = DEFAULT_GAIN_CD) -> list:
+def lyapunov_control(s: list, ref, a_model: list) -> list:
     """Feedback acceleration toward the reference point ``ref``: cancels the
     design model's acceleration ``a_model`` at the tracking state ``s``, then
-    applies elastic and dissipative feedback with positive gains. Under the
-    model, V = |v|^2 / 2 + gain_k |pos - ref|^2 / 2 falls at rate c_d |v|^2."""
-    return [-a - gain_k * (p - r) - gain_cd * v
+    applies elastic and dissipative feedback with the gains ``GAIN_K`` and
+    ``GAIN_CD``. Under the model, V = |v|^2 / 2 + GAIN_K |pos - ref|^2 / 2
+    falls at rate GAIN_CD |v|^2."""
+    return [-a - GAIN_K * (p - r) - GAIN_CD * v
             for a, p, r, v in zip(a_model, s[0:3], ref, s[3:6])]
 
 
@@ -584,11 +582,11 @@ class ShapedControlContext:
     k_a: OrbitalElements
     design: object               # SpacecraftDesign
     m_sc: float
-    isp: float = 2000.0          # s, electric-propulsion class
+    isp: float = ISP             # s
     mdot: float = 0.0            # kg/s, total expelled flow for the plume force
 
 
-def _asteroid_polar(k_a: OrbitalElements, nu, mu: float):
+def _asteroid_polar(k_a: OrbitalElements, nu):
     """r, r_dot, nu_dot, nu_ddot, r_ddot of the unperturbed asteroid orbit.
 
     ``nu`` is a float or an array of true anomalies.
@@ -597,10 +595,10 @@ def _asteroid_polar(k_a: OrbitalElements, nu, mu: float):
     e = k_a.e
     m = batch.xp(nu)
     r = p / (1.0 + e * m.cos(nu))
-    h = math.sqrt(mu * p)
+    h = math.sqrt(MU_SUN * p)
     nu_dot = h / r**2
-    r_dot = math.sqrt(mu / p) * e * m.sin(nu)
-    r_ddot, nu_ddot = _polar_rates(r, r_dot, nu_dot, mu)
+    r_dot = math.sqrt(MU_SUN / p) * e * m.sin(nu)
+    r_ddot, nu_ddot = _polar_rates(r, r_dot, nu_dot)
     return r, r_dot, nu_dot, nu_ddot, r_ddot
 
 
@@ -625,7 +623,7 @@ def shaped_grid(ast: AsteroidModel, k_a: OrbitalElements, t) -> ShapedGrid:
     nu = mean_to_true(m0 % TWO_PI, k_a.e)
     m = batch.xp(t)
     return ShapedGrid(times=t, cos_nu=np.cos(nu), sin_nu=np.sin(nu),
-                      polar=_asteroid_polar(k_a, nu, MU_SUN),
+                      polar=_asteroid_polar(k_a, nu),
                       spot=spot_position(m, ast, t, flight_path_angle(k_a.e, nu)),
                       turn=body_turn(m, ast, t))
 
@@ -677,7 +675,7 @@ def shaped_control_accel(s: ShapedOrbit, t, ctx: ShapedControlContext) -> np.nda
     xyz, (vx, vy, _), acc_required = _shaped_kinematics(s.coeffs.tolist(), grid.cos_nu,
                                                         grid.sin_nu, nu_dot, nu_ddot)
     r_sc = sun_distance(r_a, *xyz)
-    mu_s_rsc3, mu_a_dr3, g = _gravity_terms(m, *xyz, r_sc, ast, grid.turn, MU_SUN)
+    mu_s_rsc3, mu_a_dr3, g = _gravity_terms(m, *xyz, r_sc, ast, grid.turn)
     f_srp, f_plume = surface_forces(m, *xyz, r_sc, ast, ctx.design, *grid.spot, ctx.mdot)
     f_s = [a + b for a, b in zip(f_srp, f_plume)]
     accel = hill_accel(xyz, (vx, vy), r_a, r_a_dot, nu_dot, nu_ddot, r_a_ddot,
@@ -751,18 +749,18 @@ class TrackingResult:
 
 
 def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
-                      duration: float, step: float = 200.0,
-                      gain_k: float = DEFAULT_GAIN_K, gain_cd: float = DEFAULT_GAIN_CD,
-                      plant: str = "full", ref_hold_steps: int = 1,
-                      mdot: float = 0.0, isp: float = 2000.0) -> TrackingResult:
+                      duration: float, step: float = 200.0, plant: str = "full",
+                      ref_hold_steps: int = 1, mdot: float = 0.0) -> TrackingResult:
     """Fly the Lyapunov-controlled spacecraft along a natural orbit.
 
     The reference point steps along the nominal orbit at the asteroid's
     true-anomaly rate, held fixed for ``ref_hold_steps`` integrator steps
     at a time. ``plant`` selects the full proximity dynamics or the
     control-design model (under which the Lyapunov descent is exact), which
-    runs without surface forces when ``design`` is None. RK4 carries the
-    state as the float list of ``proximity_derivatives``.
+    runs without surface forces when ``design`` is None. The run is on
+    floats: RK4 on the state list of ``proximity_derivatives``, and every
+    length from ``line_length``. A state that is not finite after a step
+    raises ``ValueError`` naming the step, the time and the component.
     """
     if plant not in ("full", "model"):
         raise ValueError("plant must be 'full' or 'model'")
@@ -770,26 +768,24 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
         raise ValueError(f"step must be positive, got {step!r}")
     if not (isinstance(ref_hold_steps, (int, np.integer)) and ref_hold_steps >= 1):
         raise ValueError(f"ref_hold_steps must be a positive integer, got {ref_hold_steps!r}")
-    for name, gain in (("gain_k", gain_k), ("gain_cd", gain_cd)):
-        if not gain > 0.0:
-            raise ValueError(f"{name} must be positive, got {gain!r}")
     if design is None and plant == "full":
         raise ValueError("design is required by the full plant")
     k_a = ast.elements0
     position = proximal_relation(k_a, dk)
 
     nu = mean_to_true(k_a.mean_anomaly(), k_a.e)
-    r_a, r_a_dot, nu_dot, _, _ = _asteroid_polar(k_a, nu, MU_SUN)
+    r_a, r_a_dot, nu_dot, _, _ = _asteroid_polar(k_a, nu)
     # the nominal velocity by a central difference of the position in nu
     d_nu = 1e-6
-    vel0 = [(p - q) / (2.0 * d_nu) * nu_dot
-            for p, q in zip(position(nu + d_nu), position(nu - d_nu))]
-    state = [*position(nu), *vel0, r_a, r_a_dot, nu, nu_dot]
+    vx, vy, vz = [(p - q) / (2.0 * d_nu) * nu_dot
+                  for p, q in zip(position(nu + d_nu), position(nu - d_nu))]
+    state = [*position(nu), vx, vy, vz, r_a, r_a_dot, nu, nu_dot]
 
     n_steps = int(math.ceil(duration / step))
-    times = np.zeros(n_steps + 1)
-    v_hist = np.zeros(n_steps + 1)
-    accel_hist = np.zeros((n_steps + 1, 3))
+    times = [0.0]
+    # V has no position error at the start; its squares sum in line_length's order
+    v_hist = [0.5 * ((vx * vx + vz * vz) + vy * vy)]
+    accel_hist = [(0.0, 0.0, 0.0)]
     max_err = 0.0
     orbit_scale = 0.0
     hold_ok = True
@@ -806,40 +802,47 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
             spot = spot_position(batch.FLOAT, ast, t, flight_path_angle(k_a.e, s[8]))
             f_srp, f_plume = surface_forces(batch.FLOAT, x, y, z, r_sc, ast, design, *spot,
                                             mdot)
-        a_model = design_model_accel(np.array(s[0:3]), f_srp, f_plume, ast, m_sc)
-        u = lyapunov_control(s, ref, a_model, gain_k, gain_cd)
+        a_model = design_model_accel(x, y, z, f_srp, f_plume, ast, m_sc)
+        u = lyapunov_control(s, ref, a_model)
         if plant == "model":
             return model_derivatives(s, a_model, u), u
         f_s = [a + b for a, b in zip(f_srp, f_plume)]
-        return proximity_derivatives(s, f_s, u, ast, m_sc, t, r_sc=r_sc), u
+        return proximity_derivatives(s, f_s, u, ast, m_sc, t, r_sc), u
 
     t = 0.0
-    v_hist[0] = 0.5 * float(np.dot(vel0, vel0))  # zero position error at start
     last_v = None
-
     for i in range(n_steps):
         if i % ref_hold_steps == 0:
             ref = position(state[8])
-            orbit_scale = max(orbit_scale, batch.norm(np.array(ref)))
+            orbit_scale = max(orbit_scale, line_length(batch.FLOAT, *ref))
             last_v = None  # descent bookkeeping restarts at a reference jump
 
         state, u_now = rk4_step(rhs, t, state, step)
         t += step
+        if not all(map(math.isfinite, state)):
+            k = [math.isfinite(v) for v in state].index(False)
+            name = ("x", "y", "z", "vx", "vy", "vz", "r_A", "r_A_dot", "nu", "nu_dot")[k]
+            raise ValueError(f"tracking state {name} is {state[k]!r} after step {i + 1} "
+                             f"at t = {t!r} s")
 
         # the tracking energy: kinetic plus elastic terms
-        pos, vel = np.array(state[0:3]), np.array(state[3:6])
-        err = pos - ref
-        v_now = 0.5 * float(vel @ vel) + 0.5 * gain_k * float(err @ err)
+        x, y, z, vx, vy, vz = state[0:6]
+        ex, ey, ez = x - ref[0], y - ref[1], z - ref[2]
+        v_now = (0.5 * ((vx * vx + vz * vz) + vy * vy)
+                 + 0.5 * GAIN_K * ((ex * ex + ez * ez) + ey * ey))
         if last_v is not None and v_now - last_v > 1e-12 * max(last_v, 1e-30):
             hold_ok = False
         last_v = v_now
 
-        max_err = max(max_err, batch.norm(pos - position(state[8])))
+        nx, ny, nz = position(state[8])
+        max_err = max(max_err, line_length(batch.FLOAT, x - nx, y - ny, z - nz))
 
-        times[i + 1] = t
-        v_hist[i + 1] = v_now
-        accel_hist[i + 1] = u_now
+        times.append(t)
+        v_hist.append(v_now)
+        accel_hist.append(u_now)
 
-    return TrackingResult(times=times, lyapunov=v_hist, hold_decrease_ok=hold_ok,
+    times = np.array(times)
+    return TrackingResult(times=times, lyapunov=np.array(v_hist), hold_decrease_ok=hold_ok,
                           max_tracking_error=max_err, orbit_scale=orbit_scale,
-                          control=ControlHistory.from_accel(times, accel_hist, m_sc, isp))
+                          control=ControlHistory.from_accel(times, np.array(accel_hist),
+                                                            m_sc, ISP))

@@ -6,10 +6,13 @@ gives, not a miss distance that never falls: every sweep cell must match a
 first-order reference built from the sweep's own forces, and from
 r_a = 1.2 AU on b falls because both the along-track shift (the spot power
 follows 1/r^2) and the share of it the b-plane keeps (the crossing
-geometry) fall. DECISIONS.md holds the analysis.
+geometry) fall. DECISIONS.md holds the analysis. The CSV bytes of the
+shaped study, map and sweep that criteria 5, 8 and 9a run are pinned by
+sha256 on the host class they were recorded on.
 """
 
 import functools
+import hashlib
 import json
 import math
 import time
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 from scipy.integrate import solve_ivp
 
 from laserfleet.constants import (
@@ -41,6 +45,7 @@ from laserfleet.experiments import (
     run_deflection_map,
     run_eccentricity_sweep,
     run_formation_design,
+    run_shaped_design,
 )
 from laserfleet.formation import (
     NATURAL_BOUNDS_LOWER,
@@ -95,20 +100,26 @@ def sweep_scenario():
     return load_scenario(SCENARIO_DIR / "eccentricity_sweep.json")
 
 
-@pytest.fixture(scope="module")
-def map_table(nominal):
+def _timed(study, scenario):
     t0 = time.time()
-    table = run_deflection_map(nominal)
+    table = study(scenario)
     table.metadata["elapsed_s"] = time.time() - t0
     return table
+
+
+@pytest.fixture(scope="module")
+def shaped_table(nominal):
+    return _timed(run_shaped_design, nominal)
+
+
+@pytest.fixture(scope="module")
+def map_table(nominal):
+    return _timed(run_deflection_map, nominal)
 
 
 @pytest.fixture(scope="module")
 def sweep_table(sweep_scenario):
-    t0 = time.time()
-    table = run_eccentricity_sweep(sweep_scenario)
-    table.metadata["elapsed_s"] = time.time() - t0
-    return table
+    return _timed(run_eccentricity_sweep, sweep_scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +250,9 @@ def test_criterion_4_lyapunov(nominal):
 # ---------------------------------------------------------------------------
 
 @criterion(5, "optimized shaped orbits at 1-2 km need 0.1-50 mN")
-def test_criterion_5_shaped_thrust(nominal):
-    from laserfleet.experiments import run_shaped_design
-
-    started = time.time()
-    table = run_shaped_design(nominal)
-    elapsed = time.time() - started
+def test_criterion_5_shaped_thrust(shaped_table):
+    table = shaped_table
+    elapsed = table.metadata["elapsed_s"]
     assert elapsed < 600.0, f"runtime {elapsed:.0f}s"
 
     cols = [c[0] for c in table.columns]
@@ -668,3 +676,42 @@ def test_criterion_10_determinism(nominal, tmp_path):
     assert (tmp_path / "a" / "formation_design.meta.json").read_bytes() == \
         (tmp_path / "b" / "formation_design.meta.json").read_bytes()
     assert len(t1.rows) > 0
+
+
+# ---------------------------------------------------------------------------
+# The study bytes on the recorded host class
+# ---------------------------------------------------------------------------
+
+# sha256 of the CSV bytes of the shipped shaped study (criterion 5), map
+# (criterion 8) and sweep (criterion 9a). numpy's SIMD kernels for exp,
+# arccos, arctan2, hypot and power can move a row's last bits on another
+# host class (DECISIONS.md), so the check runs on the class they were
+# recorded on: numpy 2.4.6 with its float64 loops dispatched up to X86_V4
+# (AVX-512).
+RECORDED_HOST = ("2.4.6", ("X86_V3", "X86_V4", "baseline(X86_V2)"))
+STUDY_CSV_SHA256 = {
+    "shaped_table": "10512b5d28a8647492653a5f36f60a0f88350a24315d81dc6021d71078773908",
+    "map_table": "bb07c1e6c8f957cbdaebcbebf752ec525f5a67f88dac2ec016b5021e0bc6f151",
+    "sweep_table": "7fa6cc72a2f6d5ec492d99e512ac02cbaf3b291dc505689bb2994c1336a7117e",
+}
+
+
+def _host_class():
+    """numpy's version and the SIMD targets its float64 loops run on here."""
+    loops = opt_func_info(signature="float64").values()
+    return np.__version__, tuple(sorted({t["current"] for sigs in loops for t in sigs.values()}))
+
+
+def _named(host):
+    version, targets = host
+    return f"numpy {version} with float64 loops on {', '.join(targets)}"
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_CSV_SHA256))
+def test_study_csv_bytes(study, request, tmp_path):
+    """The studies that criteria 5, 8 and 9a run write the recorded bytes."""
+    if _host_class() != RECORDED_HOST:
+        pytest.skip(f"CSV bytes recorded on {_named(RECORDED_HOST)}; this host has "
+                    f"{_named(_host_class())}")
+    csv_path = request.getfixturevalue(study).write(tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == STUDY_CSV_SHA256[study]

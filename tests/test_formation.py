@@ -27,6 +27,7 @@ from laserfleet.formation import (
     shaped_orbit_control,
     shaped_orbit_eval,
     simulate_tracking,
+    sun_distance,
     sweep_extremum,
 )
 from laserfleet.orbits import flight_path_angle, linear_proximal_position, mean_to_true, rk4_step
@@ -127,10 +128,17 @@ def test_gravity_field_curl_free(ast, rng):
 ZERO = [0.0, 0.0, 0.0]
 
 
+def rates_at(state, ast, t=0.0):
+    """``proximity_derivatives`` of ``state`` at time ``t`` with no surface
+    force and no control, given the state's own sun distance."""
+    return proximity_derivatives(state, ZERO, ZERO, ast, 1000.0, t,
+                                 sun_distance(state[6], *state[0:3]))
+
+
 def test_circular_asteroid_is_stationary(ast):
     r = 1.4e11
     state = [0.0, 2000.0, 0.0, *ZERO, r, 0.0, 1.0, math.sqrt(MU_SUN / r**3)]
-    rates = proximity_derivatives(state, ZERO, ZERO, ast, 1000.0)
+    rates = rates_at(state, ast)
     assert rates[6] == 0.0                 # r_a_dot
     assert abs(rates[7]) < 1e-12           # r_a_ddot
     assert rates[9] == 0.0                 # nu_ddot
@@ -140,7 +148,7 @@ def test_z_equation_decouples(ast):
     """With solar terms only, the out-of-plane row is a clean restoring term."""
     state = [0.0, 0.0, 1000.0, *ZERO, 1.4e11, 0.0, 0.5, 2e-7]
     tiny_mu = replace(ast, mu=1e-30)
-    rates = proximity_derivatives(state, ZERO, ZERO, tiny_mu, 1000.0)
+    rates = rates_at(state, tiny_mu)
     r_sc = math.sqrt(1.4e11**2 + 1000.0**2)
     assert math.isclose(rates[5], -MU_SUN * 1000.0 / r_sc**3, rel_tol=1e-9)
     assert rates[3] != 0.0  # the in-plane rows keep their frame terms
@@ -148,7 +156,7 @@ def test_z_equation_decouples(ast):
 
 def _integrate_proximity(ast, y0, duration, n_steps):
     def rhs(t, y):
-        return proximity_derivatives(y, ZERO, ZERO, ast, 1000.0, t), None
+        return rates_at(y, ast, t), None
 
     y = y0.tolist()
     dt = duration / n_steps
@@ -194,20 +202,18 @@ def test_coasting_particle_follows_linear_model(ast):
 
 def test_control_equilibrium(ast):
     tiny = replace(ast, mu=1e-30)
-    ref = np.array([0.0, 1000.0, 0.0])
-    state = [*ref.tolist(), *ZERO, 1.4e11, 0.0, 0.0, 2e-7]
-    u = lyapunov_control(state, ref, design_model_accel(ref, np.zeros(3), np.zeros(3),
-                                                        tiny, 1000.0))
+    ref = [0.0, 1000.0, 0.0]
+    state = [*ref, *ZERO, 1.4e11, 0.0, 0.0, 2e-7]
+    u = lyapunov_control(state, ref, design_model_accel(*ref, ZERO, ZERO, tiny, 1000.0))
     assert float(np.linalg.norm(u)) < 1e-25
 
 
 def test_control_elastic_term(ast):
     tiny = replace(ast, mu=1e-30)
-    ref = np.array([0.0, 1000.0, 0.0])
-    pos = ref + np.array([100.0, 0.0, 0.0])
-    state = [*pos.tolist(), *ZERO, 1.4e11, 0.0, 0.0, 2e-7]
-    u = lyapunov_control(state, ref, design_model_accel(pos, np.zeros(3), np.zeros(3),
-                                                        tiny, 1000.0))
+    ref = [0.0, 1000.0, 0.0]
+    pos = [100.0, 1000.0, 0.0]
+    state = [*pos, *ZERO, 1.4e11, 0.0, 0.0, 2e-7]
+    u = lyapunov_control(state, ref, design_model_accel(*pos, ZERO, ZERO, tiny, 1000.0))
     assert math.isclose(float(np.linalg.norm(u)), 1e-6 * 100.0, rel_tol=1e-9)
     assert u[0] < 0.0  # pulls back toward the reference
 
@@ -225,14 +231,29 @@ SHIPPED_DK = [-1e-9, 5e-9, 0.0, 0.0, 8e-9]
     # the orbit through the centre starts inside the body, with or without flow
     ({"dk": [0.0] * 5}, "dk"),
     ({"dk": [0.0] * 5, "mdot": 0.3}, "dk"),
-    ({"gain_k": -1.0}, "gain_k"),
-    ({"gain_cd": 0.0}, "gain_cd"),
 ])
 def test_tracking_rejects_bad_arguments(ast, design_20m, changes, named):
     kwargs = {"dk": SHIPPED_DK, "ast": ast, "design": design_20m, "m_sc": 4000.0,
               "duration": 2 * DAY, "step": 400.0} | changes
     with pytest.raises(ValueError, match=named):
         simulate_tracking(**kwargs)
+
+
+def test_tracking_stops_at_a_non_finite_state(ast, design_20m, monkeypatch):
+    """A harmonic gravity that turns NaN from step 5 on stops the run after
+    that step, naming the step, its time and the first component hit."""
+    gradient = formation.gravity_gradient
+    calls = []
+
+    def nan_from_step_5(*args):
+        calls.append(args)
+        # the full plant evaluates the gravity once in each of a step's four stages
+        return (math.nan,) * 3 if len(calls) > 4 * 4 else gradient(*args)
+
+    monkeypatch.setattr(formation, "gravity_gradient", nan_from_step_5)
+    with pytest.raises(ValueError, match=r"tracking state x is nan after step 5 at t = 2000\.0 s"):
+        simulate_tracking(SHIPPED_DK, ast, design_20m, 4000.0, duration=2 * DAY, step=400.0)
+    assert len(calls) == 5 * 4
 
 
 def test_model_plant_descent(ast):

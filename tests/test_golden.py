@@ -24,9 +24,10 @@ keeps numpy's trigonometry and squares by products (DECISIONS.md).
 
 Orbit core: the outputs of ``simulate_deflection``, ``integrate_gauss`` and
 ``simulate_tracking``, recorded while each integrator still carried its own
-Gauss rates, RK4 loop and b-plane projection. They must match by ``repr``;
-recorded arrays are compared through a digest of the ``repr`` of their
-values.
+Gauss rates, RK4 loop and b-plane projection; the tracking ones were
+re-recorded since, each time with its before and after values declared
+(the comment above ``TRACKING``). They must match by ``repr``; recorded
+arrays are compared through a digest of the ``repr`` of their values.
 """
 
 import hashlib
@@ -145,7 +146,7 @@ def test_shaped_kinematic_control_golden(shaped_ctx):
     times = np.linspace(0.0, YEAR, 512)
     m0 = k_a.mean_anomaly() + k_a.mean_motion(MU_SUN) * (times - k_a.epoch)
     nu = mean_to_true(m0 % TWO_PI, k_a.e)
-    _, _, nu_dot, nu_ddot, _ = _asteroid_polar(k_a, nu, MU_SUN)
+    _, _, nu_dot, nu_ddot, _ = _asteroid_polar(k_a, nu)
     _, _, acc = shaped_orbit_eval(ShapedOrbit(np.array(BEHIND)), nu, nu_dot, nu_ddot)
     mags = np.linalg.norm(acc, axis=1)
     delta_v = float(np.trapezoid(mags, times))
@@ -313,24 +314,24 @@ def test_integrate_gauss_golden(u_tnh, ast):
 
 # name: (plant settings, with_design, (delta_v, max_tracking_error,
 # digest of the Lyapunov values, digest of the control accelerations)). The
-# last case was recorded from the version whose right-hand side built a
-# state object and numpy arrays at every stage. The three with a design
-# were re-recorded when the surface forces moved to components: their
-# spot-to-spacecraft lengths now sum (x² + z²) + y² on floats, where a
-# 3-vector's dot product rounded otherwise (DECISIONS.md)
+# last case was first recorded from the version whose right-hand side built
+# a state object and numpy arrays at every stage. All four were re-recorded
+# when tracking moved to floats: the design model's length, the tracking
+# error and V now sum their squares as (x² + z²) + y², where a 3-vector's
+# dot product rounded as fma(z, z, fma(y, y, x²)) (DECISIONS.md)
 TRACKING = {
     "full": ({"plant": "full"}, True, (
-        "1.7463090853482461", "0.07529108146803636", "6bac8edacc4d1168",
-        "59913da86291468b")),
+        "1.7463090853482508", "0.07529108146803636", "7c0bac48ce84cd28",
+        "626a2f846b3d84c7")),
     "full_mdot": ({"plant": "full", "mdot": 0.3}, True, (
-        "1.4128646432317655", "0.07529108146803636", "0780751684abaea5",
-        "24ed4b4d9cd12436")),
+        "1.4128646432317686", "0.07529108146803636", "17669a737a6ba2d7",
+        "24dca02dffe36918")),
     "model": ({"plant": "model", "ref_hold_steps": 8}, True, (
-        "1.767940514066901", "0.5988097835627455", "1a7d83e7c1608160",
-        "4022bcdacba058d1")),
+        "1.7679405140669002", "0.5988097835627455", "1589cab124ec73e9",
+        "892156f5cb4a9943")),
     "model_no_design": ({"plant": "model", "ref_hold_steps": 8}, False, (
-        "1.609188832203079", "0.5988097835627455", "28b69b0fcd17106a",
-        "b167a040555b9faf")),
+        "1.6091888322030787", "0.5988097835627455", "952c98383dcd2ded",
+        "1fd6ae18ed36c47f")),
 }
 
 
