@@ -5,8 +5,8 @@ Subcommands mirror the study structure: ``formation-design``,
 ``eccentricity-sweep`` and ``validate`` (runs the built-in oracle suite
 against independently computed references).
 
-Exit codes: 0 success, 1 validation failure (bad scenario or failed
-oracle), 2 runtime error.
+Exit codes: 0 success, 1 validation failure (bad scenario, failed oracle
+or a state that is no longer finite), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .experiments import (
     run_formation_design,
     run_shaped_design,
 )
+from .orbits import NonFiniteStateError
 from .scenario import ScenarioError, load_scenario
 
 
@@ -97,6 +98,9 @@ def main(argv=None) -> int:
         return 0
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
+    except NonFiniteStateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
         traceback.print_exc()

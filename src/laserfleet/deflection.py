@@ -18,14 +18,21 @@ asteroid spin phase, because the integrator samples it far too often to
 re-run the quadrature in place.
 
 One ``rates`` body serves two entry points, as in ``laserfleet.batch``.
-``simulate_deflection`` runs one deflection on floats.
-``simulate_deflections`` runs many as one batch: the state is eight (N,)
-columns with one run per row, each row with its own start, step and step
-count, and a row leaves the columns when its steps are done. Each branch
-of ``rates`` is a mask on a batch. A row's numbers do not depend on the
-other rows of its batch; they can differ from the same run on floats in
-the last bits, where numpy's exp, arctan2, arccos, hypot and power differ
-from libm (DECISIONS.md).
+``simulate_deflection`` runs one deflection on floats, its state a list
+of eight. ``simulate_deflections`` runs many as one batch: the state is
+one (8, N) array, a component per row and a run per column, each run
+with its own start, step and step count, and a run's column leaves the
+array when its steps are done. ``orbits.rk4_step`` steps the whole array
+at once, and the mass clamp, the records and the finiteness check are
+operations on its rows. Each branch of ``rates`` is a mask on a batch.
+A run's numbers do not depend on the other runs of its batch; they can
+differ from the same run on floats in the last bits, where numpy's exp,
+arctan2, arccos, hypot and power differ from libm (DECISIONS.md). The
+batch step is bound by the count of numpy calls, not by arithmetic
+(DECISIONS.md, "The batch step is bound by call count").
+
+After each step both entry points check that the state is finite; the
+first component that is not raises ``orbits.NonFiniteStateError``.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from .constants import (
 from .formation import NaturalOrbit, ShapedOrbit, shaped_position
 from .orbits import (
     BodyEphemeris,
+    NonFiniteStateError,
     OrbitalElements,
     ProximalConstants,
     delta_m_at_moid,
@@ -63,7 +71,7 @@ from .orbits import (
     proximal_position,
     rk4_step,
     solve_kepler,
-    solve_kepler_array,
+    solve_kepler_reduced,
 )
 from .plume import (
     axis_angle,
@@ -81,6 +89,8 @@ from .sublimation import (
     radiation_loss,
 )
 from .sizing import SpacecraftDesign
+
+_ZERO = batch.ARRAY.operand(0.0)
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,8 @@ class MdotTable:
             return flows[0]
         if p_in >= powers[-1]:
             return flows[-1]
+        if p_in != p_in:
+            return p_in  # NaN passes, as through the batch's lookup
         j = bisect.bisect_right(powers, p_in)
         w = (p_in - powers[j - 1]) / (powers[j] - powers[j - 1])
         return flows[j - 1] + w * (flows[j] - flows[j - 1])
@@ -145,35 +157,47 @@ class _FlowColumns:
 
     Each table's intervals are indexed by ``bisect_right``'s j; the two
     outer ones hold the end flows with a zero slope, which is the clamp.
+    When every table has the same power grid, as the map's do (the peak
+    power does not depend on the aperture), one search on that grid gives
+    each row its j, and the row's table adds its offset.
     """
 
     def __init__(self, tables):
         self.powers = [np.array(t.powers) for t in tables]
         self.offsets = np.cumsum([0] + [p.size + 1 for p in self.powers[:-1]]).tolist()
+        self.shared = all(t.powers == tables[0].powers for t in tables)
         p_lo, dp, f_lo, df = [], [], [], []
         for p, f in zip(self.powers, (np.array(t.flows) for t in tables)):
             p_lo += [p[:1], p[:-1], p[-1:]]
             dp += [[1.0], np.diff(p), [1.0]]
             f_lo += [f[:1], f[:-1], f[-1:]]
             df += [[0.0], np.diff(f), [0.0]]
-        self.p_lo, self.dp, self.f_lo, self.df = (
-            np.concatenate(part) for part in (p_lo, dp, f_lo, df))
+        # one row each of (f_lo, p_lo, dp, df): a row's interval is one take
+        self.intervals = np.array([np.concatenate(part) for part in (f_lo, p_lo, dp, df)])
 
     def lookup(self, runs):
         """The flow relation of rows whose table indices run as ``runs``
         (``batch.runs``)."""
-        p_lo, dp, f_lo, df = self.p_lo, self.dp, self.f_lo, self.df
-        parts = [(lo, hi, self.powers[t], self.offsets[t]) for lo, hi, t in runs]
+        intervals = self.intervals
+        if self.shared or len(runs) == 1:
+            powers = self.powers[runs[0][2]]
+            offset = np.repeat([self.offsets[t] for _, _, t in runs],
+                               [hi - lo for lo, hi, _ in runs])
 
-        def flow(p):
-            if len(parts) == 1:
-                _, _, powers, offset = parts[0]
-                j = powers.searchsorted(p, "right") + offset
-            else:
+            def search(p):
+                return powers.searchsorted(p, "right") + offset
+        else:
+            parts = [(lo, hi, self.powers[t], self.offsets[t]) for lo, hi, t in runs]
+
+            def search(p):
                 j = np.empty(p.shape, dtype=np.intp)
                 for lo, hi, powers, offset in parts:
                     j[lo:hi] = powers.searchsorted(p[lo:hi], "right") + offset
-            return f_lo.take(j) + (p - p_lo.take(j)) / dp.take(j) * df.take(j)
+                return j
+
+        def flow(p):
+            f_lo, p_lo, dp, df = intervals.take(search(p), axis=1)
+            return f_lo + (p - p_lo) / dp * df
         return flow
 
 
@@ -315,12 +339,13 @@ def _position(formation, k: ProximalConstants, m):
     radius and the true anomaly: floats, or columns with the constants ``k``
     of the undeflected start as columns too. A natural orbit is
     ``orbits.proximal_relation`` with the osculating radius in place of
-    k0's and the trig of the ``batch`` namespace ``m``."""
+    k0's and the trig of the ``batch`` namespace ``m``. The coefficients and
+    the deltas are ``m``'s operands."""
     if isinstance(formation, ShapedOrbit):
-        coeffs = formation.coeffs.tolist()
+        coeffs = [m.operand(v) for v in formation.coeffs.tolist()]
         return lambda c, s, r, nu: shaped_position(coeffs, c, s)
 
-    deltas = formation.dk.tolist()
+    deltas = [m.operand(v) for v in formation.dk.tolist()]
     argp0, sin, cos = k.argp, m.sin, m.cos
 
     def natural(c, s, r, nu):
@@ -330,30 +355,36 @@ def _position(formation, k: ProximalConstants, m):
 
 
 def _rates(k: _Constants, position, flow, kepler, m):
-    """The right-hand side ``f(t, y) -> (dy, (mdot, |u|))`` of the coupled
-    deflection, y = (a, e, i, raan, argp, M unwrapped, asteroid mass,
-    contamination thickness).
+    """The right-hand side ``f(t, y) -> (dy, (mdot, u_r, u_s, u_w))`` of the
+    coupled deflection, y = (a, e, i, raan, argp, M unwrapped, asteroid
+    mass, contamination thickness), with the expelled flow and the radial,
+    transverse and normal thrust acceleration (``_accel`` forms |u| where
+    it is recorded).
 
-    One run: floats, ``m`` = ``batch.FLOAT``, ``kepler`` = ``solve_kepler``
-    and ``flow`` its ``MdotTable``. A batch: (N,) columns, ``batch.ARRAY``,
-    ``solve_kepler_array`` and a ``_FlowColumns`` lookup. ``position`` is
-    ``_position``'s relation, or its batch over formation runs.
+    One run: a list of floats, ``m`` = ``batch.FLOAT``, ``kepler`` =
+    ``solve_kepler`` and ``flow`` its ``MdotTable``. A batch: an (8, N)
+    array with one run per column, ``batch.ARRAY``, ``solve_kepler_reduced``
+    (``M % TWO_PI`` is in its range) and a ``_FlowColumns`` lookup.
+    ``position`` is ``_position``'s relation, or its batch over formation
+    runs.
     """
     p_coeff, n_sc, lam_v, tug_coeff, w_spin = k.p_coeff, k.n_sc, k.lam_v, k.tug_coeff, k.w_spin
     a_ell, b_ell, a2_ell, b2_ell = k.a_ell, k.b_ell, k.a2_ell, k.b2_ell
     v_bar, v_area, d_spot = k.v_bar, k.v_area, k.d_spot
     exp, sin, cos, sqrt, hypot, atan2 = m.exp, m.sin, m.cos, m.sqrt, m.hypot, m.atan2
-    where, any_ = m.where, m.any
-    mu = MU_SUN
-    absorb = -2.0 * ABSORPTION_COEFFICIENT
+    where, any_, all_, stack = m.where, m.any, m.all, m.stack
+    mu, two_pi = m.operand(MU_SUN), m.operand(TWO_PI)
+    absorb = m.operand(-2.0 * ABSORPTION_COEFFICIENT)
 
     def rates(t, y):
         a, e, inc, raan, argp, m_unwrapped, m_a, h_cnd = y
         # Anomaly and geometry of the osculating orbit
-        nu = eccentric_to_true(kepler(m_unwrapped % TWO_PI, e), e)
+        nu = eccentric_to_true(kepler(m_unwrapped % two_pi, e), e)
         cos_nu, sin_nu = cos(nu), sin(nu)
         one_ec = 1.0 + e * cos_nu
-        r = a * (1.0 - e * e) / one_ec
+        one_e2 = 1.0 - e * e
+        p = a * one_e2
+        r = p / one_ec
 
         # Delivered power and expelled flow
         p_in = exp(absorb * h_cnd) * p_coeff / (r * r)
@@ -366,18 +397,23 @@ def _rates(k: _Constants, position, flow, kepler, m):
         gamma_w = hypot(es, one_ec)
         sin_g = es / gamma_w
         cos_g = one_ec / gamma_w
-        # a masked row divides by infinity, which gives it exactly 0
-        u_sub = lam_v * mdot / where((m_a > 0.0) & (mdot > 0.0), m_a, math.inf)
+        # a row without mass divides by infinity, which gives it exactly 0,
+        # as a row without flow gets either way
+        has_mass = m_a > 0.0
+        u_sub = lam_v * mdot / (m_a if all_(has_mass) else where(has_mass, m_a, math.inf))
 
         fx, fy, fz = position(cos_nu, sin_nu, r, nu)
-        dr2 = fx * fx + fy * fy + fz * fz
+        fz2 = fz * fz
+        dr2 = fx * fx + fy * fy + fz2
         dr_norm = sqrt(dr2)
-        tug = tug_coeff / where(dr_norm > 0.0, dr2 * dr_norm, math.inf)
+        dr3 = dr2 * dr_norm
+        apart = dr_norm > 0.0
+        tug = tug_coeff / (dr3 if all_(apart) else where(apart, dr3, math.inf))
         u_r = u_sub * sin_g + tug * fx
         u_s = u_sub * cos_g + tug * fy
         u_w = tug * fz
         da, de_r, di_r, draan_r, dargp_r, dm_r = gauss_rates_rtn(
-            a, e, inc, argp, nu, u_r, u_s, u_w, mu)
+            a, e, inc, argp, nu, cos_nu, sin_nu, one_e2, p, r, es, u_r, u_s, u_w, mu)
 
         # Contamination growth at the formation's representative spacecraft
         dh = 0.0
@@ -385,7 +421,7 @@ def _rates(k: _Constants, position, flow, kepler, m):
         if any_(exposed):
             sx, sy = spot_point(m, w_spin, a_ell, b_ell, t, atan2(es, one_ec))
             ox, oy = fx - sx, fy - sy
-            on = sqrt(ox * ox + oy * oy + fz * fz)
+            on = sqrt(ox * ox + oy * oy + fz2)
             exposed = exposed & (on > 0.0) & (ox > 0.0)  # optics exposed only from +x
             if any_(exposed):
                 exposed = exposed & clears_body(sx, sy, fx, fy, a2_ell, b2_ell)
@@ -397,9 +433,27 @@ def _rates(k: _Constants, position, flow, kepler, m):
                         rho = jet_density(m, mdot, v_area, d_spot, on, where(exposed, phi, 0.0))
                         dh = where(exposed, condensation_growth(rho, v_bar, ox, on), 0.0)
 
-        u_mag = sqrt(u_r * u_r + u_s * u_s + u_w * u_w)
-        return (da, de_r, di_r, draan_r, dargp_r, dm_r, -mdot, dh), (mdot, u_mag)
+        return (stack((da, de_r, di_r, draan_r, dargp_r, dm_r, -mdot, dh)),
+                (mdot, u_r, u_s, u_w))
     return rates
+
+
+def _accel(m, u_r, u_s, u_w):
+    """|u| of the thrust acceleration from the components ``rates`` gives."""
+    return m.sqrt(u_r * u_r + u_s * u_s + u_w * u_w)
+
+
+_COMPONENTS = ("a", "e", "i", "raan", "argp", "M", "asteroid mass", "contamination")
+
+
+def _non_finite(values, step: int, t: float, row: int | None = None) -> NonFiniteStateError:
+    """The error for a state whose component ``values`` hold one that is not
+    finite after ``step``; ``row`` is the run's index in the scenarios of a
+    batch."""
+    j = [math.isfinite(v) for v in values].index(False)
+    of = "" if row is None else f" of scenario {row}"
+    return NonFiniteStateError(f"deflection state {_COMPONENTS[j]}{of} is {values[j]!r} "
+                               f"after step {step} at t = {t!r} s", row)
 
 
 def _outcome(run: _Run, state, times, thrust, h, mass, mdot) -> DeflectionOutcome:
@@ -425,24 +479,29 @@ def simulate_deflection(sc: DeflectionScenario,
 
     The miss distance is taken in the b-plane of the ephemeris Earth at
     the encounter epoch. A prebuilt ``mdot_table`` can be shared across
-    runs of the same design.
+    runs of the same design. A state component that is not finite after a
+    step raises ``NonFiniteStateError`` naming it, its value, the step and
+    the time.
     """
     run = _prepare(sc, mdot_table)
-    rates = _rates(run.consts, _position(sc.formation, run.proximal, batch.FLOAT), run.table,
-                   solve_kepler, batch.FLOAT)
+    m = batch.FLOAT
+    rates = _rates(run.consts, _position(sc.formation, run.proximal, m), run.table,
+                   solve_kepler, m)
     t0, dt, n_steps = sc.t_start, run.dt, run.n_steps
     state = run.state0()
 
-    _, (mdot_now, u_now) = rates(t0, state)
+    _, (mdot_now, *u_now) = rates(t0, state)
     rec_t, rec_thrust, rec_h, rec_mass, rec_mdot = \
-        [t0], [u_now * state[6]], [0.0], [state[6]], [mdot_now]
+        [t0], [_accel(m, *u_now) * state[6]], [0.0], [state[6]], [mdot_now]
     for step in range(n_steps):
-        state, (mdot_now, u_now) = rk4_step(rates, t0 + step * dt, state, dt)
+        state, (mdot_now, *u_now) = rk4_step(rates, t0 + step * dt, state, dt)
         if state[6] < 0.0:
             state[6] = 0.0
+        if not all(map(math.isfinite, state)):
+            raise _non_finite(state, step + 1, t0 + (step + 1) * dt)
         if (step + 1) % sc.record_every == 0 or step == n_steps - 1:
             rec_t.append(t0 + (step + 1) * dt)
-            rec_thrust.append(u_now * state[6])
+            rec_thrust.append(_accel(m, *u_now) * state[6])
             rec_h.append(state[7])
             rec_mass.append(state[6])
             rec_mdot.append(mdot_now)
@@ -473,13 +532,16 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
     """``simulate_deflection`` for many runs, integrated as one batch.
 
     ``mdot_tables`` gives each scenario a prebuilt table, or None to build
-    its own. Rows are ordered by formation and then by table, so the
-    formation position and the flow lookup take contiguous slices. Each
-    row steps with its own start and step, keeps its records at its own
-    ``record_every`` and leaves the columns after its last step. A row's
-    numbers do not depend on the other rows; against ``simulate_deflection``
-    they can move in the last bits (module docstring). Outcomes come back
-    in the order of ``scenarios``.
+    its own. The state is one (8, N) array, a column per run; the runs
+    are ordered by formation and then by table, so the formation position
+    and the flow lookup take contiguous slices. Each run steps with its
+    own start and step, keeps its records at its own ``record_every`` and
+    leaves the array after its last step. A run's numbers do not depend on
+    the other runs; against ``simulate_deflection`` they can move in the
+    last bits (module docstring). Outcomes come back in the order of
+    ``scenarios``. A state that is not finite after a step raises
+    ``NonFiniteStateError`` for the first such run in ``scenarios``, naming
+    its index there.
     """
     scenarios = list(scenarios)
     if mdot_tables is None:
@@ -492,6 +554,7 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
     order = sorted(range(len(runs)), key=lambda i: (form_of[i], table_of[i]))
     runs = [runs[i] for i in order]
     n = len(runs)
+    m = batch.ARRAY
 
     consts = _columns([run.consts for run in runs])
     proximal = _columns([run.proximal for run in runs])
@@ -501,23 +564,28 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
 
     def kernel(live):
         k, prox = _rows(consts, live), _rows(proximal, live)
-        parts = [(lo, hi, _position(forms[f], _rows(prox, slice(lo, hi)), batch.ARRAY))
+        parts = [(lo, hi, _position(forms[f], _rows(prox, slice(lo, hi)), m))
                  for lo, hi, f in batch.runs(form_key[live].tolist())]
         if len(parts) == 1:
             position = parts[0][2]
         else:
+            # each formation writes its rows of one (3, N) array, whose rows
+            # rates reads as the components before its next call
+            out = np.empty((3, live.size))
+
             def position(c, s, r, nu):
-                pieces = [fn(c[lo:hi], s[lo:hi], r[lo:hi], nu[lo:hi]) for lo, hi, fn in parts]
-                return tuple(np.concatenate(xs) for xs in zip(*pieces))
+                for lo, hi, fn in parts:
+                    out[:, lo:hi] = fn(c[lo:hi], s[lo:hi], r[lo:hi], nu[lo:hi])
+                return out
         flow = flows.lookup(batch.runs(table_key[live].tolist()))
-        return _rates(k, position, flow, solve_kepler_array, batch.ARRAY)
+        return _rates(k, position, flow, solve_kepler_reduced, m)
 
     live = np.arange(n)
     t0 = np.array([run.sc.t_start for run in runs])
     dt = np.array([run.dt for run in runs])
     n_steps = np.array([run.n_steps for run in runs])
     every = np.array([run.sc.record_every for run in runs])
-    state = [np.array(col, dtype=float) for col in zip(*(run.state0() for run in runs))]
+    state = np.array([run.state0() for run in runs]).T.copy()
     rates = kernel(live)
 
     # records (t, thrust, h, mass, mdot): row i fills its own span of one
@@ -527,31 +595,42 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
     start = np.cumsum(widths) - widths
     records = np.empty((5, int(widths.sum())))
     count = np.ones(n, dtype=int)
-    _, (mdot_now, u_now) = rates(t0, state)
-    for q, value in enumerate((t0, u_now * state[6], state[7], state[6], mdot_now)):
+    _, (mdot_now, *u_now) = rates(t0, state)
+    for q, value in enumerate((t0, _accel(m, *u_now) * state[6], state[7], state[6], mdot_now)):
         records[q, start] = value
     final = np.empty((n, len(state)))
+    # the steps after which some row ends, and after which some row records
+    ends = set(n_steps.tolist())
+    records_due = ends.union(*(range(k, last + 1, k) for k, last
+                               in set(zip(every.tolist(), n_steps.tolist()))))
 
     step = 0
     while True:
-        ending = n_steps == step
-        if np.count_nonzero(ending):
-            final[live[ending]] = np.stack([col[ending] for col in state], axis=1)
+        if step in ends:
+            ending = n_steps == step
+            final[live[ending]] = state[:, ending].T
             keep = ~ending
             live, t0, dt, n_steps, every = (x[keep] for x in (live, t0, dt, n_steps, every))
             if live.size == 0:
                 break
-            state = [col[keep] for col in state]
+            state = state[:, keep]
             rates = kernel(live)
-        state, (mdot_now, u_now) = rk4_step(rates, t0 + step * dt, state, dt)
-        state[6] = np.maximum(state[6], 0.0)
+        state, (mdot_now, *u_now) = rk4_step(rates, t0 + step * dt, state, dt)
+        mass = state[6]
+        np.maximum(mass, _ZERO, out=mass)
         step += 1
-        due = (step % every == 0) | (n_steps == step)
-        if np.count_nonzero(due):
+        # one reduction: a NaN or an infinity anywhere makes the sum non-finite
+        if not math.isfinite(state.sum()):
+            bad = np.flatnonzero(~np.isfinite(state).all(axis=0))
+            col = min(bad.tolist(), key=lambda j: order[live[j]])
+            raise _non_finite(state[:, col].tolist(), step, float(t0[col] + step * dt[col]),
+                              order[live[col]])
+        if step in records_due:
+            due = (step % every == 0) | (n_steps == step)
             rows = live[due]
             slot = start[rows] + count[rows]
-            for q, value in enumerate((t0 + step * dt, u_now * state[6], state[7], state[6],
-                                       mdot_now)):
+            for q, value in enumerate((t0 + step * dt, _accel(m, *u_now) * mass, state[7],
+                                       mass, mdot_now)):
                 records[q, slot] = value[due]
             count[rows] += 1
 

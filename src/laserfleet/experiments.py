@@ -44,6 +44,7 @@ from .formation import (
 )
 from .moo import ProblemSpec, optimize
 from .orbits import (
+    NonFiniteStateError,
     OrbitalElements,
     StateVector,
     bplane_miss,
@@ -287,10 +288,20 @@ def _in_batches(rows_of, cells: list, threads: int) -> list:
         return [row for rows in pool.map(rows_of, chunks) for row in rows]
 
 
+def _cell_error(exc: NonFiniteStateError, study: str, fields: str,
+                key: tuple) -> NonFiniteStateError:
+    """``exc`` with the key of the study cell whose run it names."""
+    return NonFiniteStateError(f"{study} cell {fields} = {key}: {exc}", exc.row)
+
+
 def _map_rows(cells: list) -> list:
     """Map rows of ``(row key, DeflectionScenario, MdotTable)`` cells."""
-    outs = simulate_deflections([dscn for _, dscn, _ in cells],
-                                [table for _, _, table in cells])
+    try:
+        outs = simulate_deflections([dscn for _, dscn, _ in cells],
+                                    [table for _, _, table in cells])
+    except NonFiniteStateError as exc:
+        raise _cell_error(exc, "deflection map", "(mode, aperture, n_spacecraft, warning_yr)",
+                          cells[exc.row][0]) from exc
     return [(*key, out.miss_distance, float(out.tau[-1]), float(out.mdot[-1]),
              float(np.max(out.mdot)), float(out.asteroid_mass[-1]))
             for (key, _, _), out in zip(cells, outs)]
@@ -405,8 +416,13 @@ def _sweep_rows(cells: list) -> list:
                                       earth=earth, m_sc=m_sc, t_start=0.0, t_moid=warning,
                                       formation=formation, scattering_factor=scattering)
             crossing.append((i, k0, dscn, mdot_table))
-    outs = simulate_deflections([dscn for _, _, dscn, _ in crossing],
-                                [table for *_, table in crossing])
+    try:
+        outs = simulate_deflections([dscn for _, _, dscn, _ in crossing],
+                                    [table for *_, table in crossing])
+    except NonFiniteStateError as exc:
+        i = crossing[exc.row][0]
+        raise _cell_error(exc, "eccentricity sweep", "(r_perihelion, r_aphelion) / AU",
+                          rows[i][:2]) from exc
     # the sweep places its own encounter at the 1 AU crossing, so the
     # outcome's ephemeris-Earth miss is never read
     for (i, k0, _, _), out in zip(crossing, outs):

@@ -29,6 +29,7 @@ import numpy as np
 from . import batch
 from .constants import G0, MU_SUN, TWO_PI
 from .orbits import (
+    NonFiniteStateError,
     OrbitalElements,
     ProximalConstants,
     flight_path_angle,
@@ -759,8 +760,10 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
     control-design model (under which the Lyapunov descent is exact), which
     runs without surface forces when ``design`` is None. The run is on
     floats: RK4 on the state list of ``proximity_derivatives``, and every
-    length from ``line_length``. A state that is not finite after a step
-    raises ``ValueError`` naming the step, the time and the component.
+    length from ``line_length``. The nominal point of the tracking error
+    after a step is the next reference, one evaluation for both. A state
+    that is not finite after a step raises ``orbits.NonFiniteStateError``
+    naming the step, the time and the component.
     """
     if plant not in ("full", "model"):
         raise ValueError("plant must be 'full' or 'model'")
@@ -811,9 +814,10 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
 
     t = 0.0
     last_v = None
+    nominal = position(state[8])  # the nominal point at the current state
     for i in range(n_steps):
         if i % ref_hold_steps == 0:
-            ref = position(state[8])
+            ref = nominal
             orbit_scale = max(orbit_scale, line_length(batch.FLOAT, *ref))
             last_v = None  # descent bookkeeping restarts at a reference jump
 
@@ -822,8 +826,8 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
         if not all(map(math.isfinite, state)):
             k = [math.isfinite(v) for v in state].index(False)
             name = ("x", "y", "z", "vx", "vy", "vz", "r_A", "r_A_dot", "nu", "nu_dot")[k]
-            raise ValueError(f"tracking state {name} is {state[k]!r} after step {i + 1} "
-                             f"at t = {t!r} s")
+            raise NonFiniteStateError(f"tracking state {name} is {state[k]!r} after step "
+                                      f"{i + 1} at t = {t!r} s")
 
         # the tracking energy: kinetic plus elastic terms
         x, y, z, vx, vy, vz = state[0:6]
@@ -834,7 +838,8 @@ def simulate_tracking(dk: np.ndarray, ast: AsteroidModel, design, m_sc: float,
             hold_ok = False
         last_v = v_now
 
-        nx, ny, nz = position(state[8])
+        nominal = position(state[8])
+        nx, ny, nz = nominal
         max_err = max(max_err, line_length(batch.FLOAT, x - nx, y - ny, z - nz))
 
         times.append(t)

@@ -38,6 +38,13 @@ SINGULARITY_GUARD = 1e-8
 KEPLER_TOL = 1e-13
 KEPLER_MAX_ITER = 60
 
+# The constants of arithmetic that only a batch runs, as 0-d arrays: numpy
+# takes an array operand faster than a Python float, and the value, so
+# every bit, is the same (DECISIONS.md, "The batch step is bound by call
+# count").
+_ONE, _TWO, _SIX, _HALF = (np.array(v) for v in (1.0, 2.0, 6.0, 0.5))
+_PI, _TWO_PI, _KEPLER_TOL, _DANBY = (np.array(v) for v in (math.pi, TWO_PI, KEPLER_TOL, 0.85))
+
 
 @dataclass(frozen=True)
 class OrbitalElements:
@@ -177,17 +184,29 @@ def solve_kepler_array(mean_anomaly, e) -> np.ndarray:
     # math.remainder as an exact fmod folded into [-pi, pi]; the two part
     # only at an exact tie, +pi against -pi, which solve to the same E
     m = np.fmod(np.asarray(mean_anomaly, dtype=float), TWO_PI)
-    m = np.where(m > math.pi, m - TWO_PI, np.where(m < -math.pi, m + TWO_PI, m))
+    return solve_kepler_reduced(np.where(m < -math.pi, m + TWO_PI, m), e)
+
+
+def solve_kepler_reduced(m, e) -> np.ndarray:
+    """``solve_kepler_array`` on an array of mean anomalies in [-pi, 2 pi],
+    such as ``M % TWO_PI`` gives: on those the fmod and the fold from below
+    are the identity, so only the fold from above is left."""
+    # m - 2 pi where m > pi: subtracting 0 leaves every other m as it is,
+    # -0 included, and costs less than a where
+    m = m - _TWO_PI * (m > _PI)
 
     # Newton on every element, each frozen once it has converged: cheaper
-    # than gathering the live elements at the sizes the deflection batch runs
-    E = m + 0.85 * np.copysign(e, np.sin(m))
+    # than gathering the live elements at the sizes the deflection batch
+    # runs. Until the first element converges there is nothing to freeze.
+    E = m + _DANBY * np.copysign(e, np.sin(m))
     for _ in range(KEPLER_MAX_ITER):
         f = E - e * np.sin(E) - m
-        done = np.abs(f) < KEPLER_TOL
-        if np.count_nonzero(done) == done.size:
-            return E % TWO_PI
-        E = np.where(done, E, E - f / (1.0 - e * np.cos(E)))
+        done = np.abs(f) < _KEPLER_TOL
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:
+            return E % _TWO_PI
+        newton = E - f / (_ONE - e * np.cos(E))
+        E = np.where(done, E, newton) if n_done else newton
     # Newton failed (should not happen for e < 1); bisect on [m-e, m+e]
     E_flat, m_flat = E.reshape(-1), m.reshape(-1)
     e = np.broadcast_to(e, m.shape).reshape(-1)
@@ -352,30 +371,30 @@ def flight_path_angle(e: float, nu):
 # Gauss variational equations and the RK4 step
 # ---------------------------------------------------------------------------
 
-def gauss_rates_rtn(a, e, inc, argp, nu, u_r, u_s, u_w, mu: float) -> tuple:
+def gauss_rates_rtn(a, e, inc, argp, nu, cos_nu, sin_nu, one_e2, p, r, e_sin,
+                    u_r, u_s, u_w, mu: float) -> tuple:
     """Element rates (da, de, di, draan, dargp, dM)/dt on floats, or on
     (N,) columns with one orbit per row.
 
     The classic radial/transverse/normal form of the Gauss variational
     equations (Battin): ``u_r`` along the radius, ``u_s`` transverse in the
-    orbit plane, ``u_w`` along the angular momentum. The out-of-plane terms
-    are skipped when u_w = 0 (a batch row with u_w = 0 gets terms of +-0),
-    so a planar orbit (i = 0) never meets the sin(i) singularity; e = 0
-    stays singular. No guards: the deflection loop calls this millions of
-    times.
+    orbit plane, ``u_w`` along the angular momentum. The caller passes the
+    factors of the orbit at ``nu`` that it forms anyway: cos and sin of nu,
+    one_e2 = 1 - e*e, p = a * one_e2, r = p / (1 + e cos nu) and
+    e_sin = e * sin nu. The out-of-plane terms are skipped when u_w = 0 (a
+    batch row with u_w = 0 gets terms of +-0), so a planar orbit (i = 0)
+    never meets the sin(i) singularity; e = 0 stays singular. No guards:
+    the deflection loop calls this millions of times.
     """
     # the deflection loop calls this once per rates call, so floats skip
     # the xp() call
     m = batch.FLOAT if isinstance(nu, float) else batch.ARRAY
-    p = a * (1.0 - e * e)
-    cos_nu, sin_nu = m.cos(nu), m.sin(nu)
-    r = p / (1.0 + e * cos_nu)
     h = m.sqrt(mu * p)
     # shared factors, formed as each term forms them
     p_cos, p_r, h_e = p * cos_nu, p + r, h * e
     p_r_sin = p_r * sin_nu
 
-    da = 2.0 * a * a / h * (e * sin_nu * u_r + (p / r) * u_s)
+    da = 2.0 * a * a / h * (e_sin * u_r + (p / r) * u_s)
     de = (p * sin_nu * u_r + (p_r * cos_nu + r * e) * u_s) / h
     dargp = (-p_cos * u_r + p_r_sin * u_s) / h_e
     di = draan = 0.0
@@ -385,11 +404,13 @@ def gauss_rates_rtn(a, e, inc, argp, nu, u_r, u_s, u_w, mu: float) -> tuple:
         cos_th, sin_th = m.cos(theta), m.sin(theta)
         # A row of a batch with u_w = 0 takes sin(i) = 1, so its terms are
         # +-0: adding them leaves its elements as they are
-        h_sin_i = h * m.where(out_of_plane, m.sin(inc), 1.0)
+        sin_i = m.sin(inc)
+        h_sin_i = h * (sin_i if m.all(out_of_plane) else m.where(out_of_plane, sin_i, 1.0))
+        r_sin_th = r * sin_th
         di = r * cos_th / h * u_w
-        draan = r * sin_th / h_sin_i * u_w
-        dargp = dargp - r * sin_th * m.cos(inc) / h_sin_i * u_w
-    eta = m.sqrt(1.0 - e * e)
+        draan = r_sin_th / h_sin_i * u_w
+        dargp = dargp - r_sin_th * m.cos(inc) / h_sin_i * u_w
+    eta = m.sqrt(one_e2)
     dm = m.sqrt(mu / a**3) + eta / h_e * ((p_cos - 2.0 * r * e) * u_r - p_r_sin * u_s)
     return da, de, di, draan, dargp, dm
 
@@ -407,29 +428,54 @@ def gauss_rates(k: OrbitalElements, u_tnh: np.ndarray, mu: float) -> np.ndarray:
     if k.i < SINGULARITY_GUARD:
         raise ValueError(f"Gauss rates singular: i={k.i} below guard {SINGULARITY_GUARD}")
 
-    e = k.e
+    a, e = k.a, k.e
     nu = k.true_anomaly()
-    sin_nu, one_ec = math.sin(nu), 1.0 + e * math.cos(nu)
+    cos_nu, sin_nu = math.cos(nu), math.sin(nu)
+    one_ec = 1.0 + e * cos_nu
+    one_e2 = 1.0 - e * e
+    p = a * one_e2
+    e_sin = e * sin_nu
     u_t, u_n, u_h = float(u_tnh[0]), float(u_tnh[1]), float(u_tnh[2])
     # Rotate (t, n) -> (radial, transverse): t = sin(g) r + cos(g) s,
     # n = h x t = sin(g) s - cos(g) r, with g the flight-path angle.
-    w = math.hypot(e * sin_nu, one_ec)
-    sin_g = e * sin_nu / w
+    w = math.hypot(e_sin, one_ec)
+    sin_g = e_sin / w
     cos_g = one_ec / w
-    return np.array(gauss_rates_rtn(k.a, e, k.i, k.argp, nu, u_t * sin_g - u_n * cos_g,
+    return np.array(gauss_rates_rtn(a, e, k.i, k.argp, nu, cos_nu, sin_nu, one_e2, p,
+                                    p / one_ec, e_sin, u_t * sin_g - u_n * cos_g,
                                     u_t * cos_g + u_n * sin_g, u_h, mu))
 
 
-def rk4_step(f, t: float, y, dt: float):
+class NonFiniteStateError(ValueError):
+    """A component of an integrator's state that is not finite after a step.
+    ``row`` is the index of the run among the ones integrated together, or
+    None for a run on its own."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
+def rk4_step(f, t, y, dt):
     """One classic fixed-step RK4 step of dy/dt = f(t, y).
 
-    ``f(t, y) -> (dy, aux)`` takes and gives sequences of floats, or of
-    (N,) columns with one run per row (``t`` and ``dt`` then columns too);
-    ``aux`` is whatever the caller records at the start of the step.
-    Returns the new state as a list and the ``aux`` of the first stage.
+    ``f(t, y) -> (dy, aux)`` takes and gives a sequence of floats or of (N,)
+    columns, or a (K, N) array with one run per column (``t`` and ``dt``
+    then (N,) columns): the array form forms each stage as one expression
+    over the whole state, with the same arithmetic per element, so the
+    same bits. ``aux`` is whatever the caller records at the start of the
+    step. Returns the new state, a list or a (K, N) array, and the ``aux``
+    of the first stage.
     """
-    half, sixth = 0.5 * dt, dt / 6.0
     k1, aux = f(t, y)
+    if isinstance(y, np.ndarray):
+        half, sixth = _HALF * dt, dt / _SIX
+        t_half = t + half
+        k2 = f(t_half, y + half * k1)[0]
+        k3 = f(t_half, y + half * k2)[0]
+        k4 = f(t + dt, y + dt * k3)[0]
+        return y + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4), aux
+    half, sixth = 0.5 * dt, dt / 6.0
     k2 = f(t + half, [yj + half * kj for yj, kj in zip(y, k1)])[0]
     k3 = f(t + half, [yj + half * kj for yj, kj in zip(y, k2)])[0]
     k4 = f(t + dt, [yj + dt * kj for yj, kj in zip(y, k3)])[0]
@@ -576,9 +622,10 @@ def proximal_factors(k: ProximalConstants, c, s, r, cos_th, sin_th):
     its order, and squares are products, as numpy forms them.
     """
     a, e, _, a_e, _, eta, eta2, eta3, cos_i, sin_i = k
-    q = 1.0 + e * c
+    e_c = e * c
+    q = 1.0 + e_c
     # x's two factors, y's four, z's two: the order proximal_position reads
-    return (a_e * s / eta, a * c, (r / eta3) * (q * q), r, (r * s / eta2) * (2.0 + e * c),
+    return (a_e * s / eta, a * c, (r / eta3) * (q * q), r, (r * s / eta2) * (2.0 + e_c),
             r * cos_i, sin_th, cos_th * sin_i)
 
 

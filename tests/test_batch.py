@@ -26,8 +26,10 @@ from laserfleet.formation import (
 from laserfleet.orbits import (
     flight_path_angle,
     mean_to_true,
+    rk4_step,
     solve_kepler,
     solve_kepler_array,
+    solve_kepler_reduced,
 )
 from laserfleet.plume import (
     line_length,
@@ -108,6 +110,74 @@ def test_kepler_array_bisection_fallback(rng, monkeypatch):
         assert np.all(_wrapped_gap(got, want) <= 1e-12 / (1.0 - e))
         residual = got - e * np.sin(got) - np.remainder(m, TWO_PI)
         assert np.all(np.abs(np.remainder(residual + math.pi, TWO_PI) - math.pi) < 1e-12)
+
+
+def _reprs(values):
+    return [repr(float(v)) for v in values]
+
+
+def test_kepler_reduced_is_scalar_bits(rng):
+    """The batch's entry, which takes M % TWO_PI without the fmod and the
+    fold from below, gives ``solve_kepler``'s bits: at the ends and the
+    middle of [0, 2 pi), at e = 0, and over mixed eccentricities."""
+    pi = math.pi
+    edges = np.array([0.0, -0.0, 1e-300, pi, math.nextafter(pi, 0.0), math.nextafter(pi, 4.0),
+                      math.nextafter(TWO_PI, 0.0), TWO_PI, 1.0, 5.0])
+    m = np.concatenate([edges, rng.uniform(-20.0, 20.0, 300) % TWO_PI])
+    for e in (0.0, 0.1912, 0.97):
+        want = [solve_kepler(float(v), e) for v in m]
+        assert _reprs(solve_kepler_reduced(m, e)) == _reprs(want)
+        assert _reprs(solve_kepler_array(m, e)) == _reprs(want)
+    e = rng.uniform(0.0, 0.97, m.size)
+    e[:edges.size] = 0.0
+    want = [solve_kepler(float(v), float(ev)) for v, ev in zip(m, e)]
+    assert _reprs(solve_kepler_reduced(m, e)) == _reprs(want)
+
+
+def test_kepler_reduced_freezes_early_elements(rng, monkeypatch):
+    """Over mixed eccentricities some elements converge a check before the
+    rest; each is frozen where the scalar solver returns it."""
+    m = rng.uniform(0.0, TWO_PI, 400)
+    e = rng.uniform(0.0, 0.97, m.size)
+    full = solve_kepler_reduced(m, e)
+    assert _reprs(full) == _reprs(solve_kepler(float(v), float(ev)) for v, ev in zip(m, e))
+    # with k checks, the elements done by check k keep their bits and the
+    # rest go to the bisection
+    done = []
+    for k in range(1, 8):
+        monkeypatch.setattr(orbits, "KEPLER_MAX_ITER", k)
+        done.append(int(np.count_nonzero(solve_kepler_reduced(m, e) == full)))
+    assert any(0 < n < m.size for n in done), done
+    assert done[-1] == m.size
+
+
+def test_rk4_array_form_is_the_column_form(rng):
+    """``rk4_step`` on an (8, N) array gives, bit for bit, what its list form
+    gives on the eight (N,) columns."""
+    n = 57
+    y = rng.normal(size=(8, n)) * rng.uniform(0.1, 1e3, (8, 1))
+    t = rng.uniform(0.0, 1e6, n)
+    dt = rng.uniform(10.0, 3e4, n)
+
+    def rhs(t, y):
+        a, b, c, d, e, f, g, h = y
+        dy = (np.sin(b) * 1e-3 - a * 1e-6, c / (1.0 + d * d), -h * np.cos(t * 1e-5), e - f,
+              np.exp(-abs(g) * 1e-3), a * b * 1e-6, 1e-4 * t / (1.0 + h * h), -0.5 * c)
+        return batch.ARRAY.stack(dy), (a + b, c)
+
+    new, aux = rk4_step(rhs, t, y, dt)
+    old, old_aux = rk4_step(lambda t, y: (tuple(rhs(t, y)[0]), rhs(t, y)[1]), t, list(y), dt)
+    assert isinstance(new, np.ndarray) and new.shape == (8, n)
+    assert [_reprs(row) for row in new] == [_reprs(col) for col in old]
+    assert all(np.array_equal(p, q) for p, q in zip(aux, old_aux))
+
+
+def test_stack_fills_a_row_of_a_float():
+    """A float among the columns, from a branch no sample took, fills its row."""
+    a, b = np.arange(3.0), np.arange(3.0, 6.0)
+    got = batch.ARRAY.stack((a, 0.0, b))
+    assert got.tolist() == [[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 5.0]]
+    assert batch.FLOAT.stack((1.0, 2.0)) == (1.0, 2.0)
 
 
 def test_anomaly_relations_take_arrays(rng):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,9 @@ from laserfleet.deflection import (
     simulate_deflection,
     simulate_deflections,
 )
+from laserfleet import deflection
 from laserfleet.formation import NaturalOrbit, ShapedOrbit
-from laserfleet.orbits import OrbitalElements, ProximalConstants
+from laserfleet.orbits import NonFiniteStateError, OrbitalElements, ProximalConstants
 from laserfleet.sizing import design_from_option, mass_budget
 from laserfleet.sublimation import ellipse_radius, mass_flow_from_power
 
@@ -181,6 +183,84 @@ def test_flow_columns_match_table(ast, rng):
                                         if hi - lo == 2 else [])
         got = columns.lookup(runs)(np.concatenate(ps))
         assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+
+
+def test_flow_columns_take_one_search_on_a_shared_grid(ast, rng):
+    """Tables on one power grid, as the map's are, take one search and an
+    offset per row; tables on different grids keep a search per table. Both
+    give ``MdotTable.__call__``'s bits, beyond both ends too."""
+    design = design_from_option(5.0, 5000.0, option="60/40")
+    p_max = peak_spot_power(design, ast, ast.elements0)
+    cases = {True: [MdotTable.for_orbit(design_from_option(d, 5000.0, option="60/40"), ast,
+                                        ast.elements0) for d in (5.0, 10.0, 20.0)],
+             False: [MdotTable.build(design, ast, p_max), MdotTable.build(design, ast, 0.5 * p_max),
+                     MdotTable.build(design, ast, p_max, n_points=40)]}
+    for shared, tables in cases.items():
+        columns = _FlowColumns(tables)
+        assert columns.shared is shared
+        ps, want, runs = [], [], []
+        for t, table in enumerate(tables):
+            grid = np.array(table.powers)
+            p = np.concatenate([grid, rng.uniform(-1.0, 1.2 * grid[-1], 200),
+                                [-0.0, 1e300, np.nextafter(grid[-1], 0.0)]])
+            runs.append((sum(x.size for x in ps), sum(x.size for x in ps) + p.size, t))
+            ps.append(p)
+            want += [table(float(v)) for v in p]
+        got = columns.lookup(runs)(np.concatenate(ps))
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+
+
+def _nan_at(monkeypatch, call, column=None):
+    """Make ``eccentric_to_true`` in ``deflection`` give NaN at its ``call``-th
+    call (from 1), in one column of a batch or everywhere."""
+    relation, calls = deflection.eccentric_to_true, []
+
+    def nan_once(E, e):
+        calls.append(None)
+        nu = relation(E, e)
+        if len(calls) == call:
+            if column is None:
+                return nu * math.nan
+            nu = nu.copy()
+            nu[column] = math.nan
+        return nu
+    monkeypatch.setattr(deflection, "eccentric_to_true", nan_once)
+    return calls
+
+
+def test_float_run_stops_at_a_non_finite_state(ast, earth, monkeypatch):
+    """A NaN anomaly in the first stage of step 7 stops the run after that
+    step, naming the first component, the step and its time."""
+    design = design_from_option(10.0, 5000.0, n_spacecraft=4, option="60/40")
+    sc = scenario(ast, earth, design, 1200.0, 0.2 * YEAR)
+    dt = float(simulate_deflection(sc).times[1]) / sc.record_every
+    calls = _nan_at(monkeypatch, 1 + 4 * 6 + 1)
+    with pytest.raises(NonFiniteStateError, match=r"^deflection state a is nan after step 7 "
+                       r"at t = ([0-9.]+) s$") as info:
+        simulate_deflection(sc)
+    assert info.value.row is None
+    assert float(re.search(r"t = ([0-9.]+) s", str(info.value))[1]) == pytest.approx(7 * dt)
+    assert len(calls) == 1 + 4 * 7
+
+
+def test_batch_stops_at_a_non_finite_state(ast, earth, monkeypatch):
+    """A NaN in one column of a batch stops it after that step and names the
+    run's index in the scenarios; the batch orders its columns by
+    formation, so column 2 is scenario 1."""
+    design = design_from_option(10.0, 5000.0, n_spacecraft=4, option="60/40")
+    cells = [scenario(ast, earth, design, 1200.0, 0.2 * YEAR, formation=f)
+             for f in (SHAPED, NATURAL, SHAPED)]
+    dt = float(simulate_deflection(cells[1]).times[1]) / cells[1].record_every
+    _nan_at(monkeypatch, 1 + 4 * 2 + 3, column=2)
+    with pytest.raises(NonFiniteStateError, match=r"^deflection state a of scenario 1 is nan "
+                       r"after step 3 at t = ([0-9.]+) s$") as info:
+        simulate_deflections(cells)
+    assert info.value.row == 1
+    assert float(re.search(r"t = ([0-9.]+) s", str(info.value))[1]) == pytest.approx(3 * dt)
+    # NaN everywhere: the first of the scenarios is named
+    _nan_at(monkeypatch, 1 + 4 * 2 + 3)
+    with pytest.raises(NonFiniteStateError, match=r"of scenario 0 is nan after step 3 "):
+        simulate_deflections(cells)
 
 
 def _batch_cells(ast, earth):

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from laserfleet.formation import (
     shaped_objectives,
 )
 from laserfleet.orbits import (
+    NonFiniteStateError,
     OrbitalElements,
     bplane_miss,
     elements_to_state,
@@ -149,6 +152,29 @@ def test_sweep_matches_inline_recipe(sweep_scenario):
     for row in table.rows:
         if row[i_in]:
             assert row[i_b] > 0.0
+
+
+def test_sweep_names_the_cell_of_a_non_finite_state(sweep_scenario, monkeypatch):
+    """A NaN in the second step stops the sweep, naming the first crossing
+    cell of the grid by its perihelion and aphelion."""
+    import laserfleet.deflection as deflection_mod
+
+    relation, calls = deflection_mod.eccentric_to_true, []
+
+    def nan_in_step_2(E, e):
+        calls.append(None)
+        nu = relation(E, e)
+        return nu * math.nan if len(calls) == 1 + 4 + 1 else nu
+
+    monkeypatch.setattr(deflection_mod, "eccentric_to_true", nan_in_step_2)
+    exp = sweep_scenario.experiments
+    small = dataclasses.replace(sweep_scenario, experiments=exp | {
+        "eccentricity_sweep": exp["eccentricity_sweep"] | {"n_perihelion": 2,
+                                                           "n_aphelion": 2}})
+    with pytest.raises(NonFiniteStateError, match=re.escape(
+            "eccentricity sweep cell (r_perihelion, r_aphelion) / AU = (0.5, 1.0): "
+            "deflection state a of scenario 0 is nan after step 2 at t = ")):
+        run_eccentricity_sweep(small)
 
 
 def test_sweep_rows_match_cells_with_their_own_tables(sweep_scenario):

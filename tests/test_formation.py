@@ -30,7 +30,13 @@ from laserfleet.formation import (
     sun_distance,
     sweep_extremum,
 )
-from laserfleet.orbits import flight_path_angle, linear_proximal_position, mean_to_true, rk4_step
+from laserfleet.orbits import (
+    NonFiniteStateError,
+    flight_path_angle,
+    linear_proximal_position,
+    mean_to_true,
+    rk4_step,
+)
 from laserfleet.sizing import mass_budget
 
 
@@ -251,7 +257,8 @@ def test_tracking_stops_at_a_non_finite_state(ast, design_20m, monkeypatch):
         return (math.nan,) * 3 if len(calls) > 4 * 4 else gradient(*args)
 
     monkeypatch.setattr(formation, "gravity_gradient", nan_from_step_5)
-    with pytest.raises(ValueError, match=r"tracking state x is nan after step 5 at t = 2000\.0 s"):
+    with pytest.raises(NonFiniteStateError,
+                       match=r"tracking state x is nan after step 5 at t = 2000\.0 s"):
         simulate_tracking(SHIPPED_DK, ast, design_20m, 4000.0, duration=2 * DAY, step=400.0)
     assert len(calls) == 5 * 4
 

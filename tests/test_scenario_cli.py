@@ -343,6 +343,31 @@ def test_cli_deflection_map_end_to_end(tmp_path, capsys):
         assert key in meta
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_non_finite_state_exits_1_naming_the_cell(threads, tmp_path, monkeypatch, capsys):
+    """A NaN that a relation gives in the third step stops the map: exit 1,
+    and the message names the cell, the component, the step and the time."""
+    import laserfleet.deflection as deflection_mod
+
+    relation, calls = deflection_mod.eccentric_to_true, []
+
+    def nan_in_step_3(E, e):
+        calls.append(None)
+        nu = relation(E, e)
+        return nu * math.nan if len(calls) == 1 + 4 * 2 + 1 else nu
+
+    monkeypatch.setattr(deflection_mod, "eccentric_to_true", nan_in_step_3)
+    path = small_map_scenario(tmp_path)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--threads", threads,
+                 "deflection-map"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: deflection map cell (mode, aperture, n_spacecraft, "
+                          "warning_yr) = ('natural', 10.0, 1, 1.0): deflection state a of "
+                          "scenario 0 is nan after step 3 at t = "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "deflection_map.csv").exists()
+
+
 def test_cli_seed_override_changes_nothing_for_grid(tmp_path):
     # grid experiments are seed-independent by construction; the table must
     # still record the seed that was requested
