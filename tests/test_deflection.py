@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from laserfleet import batch
+from laserfleet import batch, deflection
 from laserfleet.constants import AU, TWO_PI, YEAR
 from laserfleet.deflection import (
     DeflectionScenario,
@@ -16,7 +16,6 @@ from laserfleet.deflection import (
     simulate_deflection,
     simulate_deflections,
 )
-from laserfleet import deflection
 from laserfleet.formation import NaturalOrbit, ShapedOrbit
 from laserfleet.orbits import NonFiniteStateError, OrbitalElements, ProximalConstants
 from laserfleet.sizing import design_from_option, mass_budget
