@@ -138,65 +138,52 @@ class MdotTable:
         the one ``simulate_deflection`` builds when it is given none."""
         return cls.build(design, ast, peak_spot_power(design, ast, k))
 
+    @cached_property
+    def _intervals(self) -> tuple:
+        """(f_lo, p_lo, dp, df) of each interval, indexed by ``bisect_right``'s
+        j: the grid's intervals between two zero-slope ends, which are the
+        clamps. NaN gives the last interval and passes through."""
+        p, f = self.powers, self.flows
+        inner = ((f[j - 1], p[j - 1], p[j] - p[j - 1], f[j] - f[j - 1])
+                 for j in range(1, len(p)))
+        return ((f[0], p[0], 1.0, 0.0), *inner, (f[-1], p[-1], 1.0, 0.0))
+
     def __call__(self, p_in: float) -> float:
-        powers, flows = self.powers, self.flows
-        if p_in <= powers[0]:
-            return flows[0]
-        if p_in >= powers[-1]:
-            return flows[-1]
-        if p_in != p_in:
-            return p_in  # NaN passes, as through the batch's lookup
-        j = bisect.bisect_right(powers, p_in)
-        w = (p_in - powers[j - 1]) / (powers[j] - powers[j - 1])
-        return flows[j - 1] + w * (flows[j] - flows[j - 1])
+        f_lo, p_lo, dp, df = self._intervals[bisect.bisect_right(self.powers, p_in)]
+        return f_lo + (p_in - p_lo) / dp * df
 
 
 class _FlowColumns:
     """``MdotTable.__call__`` on a column of powers whose rows run on several
-    tables: the same bisection and the same interpolation, so the same bits.
+    tables: the tables' intervals side by side, so the same interval and
+    the same interpolation, so the same bits.
 
-    Each table's intervals are indexed by ``bisect_right``'s j; the two
-    outer ones hold the end flows with a zero slope, which is the clamp.
-    When every table has the same power grid, as the map's do (the peak
-    power does not depend on the aperture), one search on that grid gives
-    each row its j, and the row's table adds its offset.
+    Rows whose tables share a power grid, as the map's do (the peak power
+    does not depend on the aperture), take one search on that grid, and
+    each row's table adds its offset.
     """
 
     def __init__(self, tables):
-        self.powers = [np.array(t.powers) for t in tables]
-        self.offsets = np.cumsum([0] + [p.size + 1 for p in self.powers[:-1]]).tolist()
-        self.shared = all(t.powers == tables[0].powers for t in tables)
-        p_lo, dp, f_lo, df = [], [], [], []
-        for p, f in zip(self.powers, (np.array(t.flows) for t in tables)):
-            p_lo += [p[:1], p[:-1], p[-1:]]
-            dp += [[1.0], np.diff(p), [1.0]]
-            f_lo += [f[:1], f[:-1], f[-1:]]
-            df += [[0.0], np.diff(f), [0.0]]
+        self.offsets = np.cumsum([0] + [len(t._intervals) for t in tables[:-1]]).tolist()
+        grid_index = {}
+        self.grid_of = [grid_index.setdefault(t.powers, len(grid_index)) for t in tables]
+        self.grids = [np.array(g) for g in grid_index]
         # one row each of (f_lo, p_lo, dp, df): a row's interval is one take
-        self.intervals = np.array([np.concatenate(part) for part in (f_lo, p_lo, dp, df)])
+        self.intervals = np.array([iv for t in tables for iv in t._intervals]).T.copy()
 
     def lookup(self, runs):
         """The flow relation of rows whose table indices run as ``runs``
         (``batch.runs``)."""
-        intervals = self.intervals
-        if self.shared or len(runs) == 1:
-            powers = self.powers[runs[0][2]]
-            offset = np.repeat([self.offsets[t] for _, _, t in runs],
-                               [hi - lo for lo, hi, _ in runs])
-
-            def search(p):
-                return powers.searchsorted(p, "right") + offset
-        else:
-            parts = [(lo, hi, self.powers[t], self.offsets[t]) for lo, hi, t in runs]
-
-            def search(p):
-                j = np.empty(p.shape, dtype=np.intp)
-                for lo, hi, powers, offset in parts:
-                    j[lo:hi] = powers.searchsorted(p[lo:hi], "right") + offset
-                return j
+        intervals, grids = self.intervals, self.grids
+        offset = np.repeat([self.offsets[t] for _, _, t in runs],
+                           [hi - lo for lo, hi, _ in runs])
+        searches = [(slice(runs[a][0], runs[b - 1][1]), grids[g]) for a, b, g
+                    in batch.runs([self.grid_of[t] for _, _, t in runs])]
 
         def flow(p):
-            f_lo, p_lo, dp, df = intervals.take(search(p), axis=1)
+            j = [grid.searchsorted(p[rows], "right") for rows, grid in searches]
+            j = j[0] if len(j) == 1 else np.concatenate(j)
+            f_lo, p_lo, dp, df = intervals.take(j + offset, axis=1)
             return f_lo + (p - p_lo) / dp * df
         return flow
 

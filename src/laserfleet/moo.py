@@ -20,12 +20,15 @@ made (DECISIONS.md, "Optimizer bookkeeping on floats").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 # at import, so that no optimizer run loads numpy.random inside its study
 from numpy.random import default_rng
+
+from .orbits import NonFiniteStateError
 
 N_POLISH = 2  # pattern-search polishes from archive members, per generation
 
@@ -384,6 +387,8 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
     """Run the archive-based evolutionary search.
 
     Deterministic for a fixed (problem, budget, seed, population) tuple.
+    An evaluation with an objective or a violation that is not finite
+    raises ``orbits.NonFiniteStateError`` naming its number and ``x``.
     ``on_generation(gen, archive, n_evals)`` is called after every archive
     update round, e.g. to assert archive invariants generation by
     generation.
@@ -401,7 +406,12 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
         x = np.array(x)
         objs, cons = evaluate(x)
         evals += 1
-        return ArchiveMember(x, objs, cons)
+        m = ArchiveMember(x, objs, cons)
+        if not all(map(math.isfinite, m.objectives + m.violations)):
+            raise NonFiniteStateError(
+                f"optimizer evaluation {evals} at x = {x.tolist()} gave objectives "
+                f"{m.objectives} and violations {m.violations}, not all finite")
+        return m
 
     span = [hi - lo for lo, hi in zip(lower, upper)]
     pop = []

@@ -146,23 +146,20 @@ def solve_kepler(mean_anomaly: float, e: float) -> float:
     if Newton leaves the bracket. Converges to |E - e sinE - M| < 1e-13.
     """
     m = math.remainder(mean_anomaly, TWO_PI)  # [-pi, pi], best conditioning
-    if e == 0.0:
-        return m % TWO_PI
-    ecc = e
-    # Starter: Danby's initial guess
+    # Starter: Danby's initial guess, at e = 0 the root itself
     sin, cos = math.sin, math.cos  # the deflection loop calls this millions of times
-    E = m + 0.85 * math.copysign(ecc, sin(m))
+    E = m + 0.85 * math.copysign(e, sin(m))
     for _ in range(KEPLER_MAX_ITER):
-        f = E - ecc * sin(E) - m
+        f = E - e * sin(E) - m
         if abs(f) < KEPLER_TOL:
             return E % TWO_PI
-        fp = 1.0 - ecc * cos(E)
+        fp = 1.0 - e * cos(E)
         E -= f / fp
     # Newton failed (should not happen for e < 1); bisect on [m-e, m+e]
-    lo, hi = m - ecc, m + ecc
+    lo, hi = m - e, m + e
     for _ in range(200):
         E = 0.5 * (lo + hi)
-        f = E - ecc * math.sin(E) - m
+        f = E - e * math.sin(E) - m
         if abs(f) < KEPLER_TOL:
             break
         if f > 0.0:
@@ -178,8 +175,7 @@ def solve_kepler_array(mean_anomaly, e) -> np.ndarray:
     ``e`` is one eccentricity or one per element. Same reduction to
     [-pi, pi], Danby starter, tolerance, iteration cap and bisection
     fallback as the scalar solver; each element stops where the scalar
-    solver would return it. (At e = 0 the starter is already the root, so
-    the scalar solver's shortcut gives the same bits.)
+    solver would return it.
     """
     # math.remainder as an exact fmod folded into [-pi, pi]; the two part
     # only at an exact tie, +pi against -pi, which solve to the same E
@@ -447,9 +443,10 @@ def gauss_rates(k: OrbitalElements, u_tnh: np.ndarray, mu: float) -> np.ndarray:
 
 
 class NonFiniteStateError(ValueError):
-    """A component of an integrator's state that is not finite after a step.
-    ``row`` is the index of the run among the ones integrated together, or
-    None for a run on its own."""
+    """A component of an integrator's state that is not finite after a step,
+    or an objective or violation of an optimizer's evaluation
+    (``moo.optimize``). ``row`` is the index of the run among the ones
+    integrated together, or None for a run on its own."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)

@@ -184,29 +184,47 @@ def test_flow_columns_match_table(ast, rng):
         assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
 
 
+class _CountedGrid(np.ndarray):
+    """A power grid that counts the searches made on it."""
+
+    searches = 0
+
+    def searchsorted(self, *args, **kwargs):
+        _CountedGrid.searches += 1
+        return np.asarray(self).searchsorted(*args, **kwargs)
+
+
 def test_flow_columns_take_one_search_on_a_shared_grid(ast, rng):
-    """Tables on one power grid, as the map's are, take one search and an
-    offset per row; tables on different grids keep a search per table. Both
-    give ``MdotTable.__call__``'s bits, beyond both ends too."""
+    """Each run of rows whose tables share a power grid takes one search:
+    one for the map's rows on two tables of one grid, three for a sweep's
+    rows on grids A, A, B, A. The batch gives the floats' flows by ``repr``
+    on the grid points, between them, beyond both clamps, at -0.0 and at
+    1e300, and NaN passes through both."""
     design = design_from_option(5.0, 5000.0, option="60/40")
     p_max = peak_spot_power(design, ast, ast.elements0)
-    cases = {True: [MdotTable.for_orbit(design_from_option(d, 5000.0, option="60/40"), ast,
-                                        ast.elements0) for d in (5.0, 10.0, 20.0)],
-             False: [MdotTable.build(design, ast, p_max), MdotTable.build(design, ast, 0.5 * p_max),
-                     MdotTable.build(design, ast, p_max, n_points=40)]}
-    for shared, tables in cases.items():
+    a1, a2, a3 = (MdotTable.for_orbit(design_from_option(d, 5000.0, option="60/40"), ast,
+                                      ast.elements0) for d in (5.0, 10.0, 20.0))
+    b, c = MdotTable.build(design, ast, 0.5 * p_max), MdotTable.build(design, ast, p_max,
+                                                                       n_points=40)
+    assert a1.powers == a2.powers == a3.powers != b.powers
+    for tables, searches in (([a1, a2], 1), ([a1, a2, b, a3], 3), ([b, c, a1], 3), ([c], 1)):
         columns = _FlowColumns(tables)
-        assert columns.shared is shared
+        columns.grids = [g.view(_CountedGrid) for g in columns.grids]
         ps, want, runs = [], [], []
         for t, table in enumerate(tables):
             grid = np.array(table.powers)
-            p = np.concatenate([grid, rng.uniform(-1.0, 1.2 * grid[-1], 200),
-                                [-0.0, 1e300, np.nextafter(grid[-1], 0.0)]])
+            p = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]),
+                                rng.uniform(-1.0, 1.2 * grid[-1], 200),
+                                [-0.0, -1.0, 1e300, np.nextafter(grid[-1], 0.0), math.nan]])
             runs.append((sum(x.size for x in ps), sum(x.size for x in ps) + p.size, t))
             ps.append(p)
             want += [table(float(v)) for v in p]
-        got = columns.lookup(runs)(np.concatenate(ps))
+        flow = columns.lookup(runs)
+        _CountedGrid.searches = 0
+        got = flow(np.concatenate(ps))
+        assert _CountedGrid.searches == searches
         assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+        assert math.isnan(want[-1]) and math.isnan(got[-1])
 
 
 def _nan_at(monkeypatch, call, column=None):

@@ -493,6 +493,33 @@ def test_cli_formation_design_small(tmp_path):
         assert cells[fam_col] in ("+z", "-z")
 
 
+def test_cli_non_finite_objective_exits_1_naming_the_evaluation(tmp_path, monkeypatch,
+                                                                capsys):
+    """A NaN objective from the fifth evaluation stops the formation study:
+    exit 1, and the message names the evaluation and its x."""
+    relation, calls = experiments_mod.natural_orbit_objectives, []
+
+    def nan_at_call_5(x, *args):
+        calls.append(x.tolist())
+        res = relation(x, *args)
+        return res | {"J1": math.nan} if len(calls) == 5 else res
+
+    monkeypatch.setattr(experiments_mod, "natural_orbit_objectives", nan_at_call_5)
+    doc = nominal_doc()
+    doc["optimizer"] = {"population": 8, "budget": 16, "archive": 8}
+    doc["formation"]["y_limits"] = [{"value": 1000.0, "unit": "m"}]
+    path = tmp_path / "formation.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"),
+                 "formation-design"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: optimizer evaluation 5 at x = {calls[4]} gave objectives "
+                          "(nan, "), err
+    assert "Traceback" not in err
+    assert len(calls) == 5
+    assert not (tmp_path / "out" / "formation_design.csv").exists()
+
+
 def test_sweep_scenario_loads():
     sc = load_scenario(SWEEP)
     assert sc.earth.elements.e == 0.0 and sc.earth.elements.a == AU
