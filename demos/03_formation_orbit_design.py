@@ -48,10 +48,10 @@ print(f"family {natural_family_label(dk, k_a, y_lim)} mirrors to "
 # a small Pareto run over the published element-delta box
 def evaluate(x):
     r = natural_orbit_objectives(x, k_a, y_lim)
-    return np.array([r["J1"], r["J2"]]), np.array([max(0.0, -r["C"])])
+    return (r["J1"], r["J2"]), (-r["C"],)  # the constraint -C <= 0 keeps C >= 0
 
 problem = ProblemSpec(lower=NATURAL_BOUNDS_LOWER, upper=NATURAL_BOUNDS_UPPER,
-                      n_objectives=2, n_constraints=1, evaluate=evaluate)
+                      evaluate=evaluate)
 result = optimize(problem, budget=1200, seed=1, population=24)
 members = result.archive.members
 print(f"\nPareto archive after 1200 evaluations: {len(members)} members")

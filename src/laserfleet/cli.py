@@ -243,8 +243,7 @@ def _check_optimizer():
     def evaluate(x):
         return np.array([x[0]**2, (x[0] - 2.0)**2]), np.zeros(0)
 
-    problem = ProblemSpec(lower=np.array([-5.0]), upper=np.array([5.0]),
-                          n_objectives=2, evaluate=evaluate)
+    problem = ProblemSpec(lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
     result = optimize(problem, budget=3000, seed=11, population=32)
     hv = hypervolume_2d(result.archive.objective_array(), (4.0, 4.0))
     assert hv > 0.97 * 40.0 / 3.0, f"hypervolume {hv} below 97% of analytic front"

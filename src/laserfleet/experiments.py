@@ -39,7 +39,6 @@ from .formation import (
     _minimize_bounded,
     natural_family_label,
     natural_orbit_objectives,
-    shaped_feasibility,
     shaped_objectives,
 )
 from .moo import ProblemSpec, optimize
@@ -117,32 +116,22 @@ def run_formation_design(scenario: Scenario, seed: int | None = None) -> ResultT
                                         "bounds_upper": list(NATURAL_BOUNDS_UPPER)})
 
     for j, y_lim in enumerate(scenario.y_limits):
-        clearance = {}  # C of each design scored, by the bytes of x
-
-        def evaluate(x, y_lim=y_lim, clearance=clearance):
+        def evaluate(x, y_lim=y_lim):
             res = natural_orbit_objectives(x, k_a, y_lim)
-            clearance[x.tobytes()] = res["C"]
-            return (res["J1"], res["J2"]), (max(0.0, -res["C"]),)
-
-        def keep_archived(gen, archive, n_evals, clearance=clearance):
-            # only archive members reach the table
-            kept = {key: clearance[key] for key in (m.x.tobytes() for m in archive.members)}
-            clearance.clear()
-            clearance.update(kept)
+            return (res["J1"], res["J2"]), (-res["C"],)
 
         problem = ProblemSpec(lower=NATURAL_BOUNDS_LOWER, upper=NATURAL_BOUNDS_UPPER,
-                              n_objectives=2, n_constraints=1, evaluate=evaluate)
-        result = optimize(problem, seed=seed + j, on_generation=keep_archived, **cfg)
+                              evaluate=evaluate)
+        result = optimize(problem, seed=seed + j, **cfg)
         if not result.archive.feasible_found:
             table.metadata[f"y_lim_{y_lim:g}_infeasible"] = True
             continue
-        # each member keeps the objectives it was scored with, and C was
-        # kept at scoring, so nothing is evaluated twice
+        # each member keeps the values it was scored with, the constraint
+        # -C among them, so nothing is evaluated twice
         for m in result.archive.members:
             family = natural_family_label(m.x, k_a, y_lim)
-            j1, j2 = (float(v) for v in m.objectives)
             table.add_row(float(y_lim), family, *[float(v) for v in m.x],
-                          j1, j2, clearance[m.x.tobytes()])
+                          *m.objectives, -m.violations[0])
     return table
 
 
@@ -180,11 +169,10 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
     def evaluate(x):
         s = ShapedOrbit(coeffs=x)
         res = shaped_objectives(s, ctx, duration, exp["control_samples"])
-        return (np.array([res["J1"], res["J2"], res["J3"]]),
-                np.array([max(0.0, res["C1"]), max(0.0, res["C2"])]))
+        return (res["J1"], res["J2"], res["J3"]), (res["C1"], res["C2"])
 
     problem = ProblemSpec(lower=SHAPED_BOUNDS_LOWER, upper=SHAPED_BOUNDS_UPPER,
-                          n_objectives=3, n_constraints=2, evaluate=evaluate)
+                          evaluate=evaluate)
     result = optimize(problem, seed=seed, **cfg)
 
     table = ResultTable(
@@ -200,13 +188,11 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
                                         "spacecraft_mass_kg": m_sc,
                                         "efficiency_option": option,
                                         "feasible_found": result.archive.feasible_found})
-    # each member keeps the objectives it was scored with; C1 and C2 are
-    # closed-form, so nothing is evaluated twice
+    # each member keeps the values it was scored with, so nothing is
+    # evaluated twice
     for m in result.archive.members:
-        j1, j2, j3 = (float(v) for v in m.objectives)
-        c1, c2 = shaped_feasibility(ShapedOrbit(coeffs=m.x))
-        table.add_row(*[float(v) for v in m.x], j1, j2, j3, j3 * m_sc,
-                      float(c1), float(c2))
+        j1, j2, j3 = m.objectives
+        table.add_row(*[float(v) for v in m.x], j1, j2, j3, j3 * m_sc, *m.violations)
     return table
 
 
@@ -255,8 +241,7 @@ def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable
 
             problem = ProblemSpec(
                 lower=np.array([lo for lo, _ in box]), upper=np.array([hi for _, hi in box]),
-                integer_mask=np.array([False, True, False]),
-                n_objectives=2, evaluate=evaluate)
+                integer_mask=np.array([False, True, False]), evaluate=evaluate)
             result = optimize(problem, seed=seed + 10 * mi + oi, **cfg)
             for m in result.archive.members:
                 d_m, n_sc, c_r = float(m.x[0]), int(round(m.x[1])), float(m.x[2])

@@ -3,8 +3,10 @@
 Elitist archive-based evolutionary scheme over mixed real/integer boxes:
 binary tournaments, simulated-binary crossover, polynomial mutation, and a
 pattern-search polish on archive members each generation. Constraints are
-handled feasibility-first: any feasible point beats any infeasible one,
-and infeasible points rank by total violation.
+signed values g(x), met at or below zero, handled feasibility-first (Deb
+et al., NSGA-II, IEEE TEC 2002): any feasible point beats any infeasible
+one, and infeasible points rank by total violation, the sum of the
+positive g.
 
 Evaluations are pure functions of the decision vector; for a fixed seed
 the whole run, and therefore the final archive, is bit-reproducible.
@@ -38,16 +40,14 @@ class ProblemSpec:
     """Box-bounded problem with optional integer dimensions and constraints.
 
     ``evaluate(x)`` takes ``x`` as a float array and returns (objectives,
-    violations), two sequences of floats; violations are non-negative with
-    zero meaning satisfied.
+    constraints), two sequences of floats. A constraint is signed, g(x),
+    met at or below zero; a positive value is by how much it is violated.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    n_objectives: int
     evaluate: Callable[[np.ndarray], tuple[Sequence[float], Sequence[float]]]
     integer_mask: np.ndarray | None = None
-    n_constraints: int = 0
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -56,8 +56,6 @@ class ProblemSpec:
             raise ValueError("bounds must be 1-D arrays of equal length")
         if np.any(lo > hi):
             raise ValueError("lower bounds must not exceed upper bounds")
-        if self.n_objectives < 1:
-            raise ValueError("need at least one objective")
         mask = (np.zeros(lo.size, dtype=bool) if self.integer_mask is None
                 else np.asarray(self.integer_mask, dtype=bool))
         object.__setattr__(self, "lower", lo)
@@ -100,13 +98,14 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 
 class ArchiveMember:
-    """A scored design: ``x``, and its objectives and violations as tuples
-    of floats.
+    """A scored design: ``x``, and its objectives and signed constraint
+    values ``violations`` as tuples of floats.
 
     ``feasible`` and ``violation``, read on every tournament, ranking and
-    archive update, are formed once, here. ``violation`` is the sum of the
-    positive violations as np.sum forms it: from eight terms on, its
-    pairwise order is not a left-to-right sum's. A feasible member's is 0.0.
+    archive update, are formed once, here: a member is feasible when every
+    g <= 0, and ``violation`` is the sum of the positive g as np.sum forms
+    it (from eight terms on, its pairwise order is not a left-to-right
+    sum's). A feasible member's is 0.0.
     """
 
     __slots__ = ("x", "objectives", "violations", "feasible", "violation")
@@ -128,19 +127,15 @@ class ParetoArchive:
     least-violating candidates (flagged via ``feasible_found``); the first
     feasible arrival flushes them.
 
-    With a ``reference_point`` set (bi-objective only), capacity pruning
-    drops the member with the smallest exclusive hypervolume against that
-    fixed reference; the dominated hypervolume is then non-decreasing
-    across updates. Without one, pruning falls back to crowding with
-    immortal extremes.
+    Past capacity, pruning drops the most crowded member: on two objectives
+    the one with the smallest neighbour rectangle, the extremes kept; on
+    more, the one with the smallest crowding distance.
     """
 
-    def __init__(self, capacity: int = 128,
-                 reference_point: tuple[float, float] | None = None):
+    def __init__(self, capacity: int = 128):
         if capacity < 2:
             raise ValueError("archive capacity must be at least 2")
         self.capacity = capacity
-        self.reference_point = reference_point
         self.members = []
         self.feasible_found = False
 
@@ -190,10 +185,8 @@ class ParetoArchive:
 
     def _prune(self):
         objs = self._objs
-        if objs.shape[1] == 2 and self.reference_point is not None:
-            drop = int(np.argmin(self._exclusive_hv(objs)))
-        elif objs.shape[1] == 2:
-            # no fixed reference: neighbour-rectangle crowding, extremes kept
+        if objs.shape[1] == 2:
+            # neighbour-rectangle crowding, extremes kept
             order = np.lexsort((objs[:, 1], objs[:, 0]))
             f = objs[order]
             contrib = np.full(len(order), np.inf)
@@ -204,28 +197,6 @@ class ParetoArchive:
             drop = int(np.argmin(crowd))
         del self._members[drop]
         self._objs = np.delete(objs, drop, axis=0)
-
-    def _exclusive_hv(self, objs: np.ndarray) -> np.ndarray:
-        """Exclusive hypervolume of each member against the fixed reference.
-
-        Members outside the reference box (or duplicated) contribute zero
-        and are pruned first; dropping the minimal contributor can never
-        reduce the archive hypervolume below its pre-insertion value.
-        """
-        r1, r2 = self.reference_point
-        n = len(objs)
-        contrib = np.zeros(n)
-        inside = (objs[:, 0] < r1) & (objs[:, 1] < r2)
-        idx = np.where(inside)[0]
-        if idx.size == 0:
-            return contrib
-        pts = objs[idx]
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        f = pts[order]
-        right_f1 = np.append(f[1:, 0], r1)
-        upper_f2 = np.concatenate([[r2], f[:-1, 1]])
-        contrib[idx[order]] = (right_f1 - f[:, 0]) * np.maximum(upper_f2 - f[:, 1], 0.0)
-        return contrib
 
     def objective_array(self) -> np.ndarray:
         return self._objs.copy()
@@ -382,13 +353,13 @@ class OptimizeResult:
 
 def optimize(problem: ProblemSpec, budget: int, seed: int,
              population: int = 64, archive_size: int = 128,
-             on_generation=None,
-             reference_point: tuple[float, float] | None = None) -> OptimizeResult:
+             on_generation=None) -> OptimizeResult:
     """Run the archive-based evolutionary search.
 
-    Deterministic for a fixed (problem, budget, seed, population) tuple.
-    An evaluation with an objective or a violation that is not finite
-    raises ``orbits.NonFiniteStateError`` naming its number and ``x``.
+    Deterministic for a fixed (problem, budget, seed, population,
+    archive_size) tuple. An evaluation with an objective or a constraint
+    value that is not finite raises ``orbits.NonFiniteStateError`` naming
+    its number and ``x``.
     ``on_generation(gen, archive, n_evals)`` is called after every archive
     update round, e.g. to assert archive invariants generation by
     generation.
@@ -396,7 +367,7 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
     if budget < population:
         raise ValueError("budget must cover at least one population")
     rng = default_rng(seed)
-    archive = ParetoArchive(capacity=archive_size, reference_point=reference_point)
+    archive = ParetoArchive(capacity=archive_size)
     evaluate = problem.evaluate
     lower, upper = problem.bounds
     evals = 0
@@ -410,7 +381,7 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
         if not all(map(math.isfinite, m.objectives + m.violations)):
             raise NonFiniteStateError(
                 f"optimizer evaluation {evals} at x = {x.tolist()} gave objectives "
-                f"{m.objectives} and violations {m.violations}, not all finite")
+                f"{m.objectives} and constraints {m.violations}, not all finite")
         return m
 
     span = [hi - lo for lo, hi in zip(lower, upper)]

@@ -142,8 +142,10 @@ class BodyEphemeris:
 def solve_kepler(mean_anomaly: float, e: float) -> float:
     """Solve E - e sin E = M for the eccentric anomaly.
 
-    Newton iteration from a third-order starter, with a bisection fallback
-    if Newton leaves the bracket. Converges to |E - e sinE - M| < 1e-13.
+    Newton iteration from Danby's starter E0 = M + 0.85 e sign(sin M), M
+    reduced to [-pi, pi], until |E - e sin E - M| < ``KEPLER_TOL``; after
+    ``KEPLER_MAX_ITER`` Newton steps without that, bisection on
+    [M - e, M + e] to the same tolerance.
     """
     m = math.remainder(mean_anomaly, TWO_PI)  # [-pi, pi], best conditioning
     # Starter: Danby's initial guess, at e = 0 the root itself

@@ -7,8 +7,9 @@ first-order reference built from the sweep's own forces, and from
 r_a = 1.2 AU on b falls because both the along-track shift (the spot power
 follows 1/r^2) and the share of it the b-plane keeps (the crossing
 geometry) fall. DECISIONS.md holds the analysis. The CSV bytes of the
-shaped study, map and sweep that criteria 5, 8 and 9a run are pinned by
-sha256 on the host class they were recorded on.
+shipped formation study, and of the shaped study, map and sweep that
+criteria 5, 8 and 9a run, are pinned by sha256 on the host class they
+were recorded on.
 """
 
 import functools
@@ -105,6 +106,11 @@ def _timed(study, scenario):
     table = study(scenario)
     table.metadata["elapsed_s"] = time.time() - t0
     return table
+
+
+@pytest.fixture(scope="module")
+def formation_table(nominal):
+    return _timed(run_formation_design, nominal)
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +303,7 @@ def test_criterion_6_family_symmetry(nominal):
                 np.array([max(0.0, -res["C"])]))
 
     problem = ProblemSpec(lower=NATURAL_BOUNDS_LOWER, upper=NATURAL_BOUNDS_UPPER,
-                          n_objectives=2, n_constraints=1, evaluate=evaluate)
+                          evaluate=evaluate)
     result = optimize(problem, budget=1500, seed=nominal.seed, population=24)
     assert result.archive.feasible_found
     objs = result.archive.objective_array()
@@ -330,14 +336,13 @@ def test_criterion_7_optimizer(nominal):
     def evaluate(x):
         return np.array([x[0] ** 2, (x[0] - 2.0) ** 2]), np.zeros(0)
 
-    problem = ProblemSpec(lower=np.array([-5.0]), upper=np.array([5.0]),
-                          n_objectives=2, evaluate=evaluate)
+    problem = ProblemSpec(lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
 
     def on_generation(gen, archive, evals):
         archive.validate()  # no dominated pair, asserted every generation
 
     result = optimize(problem, budget=20000, seed=nominal.seed, population=64,
-                      reference_point=(4.0, 4.0), on_generation=on_generation)
+                      on_generation=on_generation)
     hv = hypervolume_2d(result.archive.objective_array(), (4.0, 4.0))
     analytic = 40.0 / 3.0  # integral of the front against the (4,4) reference
     assert hv >= 0.99 * analytic, f"hv {hv:.4f} < 99% of {analytic:.4f}"
@@ -682,14 +687,15 @@ def test_criterion_10_determinism(nominal, tmp_path):
 # The study bytes on the recorded host class
 # ---------------------------------------------------------------------------
 
-# sha256 of the CSV bytes of the shipped shaped study (criterion 5), map
-# (criterion 8) and sweep (criterion 9a). numpy's SIMD kernels for exp,
+# sha256 of the CSV bytes of the shipped formation study, shaped study
+# (criterion 5), map (criterion 8) and sweep (criterion 9a). numpy's SIMD kernels for exp,
 # arccos, arctan2, hypot and power can move a row's last bits on another
 # host class (DECISIONS.md), so the check runs on the class they were
 # recorded on: numpy 2.4.6 with its float64 loops dispatched up to X86_V4
 # (AVX-512).
 RECORDED_HOST = ("2.4.6", ("X86_V3", "X86_V4", "baseline(X86_V2)"))
 STUDY_CSV_SHA256 = {
+    "formation_table": "ad06571eb8a58996784d5772bcb7494bce64016e255b752523575f684f256ada",
     "shaped_table": "10512b5d28a8647492653a5f36f60a0f88350a24315d81dc6021d71078773908",
     "map_table": "bb07c1e6c8f957cbdaebcbebf752ec525f5a67f88dac2ec016b5021e0bc6f151",
     "sweep_table": "7fa6cc72a2f6d5ec492d99e512ac02cbaf3b291dc505689bb2994c1336a7117e",
@@ -709,7 +715,8 @@ def _named(host):
 
 @pytest.mark.parametrize("study", sorted(STUDY_CSV_SHA256))
 def test_study_csv_bytes(study, request, tmp_path):
-    """The studies that criteria 5, 8 and 9a run write the recorded bytes."""
+    """The formation study and the studies that criteria 5, 8 and 9a run
+    write the recorded bytes."""
     if _host_class() != RECORDED_HOST:
         pytest.skip(f"CSV bytes recorded on {_named(RECORDED_HOST)}; this host has "
                     f"{_named(_host_class())}")

@@ -493,16 +493,19 @@ def test_cli_formation_design_small(tmp_path):
         assert cells[fam_col] in ("+z", "-z")
 
 
-def test_cli_non_finite_objective_exits_1_naming_the_evaluation(tmp_path, monkeypatch,
+@pytest.mark.parametrize("field", ["J1", "C"])
+def test_cli_non_finite_objective_exits_1_naming_the_evaluation(field, tmp_path, monkeypatch,
                                                                 capsys):
-    """A NaN objective from the fifth evaluation stops the formation study:
-    exit 1, and the message names the evaluation and its x."""
+    """A NaN objective J1, or a NaN clearance C, from the fifth evaluation
+    stops the formation study: exit 1, and the message names the evaluation,
+    its x and the value. The study passes the signed constraint -C: a clamp
+    max(0.0, -C) would make a NaN C a met constraint, and rows with C = nan."""
     relation, calls = experiments_mod.natural_orbit_objectives, []
 
     def nan_at_call_5(x, *args):
         calls.append(x.tolist())
         res = relation(x, *args)
-        return res | {"J1": math.nan} if len(calls) == 5 else res
+        return res | {field: math.nan} if len(calls) == 5 else res
 
     monkeypatch.setattr(experiments_mod, "natural_orbit_objectives", nan_at_call_5)
     doc = nominal_doc()
@@ -514,7 +517,8 @@ def test_cli_non_finite_objective_exits_1_naming_the_evaluation(tmp_path, monkey
                  "formation-design"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: optimizer evaluation 5 at x = {calls[4]} gave objectives "
-                          "(nan, "), err
+                          f"({'nan, ' if field == 'J1' else ''}"), err
+    assert ("and constraints (nan,)" in err) == (field == "C"), err
     assert "Traceback" not in err
     assert len(calls) == 5
     assert not (tmp_path / "out" / "formation_design.csv").exists()
