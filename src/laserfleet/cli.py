@@ -203,7 +203,7 @@ def _check_quadrature():
     p_in = input_power_density(design, r_a, 1.0, ast.albedo)
     q_rad = radiation_loss(ast.t_sublimation, ast.emissivity)
     radius = design.spot_diameter / 2.0
-    v_rot = surface_speed(ast, 0.0, 0.0)
+    v_rot = surface_speed(ast)
     n_y, n_t = 400, 4000
     total = 0.0
     for j in range(n_y):

@@ -47,13 +47,10 @@ import numpy as np
 
 from . import batch
 from .constants import (
-    ABSORPTION_COEFFICIENT,
-    AU,
     GRAVITATIONAL_CONSTANT,
     MAX_EXPANSION_ANGLE,
     MU_SUN,
     SCATTERING_FACTOR,
-    SOLAR_FLUX_1AU,
     TWO_PI,
 )
 from .formation import NaturalOrbit, ShapedOrbit, shaped_position
@@ -80,13 +77,17 @@ from .plume import (
     degradation_factor,
     jet_density,
     spot_point,
+    transmission,
 )
 from .sublimation import (
     AsteroidModel,
+    delivered_power,
     ellipse_radius,
     exhaust_velocity,
+    formation_flow,
     mass_flow_from_power,
     radiation_loss,
+    spot_power_coefficient,
 )
 from .sizing import SpacecraftDesign
 
@@ -233,17 +234,11 @@ class DeflectionOutcome:
                                 sc.t_moid, MU_SUN)
 
 
-def spot_power_coefficient(design: SpacecraftDesign, albedo: float) -> float:
-    """Power density delivered to the spot times r^2, W: p_in = tau * this / r^2."""
-    return design.eta_sys * design.concentration_ratio * (1.0 - albedo) \
-        * SOLAR_FLUX_1AU * AU * AU
-
-
 def peak_spot_power(design: SpacecraftDesign, ast: AsteroidModel,
                     k: OrbitalElements) -> float:
     """Power density delivered to the spot at the perihelion of ``k`` through
     clean optics, W/m^2: the top of a flow table for that orbit."""
-    return spot_power_coefficient(design, ast.albedo) / (k.a * (1.0 - k.e)) ** 2
+    return delivered_power(1.0, spot_power_coefficient(design, ast.albedo), k.a * (1.0 - k.e))
 
 
 class _Constants(NamedTuple):
@@ -349,7 +344,7 @@ def _rates(k: _Constants, position, flow, kepler, m):
     it is recorded).
 
     One run: a list of floats, ``m`` = ``batch.FLOAT``, ``kepler`` =
-    ``solve_kepler`` and ``flow`` its ``MdotTable``. A batch: an (8, N)
+    ``solve_kepler`` and ``flow`` its ``MdotTable``'s ``__call__``. A batch: an (8, N)
     array with one run per column, ``batch.ARRAY``, ``solve_kepler_reduced``
     (``M % TWO_PI`` is in its range) and a ``_FlowColumns`` lookup.
     ``position`` is ``_position``'s relation, or its batch over formation
@@ -358,10 +353,9 @@ def _rates(k: _Constants, position, flow, kepler, m):
     p_coeff, n_sc, lam_v, tug_coeff, w_spin = k.p_coeff, k.n_sc, k.lam_v, k.tug_coeff, k.w_spin
     a_ell, b_ell, a2_ell, b2_ell = k.a_ell, k.b_ell, k.a2_ell, k.b2_ell
     v_bar, v_area, d_spot = k.v_bar, k.v_area, k.d_spot
-    exp, sin, cos, sqrt, hypot, atan2 = m.exp, m.sin, m.cos, m.sqrt, m.hypot, m.atan2
+    sin, cos, sqrt, hypot, atan2 = m.sin, m.cos, m.sqrt, m.hypot, m.atan2
     where, any_, all_, stack = m.where, m.any, m.all, m.stack
     mu, two_pi = m.operand(MU_SUN), m.operand(TWO_PI)
-    absorb = m.operand(-2.0 * ABSORPTION_COEFFICIENT)
 
     def rates(t, y):
         a, e, inc, raan, argp, m_unwrapped, m_a, h_cnd = y
@@ -374,8 +368,7 @@ def _rates(k: _Constants, position, flow, kepler, m):
         r = p / one_ec
 
         # Delivered power and expelled flow
-        p_in = exp(absorb * h_cnd) * p_coeff / (r * r)
-        mdot = n_sc * flow(p_in)
+        mdot = formation_flow(flow, delivered_power(transmission(m, h_cnd), p_coeff, r), n_sc)
 
         # Thrust on the asteroid: ablation along the velocity, tug toward
         # the formation. Flight-path angle splits them into radial and
@@ -472,7 +465,8 @@ def simulate_deflection(sc: DeflectionScenario,
     """
     run = _prepare(sc, mdot_table)
     m = batch.FLOAT
-    rates = _rates(run.consts, _position(sc.formation, run.proximal, m), run.table,
+    # the table's bound __call__: Python calls it faster than the table
+    rates = _rates(run.consts, _position(sc.formation, run.proximal, m), run.table.__call__,
                    solve_kepler, m)
     t0, dt, n_steps = sc.t_start, run.dt, run.n_steps
     state = run.state0()

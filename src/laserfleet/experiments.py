@@ -131,7 +131,7 @@ def run_formation_design(scenario: Scenario, seed: int | None = None) -> ResultT
         for m in result.archive.members:
             family = natural_family_label(m.x, k_a, y_lim)
             table.add_row(float(y_lim), family, *[float(v) for v in m.x],
-                          *m.objectives, -m.violations[0])
+                          *m.objectives, -m.constraints[0])
     return table
 
 
@@ -192,7 +192,7 @@ def run_shaped_design(scenario: Scenario, seed: int | None = None) -> ResultTabl
     # evaluated twice
     for m in result.archive.members:
         j1, j2, j3 = m.objectives
-        table.add_row(*[float(v) for v in m.x], j1, j2, j3, j3 * m_sc, *m.violations)
+        table.add_row(*[float(v) for v in m.x], j1, j2, j3, j3 * m_sc, *m.constraints)
     return table
 
 
@@ -237,7 +237,7 @@ def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable
                                           p_max=peak_spot_power(design, ast, ast.elements0),
                                           n_points=48, n_phases=6)
                 out = simulate_deflection(dscn, mdot_table=table_m)
-                return (np.array([-out.miss_distance, n_sc * m_sc]), np.zeros(0))
+                return (-out.miss_distance, n_sc * m_sc), ()
 
             problem = ProblemSpec(
                 lower=np.array([lo for lo, _ in box]), upper=np.array([hi for _, hi in box]),
@@ -248,7 +248,7 @@ def run_fleet_design(scenario: Scenario, seed: int | None = None) -> ResultTable
                 design = design_from_option(d_m, c_r, n_spacecraft=n_sc, option=option)
                 m_sc = mass_budget(design, r_peri).m_total
                 table.add_row(mode, option, d_m, n_sc, c_r,
-                              -float(m.objectives[0]), float(m.objectives[1]), m_sc)
+                              -m.objectives[0], m.objectives[1], m_sc)
     return table
 
 

@@ -12,7 +12,7 @@ Evaluations are pure functions of the decision vector; for a fixed seed
 the whole run, and therefore the final archive, is bit-reproducible.
 
 The work of one evaluation runs on Python floats: a decision vector is a
-list until it is scored, and a member's objectives and violations are
+list until it is scored, and a member's objectives and constraints are
 tuples. numpy calls cost microseconds on vectors of one to eight
 elements, so they are kept for the matrices: the archive's (n, m)
 objectives and the population's dominance matrix. Float arithmetic gives
@@ -99,7 +99,7 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 class ArchiveMember:
     """A scored design: ``x``, and its objectives and signed constraint
-    values ``violations`` as tuples of floats.
+    values g(x) ``constraints`` as tuples of floats.
 
     ``feasible`` and ``violation``, read on every tournament, ranking and
     archive update, are formed once, here: a member is feasible when every
@@ -108,16 +108,16 @@ class ArchiveMember:
     sum's). A feasible member's is 0.0.
     """
 
-    __slots__ = ("x", "objectives", "violations", "feasible", "violation")
+    __slots__ = ("x", "objectives", "constraints", "feasible", "violation")
 
     def __init__(self, x: np.ndarray, objectives: Sequence[float],
-                 violations: Sequence[float]):
+                 constraints: Sequence[float]):
         self.x = x
         self.objectives = tuple(map(float, objectives))
-        self.violations = tuple(map(float, violations))
-        self.feasible = all(v <= 0.0 for v in self.violations)
+        self.constraints = tuple(map(float, constraints))
+        self.feasible = all(g <= 0.0 for g in self.constraints)
         self.violation = 0.0 if self.feasible else \
-            float(np.sum(np.maximum(self.violations, 0.0)))
+            float(np.sum(np.maximum(self.constraints, 0.0)))
 
 
 class ParetoArchive:
@@ -378,10 +378,10 @@ def optimize(problem: ProblemSpec, budget: int, seed: int,
         objs, cons = evaluate(x)
         evals += 1
         m = ArchiveMember(x, objs, cons)
-        if not all(map(math.isfinite, m.objectives + m.violations)):
+        if not all(map(math.isfinite, m.objectives + m.constraints)):
             raise NonFiniteStateError(
                 f"optimizer evaluation {evals} at x = {x.tolist()} gave objectives "
-                f"{m.objectives} and constraints {m.violations}, not all finite")
+                f"{m.objectives} and constraints {m.constraints}, not all finite")
         return m
 
     span = [hi - lo for lo, hi in zip(lower, upper)]

@@ -175,11 +175,17 @@ def view_factor_angle(m, dx, dist):
     return axis_angle(m, dx, dist)
 
 
+def transmission(m, h_cnd):
+    """Transmission tau = exp(-2 k h) of optics under a condensed layer of thickness
+    h_cnd (m), which the beam crosses twice: floats or columns."""
+    return m.exp(-2.0 * ABSORPTION_COEFFICIENT * h_cnd)
+
+
 def degradation_factor(h_cnd: float) -> float:
-    """Beamed-power attenuation of a condensed layer of thickness h (m)."""
+    """``transmission`` of one layer of thickness h (m) >= 0."""
     if h_cnd < 0.0:
         raise ValueError("layer thickness must be non-negative")
-    return math.exp(-2.0 * ABSORPTION_COEFFICIENT * h_cnd)
+    return transmission(batch.FLOAT, h_cnd)
 
 
 # ---------------------------------------------------------------------------

@@ -101,18 +101,27 @@ def apophis_model(sublimation_enthalpy: float, mean_anomaly: float = 0.0,
 # Power balance terms
 # ---------------------------------------------------------------------------
 
-def input_power_density(design, r_a: float, tau: float, albedo: float) -> float:
-    """Concentrated power density delivered to the spot, W/m^2.
+def spot_power_coefficient(design, albedo: float) -> float:
+    """Power density delivered to the spot through clean optics times r^2, W:
+    eta_sys C_r (1 - albedo) S0 AU^2, the inverse-square law's constant."""
+    return design.eta_sys * design.concentration_ratio * (1.0 - albedo) \
+        * SOLAR_FLUX_1AU * AU * AU
 
-    tau is the contamination degradation of the optics; the inverse-square
-    law scales the solar constant from 1 AU to the heliocentric distance.
-    """
+
+def delivered_power(tau, p_coeff, r):
+    """Power density (W/m^2) on the spot at heliocentric distance r through optics
+    of transmission tau, (tau p_coeff) / (r r): floats or columns."""
+    return tau * p_coeff / (r * r)
+
+
+def input_power_density(design, r_a: float, tau: float, albedo: float) -> float:
+    """``delivered_power`` of a design at heliocentric distance r_a > 0
+    through optics of transmission 0 <= tau <= 1."""
     if r_a <= 0.0:
         raise ValueError("heliocentric distance must be positive")
     if not (0.0 <= tau <= 1.0):
         raise ValueError(f"degradation factor must be in [0, 1], got {tau}")
-    return (tau * design.eta_sys * design.concentration_ratio
-            * (1.0 - albedo) * SOLAR_FLUX_1AU * (AU / r_a) ** 2)
+    return delivered_power(tau, spot_power_coefficient(design, albedo), r_a)
 
 
 def radiation_loss(temperature: float, emissivity: float) -> float:
@@ -157,9 +166,10 @@ def ellipse_radius(ast: AsteroidModel, angle: float):
     return equatorial_radius(m, a_ell, b_ell, m.cos(angle), m.sin(angle))
 
 
-def surface_speed(ast: AsteroidModel, t: float, theta_va: float = 0.0) -> float:
-    """Linear speed of surface material through the spot, w_A * r_ell(t)."""
-    return ast.spin_rate * float(ellipse_radius(ast, -ast.spin_rate * t - theta_va))
+def surface_speed(ast: AsteroidModel) -> float:
+    """Speed of surface material through the spot at spin phase 0, w_A r_ell(0):
+    the long equatorial axis under the spot."""
+    return ast.spin_rate * float(ellipse_radius(ast, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +246,22 @@ def mass_flow_from_power(p_in: float, ast: AsteroidModel, v_rot: float,
     return 2.0 * v_rot * y_integral / ast.sublimation_enthalpy
 
 
-def mass_flow_rate(design, ast: AsteroidModel, r_a: float, tau: float,
-                   n_sc: int, spin_phase_time: float = 0.0,
-                   theta_va: float = 0.0) -> float:
-    """Total expelled mass flow (kg/s) from the spot fed by n_sc spacecraft.
+def formation_flow(flow, p_in, n_sc):
+    """Expelled flow (kg/s) of n_sc spacecraft that each deliver p_in to their own
+    power balance, n_sc flow(p_in): floats or columns. DECISIONS.md, "Open: where
+    the spot is and how n_sc beams add", has the other reading."""
+    return n_sc * flow(p_in)
 
-    Circular spot of area A_M1 / C_r on the equatorial track of the
-    spinning ellipsoid; each spacecraft contributes its own power balance,
-    so the total scales linearly with the formation size.
-    """
+
+def mass_flow_rate(design, ast: AsteroidModel, r_a: float, tau: float,
+                   n_sc: int) -> float:
+    """``formation_flow`` of n_sc >= 1 spacecraft at heliocentric distance r_a
+    through optics of transmission tau, at spin phase 0."""
     if n_sc < 1:
         raise ValueError("n_sc must be at least 1")
-    p_in = input_power_density(design, r_a, tau, ast.albedo)
-    v_rot = surface_speed(ast, spin_phase_time, theta_va)
-    return n_sc * mass_flow_from_power(p_in, ast, v_rot, design.spot_diameter / 2.0)
+    v_rot, radius = surface_speed(ast), design.spot_diameter / 2.0
+    return formation_flow(lambda p: mass_flow_from_power(p, ast, v_rot, radius),
+                          input_power_density(design, r_a, tau, ast.albedo), n_sc)
 
 
 # ---------------------------------------------------------------------------

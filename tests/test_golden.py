@@ -84,13 +84,13 @@ GOLDEN = {
 # name: (sha256 of the repr of the control on the objectives' 512-sample grid,
 # as a list of rows; delta-v; peak |u|), for the cases of GOLDEN
 INVERSION = {
-    "plume_on": ("64a37d5a53dbb83dd6335d6a2d2beab7e4f26799732682f777cedfee13a97f37",
-                 "20.09114511932106", "1.146706312674622e-06"),
+    "plume_on": ("165e3cd9758f10efc8f9dc417f8be49b402e5be755eb29d3f3b4f5123b031a44",
+                 "20.091145119321055", "1.146706312674622e-06"),
     "occluded_or_averted": ("ee6b26cdf5f6c48b14a30edcd7da2a27019de37f78f9ada2131dc2528c36ba65",
                             "45.30339305950769", "1.7135619125631394e-06"),
     "outside_cone": ("8c37f2107db56bce42ae3a2fa0de52176fcf26a73f9ad86fb52cc5b06051a8e3",
                      "20.10818595451247", "6.675793252935269e-07"),
-    "inside_body": ("0e9ee858c721735edff5bc1a1b20fba46a644a3d1082664f4ad269a7d91237db",
+    "inside_body": ("88d65d5803b3a21b074d91753f2ba9d17c5bc279ca3041cc9dcb085d698e529d",
                     "820.6529909950964", "9.210321932397143e-05"),
     "no_plume": ("7ab782a5282d78f276c9dc482e4d00cf066f493110022e57b26038ff263dffc3",
                  "27.27596337720352", "1.146706312674622e-06"),

@@ -49,7 +49,7 @@ def test_dominates_arity_mismatch():
 def member(x, objs, viol=()):
     return ArchiveMember(x=np.atleast_1d(np.asarray(x, dtype=float)),
                          objectives=np.asarray(objs, dtype=float),
-                         violations=np.asarray(viol if len(viol) else [0.0]) * 1.0
+                         constraints=np.asarray(viol if len(viol) else [0.0]) * 1.0
                          if len(viol) else np.zeros(0))
 
 
@@ -65,9 +65,9 @@ def test_archive_rejects_dominated():
 def test_archive_feasibility_first():
     arc = ParetoArchive(capacity=10)
     bad = ArchiveMember(x=np.array([0.0]), objectives=np.array([0.0, 0.0]),
-                        violations=np.array([3.0]))
+                        constraints=np.array([3.0]))
     worse = ArchiveMember(x=np.array([1.0]), objectives=np.array([0.0, 0.0]),
-                          violations=np.array([5.0]))
+                          constraints=np.array([5.0]))
     arc.add(bad)
     arc.add(worse)
     assert not arc.feasible_found
@@ -265,7 +265,7 @@ def _random_members(rng, n, n_obj):
     objs = rng.integers(0, 5, size=(n, n_obj)).astype(float)
     viol = np.where(rng.random(n) < 0.3, rng.integers(1, 4, n), 0).astype(float)
     return [ArchiveMember(x=np.array([float(k)]), objectives=objs[k],
-                          violations=np.array([viol[k]])) for k in range(n)]
+                          constraints=np.array([viol[k]])) for k in range(n)]
 
 
 def test_fast_sort_matches_pairwise_fronts():

@@ -27,8 +27,10 @@ from laserfleet.plume import (
     steering_geometry,
     view_factor_angle,
 )
+from laserfleet.scenario import load_scenario
 from laserfleet.sizing import MIRROR_REFLECTIVITY, design_from_option
 from laserfleet.sublimation import ellipse_radius, exhaust_velocity
+from tests.conftest import SCENARIO_DIR
 
 
 def spherical(ast):
@@ -60,6 +62,27 @@ def test_spot_spin_periodicity(ast):
     s0 = spot_position(batch.FLOAT, ast, 0.0, 0.3)
     s1 = spot_position(batch.FLOAT, ast, t_spin, 0.3)
     assert np.allclose(s0, s1, atol=1e-6)
+
+
+def test_spot_circles_the_body_twice_a_spin():
+    """The spot angle as the code reads it (DECISIONS.md, "Open: where the
+    spot is and how n_sc beams add"): on the shipped Apophis the spot sits
+    at body angle -w t - theta_va, and the body turns by w t under it, so in
+    the Hill frame it circles the body twice a spin. ``spot_point`` is the
+    one body of the spot, which ``_rates`` and the spacecraft forces call."""
+    ast = load_scenario(SCENARIO_DIR / "apophis_nominal.json").asteroid
+    t_spin = TWO_PI / ast.spin_rate
+    a_ell, b_ell, _ = ast.semi_axes
+
+    def spot(t):
+        return spot_point(batch.FLOAT, ast.spin_rate, a_ell, b_ell, t, 0.0)
+
+    x, y = spot(0.0)
+    assert abs(x) < 1e-9 and math.isclose(y, 191.0, rel_tol=1e-12)
+    x, y = spot(t_spin / 8)
+    assert round(x, 1) == 155.9 and abs(y) < 1e-9
+    x, y = spot(t_spin / 4)
+    assert abs(x) < 1e-9 and math.isclose(y, -135.0, rel_tol=1e-12)
 
 
 def test_spacecraft_inside_asteroid_rejected(ast):

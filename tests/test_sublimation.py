@@ -10,12 +10,14 @@ from laserfleet.constants import (
     SOLAR_FLUX_1AU,
     STEFAN_BOLTZMANN,
 )
+from laserfleet.deflection import MdotTable
 from laserfleet.sizing import design_from_option
 from laserfleet.sublimation import (
     AsteroidModel,
     apophis_model,
     conduction_loss,
     exhaust_velocity,
+    formation_flow,
     input_power_density,
     mass_flow_rate,
     radiation_loss,
@@ -112,6 +114,32 @@ def test_mass_flow_linear_in_spacecraft_count(ast):
     assert math.isclose(m2, 2.0 * m1, rel_tol=1e-12)
 
 
+def test_beam_sum_is_n_sc_separate_spots(ast):
+    """How n_sc beams add as the code reads it (DECISIONS.md, "Open: where
+    the spot is and how n_sc beams add"): each spacecraft keeps its own power
+    balance, and ``formation_flow`` multiplies one spacecraft's flow by n_sc.
+    At perihelion through clean optics, a 10 m, 60/40 design at C_r 1000
+    delivers less than the radiating floor, so no n_sc sublimates (one spot
+    at n_sc times the power would, from n_sc = 5); at C_r 5000 the flow is
+    exactly n_sc times one spacecraft's, on floats and through a flow table."""
+    r_peri = ast.elements0.a * (1.0 - ast.elements0.e)
+    q_rad = radiation_loss(ast.t_sublimation, ast.emissivity)
+    for c_r in (1000.0, 5000.0):
+        design = design_from_option(10.0, c_r, option="60/40")
+        p_in = input_power_density(design, r_peri, 1.0, ast.albedo)
+        table = MdotTable.for_orbit(design, ast, ast.elements0)
+        one = mass_flow_rate(design, ast, r_peri, 1.0, 1)
+        for n_sc in (1, 2, 5, 10):
+            got = mass_flow_rate(design, ast, r_peri, 1.0, n_sc)
+            if c_r == 1000.0:
+                assert p_in < q_rad
+                assert got == 0.0 and formation_flow(table, p_in, n_sc) == 0.0
+            else:
+                assert one > 0.0
+                assert got == n_sc * one
+                assert formation_flow(table, p_in, n_sc) == n_sc * table(p_in)
+
+
 def test_mass_flow_monotone_in_power(ast):
     r_peri = ast.elements0.a * (1.0 - ast.elements0.e)
     taus = np.linspace(0.3, 1.0, 12)
@@ -129,7 +157,7 @@ def test_mass_flow_vs_brute_force_grid(ast):
     q_rad = radiation_loss(ast.t_sublimation, ast.emissivity)
     coeff = ast.conduction_coefficient()
     radius = design.spot_diameter / 2.0
-    v_rot = surface_speed(ast, 0.0, 0.0)
+    v_rot = surface_speed(ast)
 
     y = (np.arange(640) + 0.5) / 640 * radius
     t_out = 2.0 * np.sqrt(radius**2 - y**2) / v_rot
