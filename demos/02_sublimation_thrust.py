@@ -10,7 +10,7 @@ sublimation enthalpy, and the expelled vapour thrusts the asteroid.
 
 import numpy as np
 
-from laserfleet.constants import AU
+from laserfleet.constants import AU, SCATTERING_FACTOR
 from laserfleet.sizing import design_from_option
 from laserfleet.sublimation import (
     apophis_model,
@@ -19,7 +19,6 @@ from laserfleet.sublimation import (
     input_power_density,
     mass_flow_rate,
     radiation_loss,
-    sublimation_acceleration,
 )
 
 ast = apophis_model(sublimation_enthalpy=1.97e6)
@@ -40,8 +39,7 @@ print("\n r [AU]   P_in [kW/m^2]   mdot [g/s]   u_sub [m/s^2]")
 for r in np.linspace(r_peri, r_apo, 8):
     p = input_power_density(design, float(r), 1.0, ast.albedo)
     mdot = mass_flow_rate(design, ast, float(r), 1.0, 1)
-    u = np.linalg.norm(sublimation_acceleration(mdot, ast.mass0,
-                                                np.array([0, 1, 0]), ast))
+    u = SCATTERING_FACTOR * exhaust_velocity(ast) * mdot / ast.mass0  # S v_bar mdot / m
     print(f" {r / AU:6.3f}   {p / 1e3:12.0f}   {mdot * 1e3:10.3f}   {u:12.3e}")
 
 print("\nThe flow dies where the delivered density falls under the radiation")

@@ -41,7 +41,7 @@ for label, formation in (
         ("shaped", ShapedOrbit(np.array([0., 0., -1000., 0., 0., -50., 0., 0.])))):
     sc = DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=m_sc,
                             t_start=t_moid - 8 * YEAR, t_moid=t_moid,
-                            formation=formation, record_every=200)
+                            formation=formation)
     out = simulate_deflection(sc)
     years = (out.times - out.times[0]) / YEAR
     print(f"\n== {label} formation, 8-year warning ==")

@@ -111,7 +111,7 @@ def main(argv=None) -> int:
 # Built-in oracle suite
 # ---------------------------------------------------------------------------
 
-def run_validation(verbose: bool = True) -> bool:
+def run_validation() -> bool:
     checks = [
         ("element/state round trip (200 random orbits)", _check_roundtrip),
         ("Kepler propagation periodicity", _check_periodicity),
@@ -132,9 +132,8 @@ def run_validation(verbose: bool = True) -> bool:
         except Exception as exc:  # hard error counts as failure
             status = f"FAIL ({type(exc).__name__}: {exc})"
             all_ok = False
-        if verbose:
-            print(f"[{status.split(' ')[0]:4s}] {label}"
-                  + ("" if status.startswith("PASS") else f" -> {status}"))
+        print(f"[{status.split(' ')[0]:4s}] {label}"
+              + ("" if status.startswith("PASS") else f" -> {status}"))
     return all_ok
 
 

@@ -61,6 +61,7 @@ from .orbits import (
     ProximalConstants,
     delta_m_at_moid,
     eccentric_to_true,
+    fixed_steps,
     gauss_rates_rtn,
     impact_parameter,
     kepler_propagate,
@@ -92,6 +93,9 @@ from .sublimation import (
 from .sizing import SpacecraftDesign
 
 _ZERO = batch.ARRAY.operand(0.0)
+
+# A run records its start, every RECORD_EVERY-th step and its last step.
+RECORD_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,8 @@ class _FlowColumns:
 
 @dataclass(frozen=True)
 class DeflectionScenario:
-    """Everything one deflection run needs."""
+    """Everything one deflection run needs. The formation thrusts from
+    ``t_start`` to the encounter at ``t_moid``."""
 
     ast: AsteroidModel
     design: SpacecraftDesign
@@ -201,10 +206,7 @@ class DeflectionScenario:
     t_moid: float                    # s, virtual encounter epoch
     formation: NaturalOrbit | ShapedOrbit = field(
         default_factory=lambda: ShapedOrbit(np.array([0., 0., -1000., 0., 0., -1000., 0., 0.])))
-    thrust_until: float | None = None  # s, default: thrust to t_moid
     scattering_factor: float = SCATTERING_FACTOR
-    step_fraction: float = 1e-3
-    record_every: int = 50
 
 
 @dataclass(frozen=True)
@@ -263,13 +265,12 @@ class _Constants(NamedTuple):
 @dataclass(frozen=True)
 class _Run:
     """One deflection ready to integrate: the undeflected start, the flow
-    table, the thrust window and its steps, the constants of ``rates`` and
-    those of the natural formation's relation about the start."""
+    table, the steps, the constants of ``rates`` and those of the natural
+    formation's relation about the start."""
 
     sc: DeflectionScenario
     k0: OrbitalElements
     table: MdotTable
-    t_end: float
     n_steps: int
     dt: float
     consts: _Constants
@@ -286,9 +287,6 @@ def _prepare(sc: DeflectionScenario, mdot_table: MdotTable | None) -> _Run:
     t0 = sc.t_start
     if sc.t_moid < t0:
         raise ValueError("encounter epoch precedes the deflection start")
-    if sc.thrust_until is not None and sc.thrust_until < t0:
-        raise ValueError("thrust_until precedes the deflection start")
-    t_end = sc.t_moid if sc.thrust_until is None else min(sc.thrust_until, sc.t_moid)
 
     k0 = ast.elements0
     if k0.epoch != t0:
@@ -296,11 +294,8 @@ def _prepare(sc: DeflectionScenario, mdot_table: MdotTable | None) -> _Run:
     if mdot_table is None:
         mdot_table = MdotTable.for_orbit(design, ast, k0)
 
-    n_steps, dt = 0, 0.0
-    span = t_end - t0
-    if span > 0.0:
-        n_steps = max(1, int(math.ceil(span / (sc.step_fraction * k0.period(MU_SUN)))))
-        dt = span / n_steps
+    span = sc.t_moid - t0
+    n_steps, dt = fixed_steps(span, k0.period(MU_SUN)) if span > 0.0 else (0, 0.0)
 
     v_bar = exhaust_velocity(ast)
     a_ell, b_ell, _ = ast.semi_axes
@@ -311,8 +306,8 @@ def _prepare(sc: DeflectionScenario, mdot_table: MdotTable | None) -> _Run:
         w_spin=ast.spin_rate, a_ell=a_ell, b_ell=b_ell, a2_ell=a_ell * a_ell,
         b2_ell=b_ell * b_ell, v_bar=v_bar, v_area=v_bar * design.spot_area,
         d_spot=design.spot_diameter)
-    return _Run(sc=sc, k0=k0, table=mdot_table, t_end=t_end, n_steps=n_steps, dt=dt,
-                consts=consts, proximal=ProximalConstants.of(k0))
+    return _Run(sc=sc, k0=k0, table=mdot_table, n_steps=n_steps, dt=dt, consts=consts,
+                proximal=ProximalConstants.of(k0))
 
 
 def _position(formation, k: ProximalConstants, m):
@@ -441,11 +436,11 @@ def _outcome(run: _Run, state, times, thrust, h, mass, mdot) -> DeflectionOutcom
     lists or rows of a batch's record array (kept as views, not copied)."""
     sc, k0 = run.sc, run.k0
     a_f, e_f, i_f, raan_f, argp_f, m_unwrapped_f, _, _ = state
-    delta_m = delta_m_at_moid(m_unwrapped_f - k0.mean_anomaly(), sc.t_start, run.t_end,
+    delta_m = delta_m_at_moid(m_unwrapped_f - k0.mean_anomaly(), sc.t_start, sc.t_moid,
                               sc.t_moid, k0.mean_motion(MU_SUN), math.sqrt(MU_SUN / a_f**3))
     k_dev = OrbitalElements(a=a_f, e=e_f, i=i_f, raan=raan_f, argp=argp_f,
                             anomaly=m_unwrapped_f % TWO_PI, anomaly_kind="mean",
-                            epoch=run.t_end)
+                            epoch=sc.t_moid)
     tau = [degradation_factor(v) for v in h]
     return DeflectionOutcome(
         times=np.asarray(times), thrust=np.asarray(thrust), contamination=np.asarray(h),
@@ -480,7 +475,7 @@ def simulate_deflection(sc: DeflectionScenario,
             state[6] = 0.0
         if not all(map(math.isfinite, state)):
             raise _non_finite(state, step + 1, t0 + (step + 1) * dt)
-        if (step + 1) % sc.record_every == 0 or step == n_steps - 1:
+        if (step + 1) % RECORD_EVERY == 0 or step == n_steps - 1:
             rec_t.append(t0 + (step + 1) * dt)
             rec_thrust.append(_accel(m, *u_now) * state[6])
             rec_h.append(state[7])
@@ -516,10 +511,10 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
     its own. The state is one (8, N) array, a column per run; the runs
     are ordered by formation and then by table, so the formation position
     and the flow lookup take contiguous slices. Each run steps with its
-    own start and step, keeps its records at its own ``record_every`` and
-    leaves the array after its last step. A run's numbers do not depend on
-    the other runs; against ``simulate_deflection`` they can move in the
-    last bits (module docstring). Outcomes come back in the order of
+    own start and step, records as ``simulate_deflection`` does and leaves
+    the array after its last step. A run's numbers do not depend on the
+    other runs; against ``simulate_deflection`` they can move in the last
+    bits (module docstring). Outcomes come back in the order of
     ``scenarios``. A state that is not finite after a step raises
     ``NonFiniteStateError`` for the first such run in ``scenarios``, naming
     its index there.
@@ -565,14 +560,12 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
     t0 = np.array([run.sc.t_start for run in runs])
     dt = np.array([run.dt for run in runs])
     n_steps = np.array([run.n_steps for run in runs])
-    every = np.array([run.sc.record_every for run in runs])
     state = np.array([run.state0() for run in runs]).T.copy()
     rates = kernel(live)
 
     # records (t, thrust, h, mass, mdot): row i fills its own span of one
-    # buffer from start[i], up to count[i]; it records its start, every
-    # record_every-th step and its last step
-    widths = 1 + -(-n_steps // every)
+    # buffer from start[i], up to count[i]
+    widths = 1 + -(-n_steps // RECORD_EVERY)
     start = np.cumsum(widths) - widths
     records = np.empty((5, int(widths.sum())))
     count = np.ones(n, dtype=int)
@@ -582,8 +575,7 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
     final = np.empty((n, len(state)))
     # the steps after which some row ends, and after which some row records
     ends = set(n_steps.tolist())
-    records_due = ends.union(*(range(k, last + 1, k) for k, last
-                               in set(zip(every.tolist(), n_steps.tolist()))))
+    records_due = ends.union(range(RECORD_EVERY, max(ends) + 1, RECORD_EVERY))
 
     step = 0
     while True:
@@ -591,7 +583,7 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
             ending = n_steps == step
             final[live[ending]] = state[:, ending].T
             keep = ~ending
-            live, t0, dt, n_steps, every = (x[keep] for x in (live, t0, dt, n_steps, every))
+            live, t0, dt, n_steps = (x[keep] for x in (live, t0, dt, n_steps))
             if live.size == 0:
                 break
             state = state[:, keep]
@@ -607,7 +599,7 @@ def simulate_deflections(scenarios, mdot_tables=None) -> list[DeflectionOutcome]
             raise _non_finite(state[:, col].tolist(), step, float(t0[col] + step * dt[col]),
                               order[live[col]])
         if step in records_due:
-            due = (step % every == 0) | (n_steps == step)
+            due = (n_steps == step) | (step % RECORD_EVERY == 0)
             rows = live[due]
             slot = start[rows] + count[rows]
             for q, value in enumerate((t0 + step * dt, _accel(m, *u_now) * mass, state[7],

@@ -311,20 +311,19 @@ def sweep_grid(n_sweep: int) -> np.ndarray:
     return nus
 
 
-def sweep_extremum(f, n_sweep: int = 720, refine: bool = True,
-                   maximize: bool = True, values: np.ndarray | None = None
-                   ) -> tuple[float, float]:
-    """Extremum of a scalar function of nu over one revolution.
+def sweep_extremum(f, values: np.ndarray, refine: bool = True,
+                   maximize: bool = True) -> tuple[float, float]:
+    """Extremum of a float function ``f`` of nu over one revolution, given
+    its ``values`` on ``sweep_grid(len(values))``.
 
     Dense sweep followed by Brent's bounded search, with golden-section
     and parabolic steps, within one grid step of the incumbent grid point
     (``_minimize_bounded``, which keeps the arithmetic of scipy's
-    ``_minimize_scalar_bounded``). ``f`` must accept a scalar or an array; a caller
-    that has ``f`` on ``sweep_grid(n_sweep)`` already passes those
-    ``values``, and ``f`` then sees floats only.
+    ``_minimize_scalar_bounded``).
     """
+    n_sweep = len(values)
     nus = sweep_grid(n_sweep)
-    vals = np.asarray(f(nus) if values is None else values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     idx = int(vals.argmax()) if maximize else int(vals.argmin())
     nu_best, val_best = float(nus[idx]), float(vals[idx])
     if not refine:
@@ -455,12 +454,10 @@ def natural_orbit_objectives(dk: np.ndarray, k_a: OrbitalElements, y_lim: float,
         g = flight_path_angle(k_a.e, nu)
         return _plume_axis_angle(*position(nu), math.cos(g), math.sin(g))
 
-    _, j1 = sweep_extremum(dist, n_sweep, refine, maximize=True,
-                           values=np.sqrt(x * x + y * y + z * z))
-    _, min_angle = sweep_extremum(plume_angle, n_sweep, refine, maximize=False,
-                                  values=_plume_axis_angle(x, y, z, cos_g, sin_g))
-    _, min_abs_y = sweep_extremum(abs_y, n_sweep, refine, maximize=False,
-                                  values=np.abs(y))
+    _, j1 = sweep_extremum(dist, np.sqrt(x * x + y * y + z * z), refine, maximize=True)
+    _, min_angle = sweep_extremum(plume_angle, _plume_axis_angle(x, y, z, cos_g, sin_g),
+                                  refine, maximize=False)
+    _, min_abs_y = sweep_extremum(abs_y, np.abs(y), refine, maximize=False)
 
     return {"J1": j1, "J2": -min_angle, "C": min_abs_y - y_lim}
 
@@ -685,26 +682,25 @@ def shaped_control_accel(s: ShapedOrbit, t, ctx: ShapedControlContext) -> np.nda
 
 
 def shaped_orbit_control(s: ShapedOrbit, ctx: ShapedControlContext,
-                         duration: float, n_samples: int = 2048,
-                         t0: float = 0.0) -> ControlHistory:
+                         duration: float, n_samples: int = 2048) -> ControlHistory:
     """Control profile and propellant budget along the prescribed shape.
 
-    Evaluates the required acceleration on a uniform time grid in one
-    array call of ``shaped_control_accel``, integrates |u| by the
+    Evaluates the required acceleration on a uniform time grid from t = 0
+    in one array call of ``shaped_control_accel``, integrates |u| by the
     trapezoid rule for the delta-v, and converts to a propellant mass
     fraction through the rocket equation.
     """
-    grid = _control_grid(ctx.ast, ctx.k_a, duration, n_samples, t0)
+    grid = _control_grid(ctx.ast, ctx.k_a, duration, n_samples)
     return ControlHistory.from_accel(grid.times, shaped_control_accel(s, grid, ctx),
                                      ctx.m_sc, ctx.isp)
 
 
 @functools.lru_cache(maxsize=8)
 def _control_grid(ast: AsteroidModel, k_a: OrbitalElements, duration: float,
-                  n_samples: int, t0: float) -> ShapedGrid:
+                  n_samples: int) -> ShapedGrid:
     """The ``shaped_grid`` of ``shaped_orbit_control``'s time grid, built
     once per asteroid, orbit and grid, since no shape changes it."""
-    grid = shaped_grid(ast, k_a, np.linspace(t0, t0 + duration, n_samples))
+    grid = shaped_grid(ast, k_a, np.linspace(0.0, duration, n_samples))
     _read_only((grid.times, grid.cos_nu, grid.sin_nu, *grid.polar, *grid.spot, *grid.turn))
     return grid
 
@@ -726,9 +722,8 @@ def shaped_objectives(s: ShapedOrbit, ctx: ShapedControlContext,
         x, y, z = shaped_position(coeffs, c, sn)
         return m.sqrt(x * x + y * y + z * z)
 
-    _, j2 = sweep_extremum(lambda nu: dist(math, math.cos(nu), math.sin(nu)), n_sweep=720,
-                           refine=True, maximize=True,
-                           values=dist(np, *_sweep_trig(720)))
+    _, j2 = sweep_extremum(lambda nu: dist(math, math.cos(nu), math.sin(nu)),
+                           dist(np, *_sweep_trig(720)), refine=True, maximize=True)
     return {"J1": history.mass_fraction, "J2": j2, "J3": history.max_accel,
             "C1": c1, "C2": c2, "history": history}
 

@@ -153,6 +153,7 @@ class ParetoArchive:
         return len(self._members)
 
     def add(self, member: ArchiveMember) -> bool:
+        """Offer ``member``; True if the archive keeps it."""
         if member.feasible:
             if not self.feasible_found:
                 self.members = []
@@ -162,7 +163,7 @@ class ParetoArchive:
             return False
         self.members = sorted(self._members + [member],
                               key=lambda m: m.violation)[:self.capacity]
-        return True
+        return any(m is member for m in self._members)
 
     def _add_feasible(self, member: ArchiveMember) -> bool:
         if not self._members:
@@ -181,7 +182,7 @@ class ParetoArchive:
         self._objs = np.concatenate([objs[keep], [new]])
         if len(self._members) > self.capacity:
             self._prune()
-        return True
+        return self._members[-1] is member
 
     def _prune(self):
         objs = self._objs

@@ -38,6 +38,10 @@ SINGULARITY_GUARD = 1e-8
 KEPLER_TOL = 1e-13
 KEPLER_MAX_ITER = 60
 
+# A fixed RK4 step is at most this fraction of the orbital period
+# (reproducible output over adaptive stepping).
+STEP_FRACTION = 1e-3
+
 # The constants of arithmetic that only a batch runs, as 0-d arrays: numpy
 # takes an array operand faster than a Python float, and the value, so
 # every bit, is the same (DECISIONS.md, "The batch step is bound by call
@@ -503,19 +507,22 @@ class GaussHistory:
         return float(self.elements[-1, 5] - self.elements[0, 5])
 
 
-def integrate_gauss(k0: OrbitalElements, accel_fn, t0: float, t1: float, mu: float,
-                    step_fraction: float = 1e-3, record_every: int = 1) -> GaussHistory:
-    """Fixed-step RK4 integration of the Gauss equations.
+def fixed_steps(span: float, period: float) -> tuple[int, float]:
+    """(n, dt): the fewest equal RK4 steps of at most ``STEP_FRACTION`` of
+    ``period`` that cover ``span``, and their length."""
+    n = max(1, int(math.ceil(span / (STEP_FRACTION * period))))
+    return n, span / n
+
+
+def integrate_gauss(k0: OrbitalElements, accel_fn, t0: float, t1: float,
+                    mu: float) -> GaussHistory:
+    """Fixed-step RK4 integration of the Gauss equations, recording every step.
 
     ``accel_fn(t, k) -> u_tnh`` supplies the perturbing acceleration in the
     tangential frame, given the element list k = [a, e, i, raan, argp, M]
-    with M unwrapped. The step is at most ``step_fraction`` of the initial
-    period (reproducibility over adaptivity).
+    with M unwrapped. The steps are ``fixed_steps`` of the initial period.
     """
-    period = k0.period(mu)
-    span = t1 - t0
-    n_steps = max(1, int(math.ceil(span / (step_fraction * period))))
-    dt = span / n_steps
+    n_steps, dt = fixed_steps(t1 - t0, k0.period(mu))
 
     k = k0.as_array().tolist()
     times = [t0]
@@ -527,9 +534,8 @@ def integrate_gauss(k0: OrbitalElements, accel_fn, t0: float, t1: float, mu: flo
 
     for step in range(n_steps):
         k, _ = rk4_step(rhs, t0 + step * dt, k, dt)
-        if (step + 1) % record_every == 0 or step == n_steps - 1:
-            times.append(t0 + (step + 1) * dt)
-            rows.append(k)
+        times.append(t0 + (step + 1) * dt)
+        rows.append(k)
 
     return GaussHistory(times=np.array(times), elements=np.array(rows), mu=mu)
 
@@ -664,23 +670,18 @@ def _orbit_points(k: OrbitalElements, nus: np.ndarray) -> np.ndarray:
     return r_pf @ _perifocal_to_inertial(k.i, k.raan, k.argp).T
 
 
-def find_moid(k1: OrbitalElements, k2: OrbitalElements,
-              grid_deg: float = 2.0) -> MoidResult:
+def find_moid(k1: OrbitalElements, k2: OrbitalElements) -> MoidResult:
     """Minimum orbital intersection distance between two ellipses.
 
-    Coarse grid over both anomalies (default 2 degrees) followed by a local
+    Coarse 2-degree grid over both anomalies followed by a local
     Nelder-Mead refinement of the geometric distance. Orbit timing plays no
-    role: the MOID is a property of the two curves. ``grid_deg`` must be
-    finite with 0 < ``grid_deg`` <= 360.
+    role: the MOID is a property of the two curves.
     """
-    if not (0.0 < grid_deg <= 360.0):
-        raise ValueError(f"grid_deg must be finite with 0 < grid_deg <= 360, got {grid_deg!r}")
     # imported on the first call: no study calls this, and scipy at module
     # level was most of every run's start-up (DECISIONS.md)
     from scipy.optimize import minimize
 
-    n = int(round(360.0 / grid_deg))
-    nus = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    nus = np.linspace(0.0, TWO_PI, 180, endpoint=False)
     pts1 = _orbit_points(k1, nus)
     pts2 = _orbit_points(k2, nus)
 

@@ -2,8 +2,9 @@
 
 Energy balance on the illuminated spot (concentrated solar power in,
 black-body radiation and conduction into the body out), expelled mass flow
-over the moving spot and the resulting deflection thrust. (The gravity tug
-of the hovering spacecraft is a term of the deflection's rates.)
+over the moving spot and the vapour's exhaust speed. (The thrust they give,
+S v_bar mdot / m, and the gravity tug of the hovering spacecraft are terms
+of the deflection's rates.)
 
 The asteroid is a tri-axial ellipsoid spinning about its minor axis; a
 surface point enters the spot, heats to the (constant) sublimation front
@@ -21,7 +22,6 @@ import numpy as np
 from .constants import (
     AU,
     BOLTZMANN,
-    SCATTERING_FACTOR,
     SOLAR_FLUX_1AU,
     STEFAN_BOLTZMANN,
 )
@@ -70,8 +70,7 @@ class AsteroidModel:
             self.heat_capacity * self.conductivity * self.density / math.pi)
 
 
-def apophis_model(sublimation_enthalpy: float, mean_anomaly: float = 0.0,
-                  epoch: float = 0.0) -> AsteroidModel:
+def apophis_model(sublimation_enthalpy: float) -> AsteroidModel:
     """Test asteroid used throughout the study (S-type, moderately eccentric).
 
     The sublimation enthalpy is deliberately not defaulted: it dominates the
@@ -80,7 +79,7 @@ def apophis_model(sublimation_enthalpy: float, mean_anomaly: float = 0.0,
     elements = OrbitalElements(
         a=0.9224 * AU, e=0.1912, i=math.radians(3.3312),
         raan=math.radians(204.4428), argp=math.radians(126.4002),
-        anomaly=mean_anomaly, anomaly_kind="mean", epoch=epoch)
+        anomaly=0.0, anomaly_kind="mean", epoch=0.0)
     return AsteroidModel(
         elements0=elements,
         mass0=2.7e10,
@@ -262,23 +261,3 @@ def mass_flow_rate(design, ast: AsteroidModel, r_a: float, tau: float,
     v_rot, radius = surface_speed(ast), design.spot_diameter / 2.0
     return formation_flow(lambda p: mass_flow_from_power(p, ast, v_rot, radius),
                           input_power_density(design, r_a, tau, ast.albedo), n_sc)
-
-
-# ---------------------------------------------------------------------------
-# Accelerations and mass depletion
-# ---------------------------------------------------------------------------
-
-def sublimation_acceleration(mdot: float, m_a: float, v_hat: np.ndarray,
-                             ast: AsteroidModel,
-                             scattering_factor: float = SCATTERING_FACTOR) -> np.ndarray:
-    """Thrust acceleration on the asteroid from the expelled vapour.
-
-    Directed along the unit vector v_hat (the heliocentric velocity
-    direction in this study); the scattering factor accounts for the spread
-    of ejection directions over the half circle above the surface.
-    """
-    if m_a <= 0.0:
-        raise ValueError("asteroid mass must be positive")
-    v_hat = np.asarray(v_hat, dtype=float)
-    return scattering_factor * exhaust_velocity(ast) * mdot / m_a * v_hat
-

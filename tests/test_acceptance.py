@@ -25,6 +25,7 @@ import pytest
 from numpy.lib.introspect import opt_func_info
 from scipy.integrate import solve_ivp
 
+from laserfleet import deflection
 from laserfleet.constants import (
     AU,
     BOLTZMANN,
@@ -367,7 +368,7 @@ def _map_cells(table):
 
 @criterion(8, "map: b grows with warning and n_sc; shaped >= natural; "
               "contamination halt")
-def test_criterion_8_deflection_map(nominal, map_table):
+def test_criterion_8_deflection_map(nominal, map_table, monkeypatch):
     cells, idx = _map_cells(map_table)
     warnings = sorted({k[3] for k in cells})
     n_list = sorted({k[2] for k in cells})
@@ -403,10 +404,11 @@ def test_criterion_8_deflection_map(nominal, map_table):
                * SOLAR_FLUX_1AU * AU * AU)
     table = MdotTable.build(design, ast,
                             p_max=p_coeff / (ast.elements0.a * (1 - ast.elements0.e)) ** 2)
+    monkeypatch.setattr(deflection, "RECORD_EVERY", 10)
     out = simulate_deflection(DeflectionScenario(
         ast=ast, design=design, earth=nominal.earth, m_sc=m_sc,
-        t_start=t_moid - YEAR, t_moid=t_moid, formation=nominal.natural,
-        record_every=10), mdot_table=table)
+        t_start=t_moid - YEAR, t_moid=t_moid, formation=nominal.natural),
+        mdot_table=table)
 
     k0 = ast.elements0
     n_mm = k0.mean_motion(MU_SUN)

@@ -1,3 +1,6 @@
+import ast as python_ast
+import dataclasses
+import inspect
 import math
 import re
 from dataclasses import replace
@@ -5,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from laserfleet import batch, deflection
+from laserfleet import batch, deflection, experiments
 from laserfleet.constants import AU, TWO_PI, YEAR
 from laserfleet.deflection import (
     DeflectionScenario,
@@ -85,11 +88,11 @@ def test_initial_flow_scales_with_fleet(ast, earth):
     assert math.isclose(outs[1].mdot[0], 2.0 * outs[0].mdot[0], rel_tol=1e-9)
 
 
-def test_contamination_monotone_and_mass_decreasing(ast, earth):
+def test_contamination_monotone_and_mass_decreasing(ast, earth, monkeypatch):
     design = design_from_option(10.0, 5000.0, n_spacecraft=5, option="60/40")
     m_sc = mass_budget(design, ast.elements0.a * (1 - ast.elements0.e)).m_total
-    out = simulate_deflection(scenario(ast, earth, design, m_sc, 2 * YEAR,
-                                       record_every=20))
+    monkeypatch.setattr(deflection, "RECORD_EVERY", 20)
+    out = simulate_deflection(scenario(ast, earth, design, m_sc, 2 * YEAR))
     assert np.all(np.diff(out.contamination) >= 0.0)
     assert np.all(np.diff(out.asteroid_mass) <= 0.0)
     assert np.all(out.tau > 0.0) and np.all(out.tau <= 1.0)
@@ -112,16 +115,6 @@ def test_deflection_deterministic(ast, earth):
     assert np.array_equal(o1.contamination, o2.contamination)
 
 
-def test_thrust_until_coast_drift(ast, earth):
-    """Stopping the thrust early still grows the miss via anomaly drift."""
-    design = design_from_option(10.0, 5000.0, n_spacecraft=5, option="60/40")
-    short = simulate_deflection(scenario(ast, earth, design, 1500.0, YEAR,
-                                         thrust_until=YEAR))
-    coast = simulate_deflection(scenario(ast, earth, design, 1500.0, 3 * YEAR,
-                                         thrust_until=YEAR))
-    assert coast.miss_distance > short.miss_distance
-
-
 def test_mdot_table_used_matches_internal(ast, earth):
     design = design_from_option(10.0, 5000.0, n_spacecraft=2, option="60/40")
     table = MdotTable.for_orbit(design, ast, ast.elements0)
@@ -141,27 +134,30 @@ def test_bplane_requires_relative_velocity():
 
 
 def test_moid_epoch_before_start_rejected(ast, earth):
-    design = design_from_option(10.0, 5000.0, option="60/40")
+    """An encounter before the start is an error; one at the start is a run
+    of no steps and no deflection."""
+    design = design_from_option(10.0, 5000.0, n_spacecraft=3, option="60/40")
     with pytest.raises(ValueError):
         simulate_deflection(DeflectionScenario(
             ast=ast, design=design, earth=earth, m_sc=0.0,
             t_start=YEAR, t_moid=0.0, formation=SHAPED))
-
-
-def test_thrust_until_before_start_rejected(ast, earth):
-    """A thrust window that ends before it starts is an error on both entry
-    points, not a miss from a negative window."""
-    design = design_from_option(10.0, 5000.0, n_spacecraft=3, option="60/40")
-    for days in (1.0, 30.0):
-        early = scenario(ast, earth, design, 1200.0, YEAR, thrust_until=-days * 86400.0)
-        with pytest.raises(ValueError, match="thrust_until"):
-            simulate_deflection(early)
-        with pytest.raises(ValueError, match="thrust_until"):
-            simulate_deflections([scenario(ast, earth, design, 1200.0, YEAR), early])
-    # a window of zero length is still a coast with no thrust
-    out = simulate_deflection(scenario(ast, earth, design, 1200.0, YEAR, thrust_until=0.0))
+    out = simulate_deflection(scenario(ast, earth, design, 1200.0, 0.0))
     assert out.delta_mean_anomaly == 0.0 and len(out.times) == 1
-    assert out.miss_distance < 1.0
+    assert out.miss_distance == 0.0
+
+
+def test_every_deflection_field_is_set_by_a_study():
+    """A ``DeflectionScenario`` field with a default that no study sets has
+    one value in use; it belongs in a module constant (DECISIONS.md,
+    "Design constants: one value in use is a constant")."""
+    tree = python_ast.parse(inspect.getsource(experiments))
+    passed = {kw.arg for node in python_ast.walk(tree)
+              if isinstance(node, python_ast.Call) and isinstance(node.func, python_ast.Name)
+              and node.func.id == "DeflectionScenario" for kw in node.keywords}
+    defaulted = [f.name for f in dataclasses.fields(DeflectionScenario)
+                 if f.default is not dataclasses.MISSING
+                 or f.default_factory is not dataclasses.MISSING]
+    assert [name for name in defaulted if name not in passed] == []
 
 
 def test_flow_columns_match_table(ast, rng):
@@ -250,7 +246,7 @@ def test_float_run_stops_at_a_non_finite_state(ast, earth, monkeypatch):
     step, naming the first component, the step and its time."""
     design = design_from_option(10.0, 5000.0, n_spacecraft=4, option="60/40")
     sc = scenario(ast, earth, design, 1200.0, 0.2 * YEAR)
-    dt = float(simulate_deflection(sc).times[1]) / sc.record_every
+    dt = float(simulate_deflection(sc).times[1]) / deflection.RECORD_EVERY
     calls = _nan_at(monkeypatch, 1 + 4 * 6 + 1)
     with pytest.raises(NonFiniteStateError, match=r"^deflection state a is nan after step 7 "
                        r"at t = ([0-9.]+) s$") as info:
@@ -267,7 +263,7 @@ def test_batch_stops_at_a_non_finite_state(ast, earth, monkeypatch):
     design = design_from_option(10.0, 5000.0, n_spacecraft=4, option="60/40")
     cells = [scenario(ast, earth, design, 1200.0, 0.2 * YEAR, formation=f)
              for f in (SHAPED, NATURAL, SHAPED)]
-    dt = float(simulate_deflection(cells[1]).times[1]) / cells[1].record_every
+    dt = float(simulate_deflection(cells[1]).times[1]) / deflection.RECORD_EVERY
     _nan_at(monkeypatch, 1 + 4 * 2 + 3, column=2)
     with pytest.raises(NonFiniteStateError, match=r"^deflection state a of scenario 1 is nan "
                        r"after step 3 at t = ([0-9.]+) s$") as info:
@@ -282,7 +278,7 @@ def test_batch_stops_at_a_non_finite_state(ast, earth, monkeypatch):
 
 def _batch_cells(ast, earth):
     """Natural and shaped cells on the 5 m and 10 m tables, warnings of 0, 1
-    and 2 yr, a coast, and a planar (i = 0) orbit with a table of its own."""
+    and 2 yr, a 2.5 yr run and a planar (i = 0) orbit with tables of their own."""
     t_moid = 2.5 * YEAR
     cells = []
     for aperture in (5.0, 10.0):
@@ -298,8 +294,7 @@ def _batch_cells(ast, earth):
                     table))
     design = design_from_option(10.0, 5000.0, n_spacecraft=4, option="60/40")
     cells.append((DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=1500.0,
-                                     t_start=0.0, t_moid=t_moid, formation=NATURAL,
-                                     thrust_until=0.7 * YEAR, record_every=37), None))
+                                     t_start=0.0, t_moid=t_moid, formation=NATURAL), None))
     planar = replace(ast, elements0=OrbitalElements(
         a=1.15 * AU, e=0.7 / 2.3, i=0.0, raan=0.0, argp=0.0, anomaly=0.0,
         anomaly_kind="mean", epoch=0.0))

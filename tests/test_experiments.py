@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from laserfleet import formation
+from laserfleet import formation, orbits
 from laserfleet.constants import AU, MU_SUN, YEAR
 from laserfleet.deflection import DeflectionScenario, simulate_deflection
 from laserfleet.experiments import (
@@ -109,7 +109,7 @@ def test_shaped_design_rows_are_the_scored_numbers(nominal, tmp_path):
                            res["C1"], res["C2"])
 
 
-def test_sweep_cell_refinement_oracle(sweep_scenario):
+def test_sweep_cell_refinement_oracle(sweep_scenario, monkeypatch):
     """One sweep cell re-run with a 10x finer integrator step within 1%."""
     r_p, r_a = 0.7 * AU, 1.5 * AU
     a = 0.5 * (r_p + r_a)
@@ -122,10 +122,10 @@ def test_sweep_cell_refinement_oracle(sweep_scenario):
     warning = 9.0 * YEAR
 
     def cell_b(step_fraction):
+        monkeypatch.setattr(orbits, "STEP_FRACTION", step_fraction)
         dscn = DeflectionScenario(
             ast=ast, design=design, earth=sweep_scenario.earth, m_sc=m_sc,
-            t_start=0.0, t_moid=warning, formation=sweep_scenario.shaped,
-            step_fraction=step_fraction)
+            t_start=0.0, t_moid=warning, formation=sweep_scenario.shaped)
         out = simulate_deflection(dscn)
         return bplane_miss(*crossing_states(elements, out.elements_final,
                                             out.delta_mean_anomaly))

@@ -29,6 +29,7 @@ from laserfleet.formation import (
     simulate_tracking,
     sun_distance,
     sweep_extremum,
+    sweep_grid,
 )
 from laserfleet.orbits import (
     NonFiniteStateError,
@@ -436,7 +437,7 @@ def test_cached_grids_are_keyed_on_what_they_read(ast, design_20m):
     natural-orbit factors, give for every key what a cold cache gives.
 
     Each variant changes one thing its grid reads: the spin rate, the
-    semi-axes, the orbit, the grid's start, length and sample count; for
+    semi-axes, the orbit, the grid's length and sample count; for
     the natural factors the orbit and the sweep size. Scored one after the
     other in one process, a key that left the thing out would hand the
     variant the grid of the case before it.
@@ -447,9 +448,8 @@ def test_cached_grids_are_keyed_on_what_they_read(ast, design_20m):
     k_b = replace(ast.elements0, a=1.1 * ast.elements0.a, e=0.25, anomaly=2.0)
     asteroids = [ast, replace(ast, spin_rate=2.0 * ast.spin_rate),
                  replace(ast, semi_axes=(200.0, 120.0, 95.0))]
-    cases = [(replace(ctx, ast=a), YEAR, 256, 0.0) for a in asteroids]
-    cases += [(replace(ctx, k_a=k_b), YEAR, 256, 0.0), (ctx, YEAR, 256, 0.3 * YEAR),
-              (ctx, YEAR, 320, 0.0), (ctx, 0.5 * YEAR, 256, 0.0)]
+    cases = [(replace(ctx, ast=a), YEAR, 256) for a in asteroids]
+    cases += [(replace(ctx, k_a=k_b), YEAR, 256), (ctx, YEAR, 320), (ctx, 0.5 * YEAR, 256)]
     s = ShapedOrbit(np.array([300.0, 200.0, 400.0, 200.0, 100.0, 1500.0, 100.0, 50.0]))
 
     warm = [shaped_orbit_control(s, *case).accel for case in cases]
@@ -492,7 +492,7 @@ def test_tracking_short_window(ast, design_20m):
 
 def test_sweep_extremum_refines():
     f = lambda nu: np.sin(np.asarray(nu) + 0.123)
-    nu_max, val = sweep_extremum(f, n_sweep=90, refine=True, maximize=True)
+    nu_max, val = sweep_extremum(f, f(sweep_grid(90)), refine=True, maximize=True)
     assert abs(val - 1.0) < 1e-9
     assert abs(math.remainder(nu_max - (math.pi / 2 - 0.123), TWO_PI)) < 1e-4
 

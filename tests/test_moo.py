@@ -81,6 +81,24 @@ def test_archive_feasibility_first():
     assert not arc.add(bad)
 
 
+def test_archive_add_reports_whether_the_member_is_kept():
+    """``add`` is True only for a member the archive still holds after it:
+    an infeasible one past capacity, or a feasible one that the crowding
+    cut drops at once, was offered but not kept."""
+    arc = ParetoArchive(capacity=2)
+    offered = [ArchiveMember(x=np.array([v]), objectives=np.array([0.0, 0.0]),
+                             constraints=np.array([v])) for v in (1.0, 2.0, 3.0)]
+    assert [arc.add(m) for m in offered] == [True, True, False]
+    assert [m.violation for m in arc.members] == [1.0, 2.0]
+
+    arc = ParetoArchive(capacity=3)
+    for j, objs in enumerate([(0.0, 10.0), (10.0, 0.0), (5.0, 5.0)]):
+        assert arc.add(member(float(j), objs))
+    crowded = member(3.0, [5.1, 4.9])  # the smallest neighbour rectangle
+    assert not arc.add(crowded)
+    assert all(m is not crowded for m in arc.members) and len(arc) == 3
+
+
 def test_archive_prune_keeps_extremes():
     arc = ParetoArchive(capacity=3)
     pts = [(0.0, 10.0), (10.0, 0.0), (5.0, 5.0), (4.0, 5.5), (5.5, 4.0)]
@@ -250,7 +268,7 @@ class _PairwiseArchive(ParetoArchive):
                         if not dominates(member.objectives, m.objectives)] + [member]
         if len(self.members) > self.capacity:
             self._prune()
-        return True
+        return any(m is member for m in self.members)
 
 
 def _pairwise_dominated_pair(members):

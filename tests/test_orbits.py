@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from laserfleet import orbits
 from laserfleet.constants import AU, DAY, MU_SUN, TWO_PI, YEAR
 from laserfleet.orbits import (
     BodyEphemeris,
@@ -224,9 +225,10 @@ def test_gauss_vs_cartesian_30_days(ast):
     assert abs(da_g - da_c) / abs(da_c) < 1e-3
 
 
-def test_unperturbed_gauss_conserves_slow_elements_10yr(ast):
+def test_unperturbed_gauss_conserves_slow_elements_10yr(ast, monkeypatch):
+    monkeypatch.setattr(orbits, "STEP_FRACTION", 5e-3)
     hist = integrate_gauss(ast.elements0, lambda t, k: np.zeros(3),
-                           0.0, 10 * YEAR, MU_SUN, step_fraction=5e-3)
+                           0.0, 10 * YEAR, MU_SUN)
     k0 = ast.elements0.as_array()
     kf = hist.elements[-1]
     assert np.all(np.abs(kf[:5] - k0[:5]) <= 1e-9 * np.maximum(np.abs(k0[:5]), 1.0))
@@ -341,12 +343,6 @@ def test_moid_concentric_circles():
 def test_moid_identical_orbits(ast):
     res = find_moid(ast.elements0, ast.elements0)
     assert res.distance < 1.0  # metres
-
-
-@pytest.mark.parametrize("grid_deg", [0.0, -2.0, 800.0, math.inf, math.nan])
-def test_moid_rejects_bad_grid(ast, earth, grid_deg):
-    with pytest.raises(ValueError, match="grid_deg"):
-        find_moid(ast.elements0, earth.elements, grid_deg=grid_deg)
 
 
 def test_moid_apophis_earth_vs_dense_grid(ast, earth):

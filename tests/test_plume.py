@@ -272,18 +272,20 @@ def test_line_of_sight(ast):
     assert line_of_sight_occluded(*spot, 0.0, -1000.0, ast.semi_axes)
 
 
-def test_plume_state_record(ast, earth):
+def test_plume_state_record(ast, earth, monkeypatch):
     # the deflection records the plume state it integrates: the condensed
     # layer grows from clean optics and the degradation factor is that of
     # the recorded thickness
+    from laserfleet import deflection
     from laserfleet.constants import YEAR
     from laserfleet.deflection import DeflectionScenario, simulate_deflection
     from laserfleet.formation import NaturalOrbit
 
     design = design_from_option(10.0, 5000.0, n_spacecraft=5, option="60/40")
+    monkeypatch.setattr(deflection, "RECORD_EVERY", 20)
     out = simulate_deflection(DeflectionScenario(
         ast=ast, design=design, earth=earth, m_sc=1500.0, t_start=0.0,
-        t_moid=2 * YEAR, record_every=20,
+        t_moid=2 * YEAR,
         formation=NaturalOrbit(dk=np.array([-1e-9, 5e-9, 0.0, 0.0, 8e-9]))))
     assert out.contamination[0] == 0.0 and out.tau[0] == 1.0
     assert out.contamination[-1] > 0.0

