@@ -134,13 +134,25 @@ def test_bplane_requires_relative_velocity():
 
 
 def test_moid_epoch_before_start_rejected(ast, earth):
-    """An encounter before the start is an error; one at the start is a run
-    of no steps and no deflection."""
-    design = design_from_option(10.0, 5000.0, n_spacecraft=3, option="60/40")
+    design = design_from_option(10.0, 5000.0, option="60/40")
     with pytest.raises(ValueError):
         simulate_deflection(DeflectionScenario(
             ast=ast, design=design, earth=earth, m_sc=0.0,
             t_start=YEAR, t_moid=0.0, formation=SHAPED))
+
+
+def test_thrust_until_before_start_rejected(ast, earth):
+    """Every run thrusts from t_start until t_moid. A window that ends before
+    it starts is an error on both entry points, not a miss from a negative
+    window; one of zero length is a run of no steps and no deflection."""
+    design = design_from_option(10.0, 5000.0, n_spacecraft=3, option="60/40")
+    for days in (1.0, 30.0):
+        early = DeflectionScenario(ast=ast, design=design, earth=earth, m_sc=1200.0,
+                                   t_start=days * 86400.0, t_moid=0.0, formation=NATURAL)
+        with pytest.raises(ValueError, match="precedes the deflection start"):
+            simulate_deflection(early)
+        with pytest.raises(ValueError, match="precedes the deflection start"):
+            simulate_deflections([scenario(ast, earth, design, 1200.0, YEAR), early])
     out = simulate_deflection(scenario(ast, earth, design, 1200.0, 0.0))
     assert out.delta_mean_anomaly == 0.0 and len(out.times) == 1
     assert out.miss_distance == 0.0
